@@ -116,7 +116,7 @@ Workspace
 Session::bindWorkspace(const PreparedCase &pc)
 {
     Workspace ws(pc.app.program);
-    ws.bindMatrix(pc.app.matrix, pc.csr, pc.csc);
+    ws.borrowMatrix(pc.app.matrix, pc.csr, pc.csc);
     pc.app.init(ws);
     return ws;
 }

@@ -34,8 +34,9 @@
  * Thread safety: a Session may be shared by concurrent callers.  The
  * caches serialize construction per key (KeyedCache), every run gets
  * its own Workspace + SparsepipeSim, and a PreparedCase is read-only
- * after construction (bindWorkspace copies the operand vectors into
- * the run's private workspace).
+ * after construction.  bindWorkspace binds the cached CSR / CSC pair
+ * by reference, so concurrent runs of one case share a single copy
+ * of the operand; each run owns only its dense tensors and scalars.
  */
 
 #ifndef SPARSEPIPE_API_SESSION_HH
@@ -208,8 +209,12 @@ class Session
     CacheStatsSnapshot cacheStats() const;
 
     /**
-     * Build a workspace for a prepared case: allocate, bind the
-     * cached CSR/CSC pair (no transpose), run the app's init.
+     * Build a workspace for a prepared case: allocate the dense
+     * tensors, borrow the cached CSR/CSC pair (no copy, no
+     * transpose), run the app's init.  The workspace references
+     * pc.app.program and pc's pair, so `pc` must outlive it (the
+     * same duty the Program reference carries); Session::run holds
+     * a pin on the case for the whole run.
      */
     static Workspace bindWorkspace(const PreparedCase &pc);
 

@@ -1,5 +1,8 @@
 #include "apps/apps.hh"
 
+#include <algorithm>
+#include <cmath>
+
 #include "sparse/generate.hh"
 #include "util/logging.hh"
 
@@ -49,24 +52,74 @@ prepareSpd(CooMatrix m)
 {
     if (m.rows() != m.cols())
         sp_panic("prepareSpd: matrix must be square");
-    // Symmetrise: B = (A + A^T) / 2 on the stored pattern.
-    CooMatrix sym(m.rows(), m.cols());
-    for (const Triplet &t : m.entries()) {
-        if (t.row == t.col)
-            continue;
-        Value half = 0.5 * t.val;
-        sym.add(t.row, t.col, half);
-        sym.add(t.col, t.row, half);
+    // Generators, reorders and the MatrixMarket reader all hand over
+    // canonical matrices, so fromCoo is one scan plus the compress.
+    const CsrMatrix a = CsrMatrix::fromCoo(std::move(m));
+    const CscMatrix a_cols = CscMatrix::fromCsr(a);
+    const Idx n = a.rows();
+
+    // Row r of B = (A + A^T) / 2 merges row r of A with column r of
+    // A.  Each half is rounded before the add, upper-triangle source
+    // first, and exact zeros drop — the same arithmetic as summing
+    // the two COO halves in stable row-major order.  The diagonal is
+    // replaced by 1 + sum_j |b_rj| (column order) for dominance; its
+    // slot sits between the two merge passes and is filled last.
+    std::vector<Idx> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+    std::vector<Idx> col_idx;
+    std::vector<Value> vals;
+    const std::size_t bound =
+        2 * static_cast<std::size_t>(a.nnz()) + static_cast<std::size_t>(n);
+    col_idx.reserve(bound);
+    vals.reserve(bound);
+    for (Idx r = 0; r < n; ++r) {
+        const auto row_cols = a.rowCols(r);
+        const auto row_vals = a.rowVals(r);
+        const auto col_rows = a_cols.colRows(r);
+        const auto col_vals = a_cols.colVals(r);
+        std::size_t i = 0, k = 0;
+        Value abs_sum = 0.0;
+        // Merge both sources' entries with column < end (an
+        // exhausted source reads as column n).
+        const auto merge_below = [&](Idx end) {
+            for (;;) {
+                const Idx jr = i < row_cols.size() ? row_cols[i] : n;
+                const Idx jc = k < col_rows.size() ? col_rows[k] : n;
+                const Idx j = std::min(jr, jc);
+                if (j >= end)
+                    return;
+                const Value *in_row = jr == j ? &row_vals[i++] : nullptr;
+                const Value *in_col = jc == j ? &col_vals[k++] : nullptr;
+                Value b = 0.5 * (in_row ? *in_row : *in_col);
+                if (in_row && in_col) {
+                    const Value upper_half =
+                        0.5 * (j > r ? *in_row : *in_col);
+                    const Value lower_half =
+                        0.5 * (j > r ? *in_col : *in_row);
+                    b = upper_half + lower_half;
+                }
+                if (b == 0.0)
+                    continue;
+                col_idx.push_back(j);
+                vals.push_back(b);
+                abs_sum += std::abs(b);
+            }
+        };
+        merge_below(r);
+        // A stored diagonal is replaced, not merged.
+        if (i < row_cols.size() && row_cols[i] == r)
+            ++i;
+        if (k < col_rows.size() && col_rows[k] == r)
+            ++k;
+        const std::size_t diag = col_idx.size();
+        col_idx.push_back(r);
+        vals.push_back(0.0);
+        merge_below(n);
+        vals[diag] = 1.0 + abs_sum;
+        row_ptr[static_cast<std::size_t>(r) + 1] =
+            static_cast<Idx>(col_idx.size());
     }
-    sym.canonicalize();
-    // Diagonal dominance: a_ii = 1 + sum_j |a_ij|.
-    std::vector<Value> row_abs(static_cast<std::size_t>(m.rows()), 0.0);
-    for (const Triplet &t : sym.entries())
-        row_abs[static_cast<std::size_t>(t.row)] += std::abs(t.val);
-    for (Idx r = 0; r < m.rows(); ++r)
-        sym.add(r, r, 1.0 + row_abs[static_cast<std::size_t>(r)]);
-    sym.canonicalize();
-    return CsrMatrix::fromCoo(std::move(sym));
+    return CsrMatrix::fromParts(n, n, std::move(row_ptr),
+                                std::move(col_idx), std::move(vals));
 }
 
 } // namespace sparsepipe

@@ -45,7 +45,7 @@ autotuneSubTensor(const AppInstance &app, const CsrMatrix &prepared,
         probe.sub_tensor_cols = t;
         SparsepipeSim sim(probe);
         Workspace ws(app.program);
-        ws.bindMatrix(app.matrix, prepared, csc);
+        ws.borrowMatrix(app.matrix, prepared, csc);
         app.init(ws);
         SimStats stats = sim.run(ws, pilot_iters);
         result.probes.push_back({t, stats.cycles});

@@ -1,6 +1,6 @@
 #include "prep/blocked.hh"
 
-#include <unordered_set>
+#include <vector>
 
 namespace sparsepipe {
 
@@ -57,17 +57,22 @@ buildBlockedLayout(const CsrMatrix &matrix, Idx block_size)
     layout.grid_rows = (matrix.rows() + block_size - 1) / block_size;
     layout.grid_cols = (matrix.cols() + block_size - 1) / block_size;
 
-    std::unordered_set<std::uint64_t> blocks;
+    // Rows are visited in order, so block rows arrive in order too:
+    // a block (br, bc) is new exactly when block column bc has not
+    // yet been seen in block row br.
+    std::vector<Idx> last_block_row(
+        static_cast<std::size_t>(layout.grid_cols), -1);
     for (Idx r = 0; r < matrix.rows(); ++r) {
-        const std::uint64_t br =
-            static_cast<std::uint64_t>(r / block_size);
+        const Idx br = r / block_size;
         for (Idx c : matrix.rowCols(r)) {
-            const std::uint64_t bc =
-                static_cast<std::uint64_t>(c / block_size);
-            blocks.insert(br << 32 | bc);
+            Idx &seen = last_block_row[static_cast<std::size_t>(
+                c / block_size)];
+            if (seen != br) {
+                seen = br;
+                ++layout.nonzero_blocks;
+            }
         }
     }
-    layout.nonzero_blocks = static_cast<Idx>(blocks.size());
     return layout;
 }
 

@@ -35,15 +35,35 @@ setCacheMetrics(obs::MetricsRegistry &reg, const std::string &prefix,
 } // anonymous namespace
 
 std::uint64_t
-estimateResidentBytes(const std::string &dataset)
+estimateResidentBytes(const std::string &app, const std::string &dataset)
 {
     const DatasetSpec *spec = findDatasetSpec(dataset);
-    if (!spec)
+    if (!spec || !findAppInfo(app))
         return 0;
-    // Prepared CSR + CSC twin (~12 B/nz each) plus the per-run
-    // workspace copy the bind makes (~24 B/nz) and row pointers.
-    return static_cast<std::uint64_t>(spec->nnz) * 48 +
-           static_cast<std::uint64_t>(spec->rows) * 32;
+    const AppInstance instance = makeApp(app, spec->rows);
+    const auto rows = static_cast<std::uint64_t>(spec->rows);
+    auto entries = static_cast<std::uint64_t>(spec->nnz);
+    // The solvers' SPD operand, (A + A^T) / 2 plus a full diagonal,
+    // holds up to 2 nnz + rows entries.
+    const auto *prepare =
+        instance.prepare.target<CsrMatrix (*)(CooMatrix)>();
+    if (prepare && *prepare == &prepareSpd)
+        entries = 2 * entries + rows;
+    // Prepared CSR + CSC twin at host widths: an Idx coordinate and
+    // a Value per entry in each, plus the square operand's pointers.
+    std::uint64_t bytes =
+        2 * (entries * (sizeof(Idx) + sizeof(Value)) +
+             (rows + 1) * sizeof(Idx));
+    // A run's workspace borrows the operand and owns its dense
+    // tensors.
+    for (const TensorInfo &t : instance.program.tensors()) {
+        if (t.kind == TensorKind::Vector)
+            bytes += static_cast<std::uint64_t>(t.dim0) * sizeof(Value);
+        else if (t.kind == TensorKind::DenseMatrix)
+            bytes += static_cast<std::uint64_t>(t.dim0) *
+                     static_cast<std::uint64_t>(t.dim1) * sizeof(Value);
+    }
+    return bytes;
 }
 
 Server::Server(ServerConfig config)
@@ -299,7 +319,8 @@ Server::handleRequest(const Request &req)
         // ticket rides in the task closure and is released when the
         // run finishes.
         StatusOr<Ticket> ticket =
-            admission_.tryAdmit(estimateResidentBytes(req.dataset));
+            admission_.tryAdmit(
+                estimateResidentBytes(req.app, req.dataset));
         if (!ticket.ok()) {
             coalescer_.complete(
                 key, join.flight,

@@ -205,12 +205,17 @@ class Server
 };
 
 /**
- * Crude resident-bytes estimate for admitting a run on a built-in
- * dataset: the prepared operand (CSR + CSC twin) plus the workspace
- * copy a run binds.  Intentionally pessimistic — admission is a
- * budget, not an accountant.
+ * Resident-bytes estimate for admitting a run of `app` on a built-in
+ * dataset: the prepared CSR and its CSC twin at host widths (16 B
+ * per entry each, with the solvers' SPD operand charged its 2 nnz +
+ * rows entry bound), plus the dense tensors of the run's workspace,
+ * sized from the app's Program.  The workspace borrows the operand,
+ * so nothing is charged twice.  Sized from the dataset spec, never
+ * from the data, so it errs high, not low.  Unknown names estimate
+ * 0.
  */
-std::uint64_t estimateResidentBytes(const std::string &dataset);
+std::uint64_t estimateResidentBytes(const std::string &app,
+                                    const std::string &dataset);
 
 } // namespace sparsepipe::serve
 

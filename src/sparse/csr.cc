@@ -100,6 +100,24 @@ CsrMatrix::fromCsc(const CscMatrix &csc)
     return out;
 }
 
+CsrMatrix
+CsrMatrix::fromParts(Idx rows, Idx cols, std::vector<Idx> row_ptr,
+                     std::vector<Idx> col_idx, std::vector<Value> vals)
+{
+    CsrMatrix out;
+    out.rows_ = rows;
+    out.cols_ = cols;
+    out.rowPtr_ = std::move(row_ptr);
+    out.colIdx_ = std::move(col_idx);
+    out.vals_ = std::move(vals);
+    if (!out.validate())
+        sp_panic("CsrMatrix::fromParts: arrays do not form a "
+                 "canonical %lld x %lld CSR matrix",
+                 static_cast<long long>(rows),
+                 static_cast<long long>(cols));
+    return out;
+}
+
 CooMatrix
 CsrMatrix::toCoo() const
 {

@@ -33,6 +33,16 @@ class CsrMatrix
     /** Build from a column-ordered CSC matrix. */
     static CsrMatrix fromCsc(const CscMatrix &csc);
 
+    /**
+     * Adopt already-compressed arrays: `row_ptr` of rows + 1
+     * offsets, and per row ascending `col_idx` with their `vals`.
+     * Arrays that fail validate() are a programming error (fatal).
+     */
+    static CsrMatrix fromParts(Idx rows, Idx cols,
+                               std::vector<Idx> row_ptr,
+                               std::vector<Idx> col_idx,
+                               std::vector<Value> vals);
+
     /** @return the matrix as COO (row-major canonical order). */
     CooMatrix toCoo() const;
 

@@ -7,6 +7,7 @@
  */
 
 #include <limits>
+#include <map>
 #include <queue>
 
 #include <gtest/gtest.h>
@@ -351,6 +352,172 @@ TEST(Prepare, SpdIsSymmetricAndDominant)
         }
         EXPECT_GT(diag, off);
     }
+}
+
+/**
+ * The COO assembly prepareSpd used before it merged rows with
+ * columns directly in CSR: every half pushed as a triplet, stable
+ * row-major sort + merge, row sums, diagonal, second canonicalize.
+ * Kept here as the bit-exact reference.
+ */
+CsrMatrix
+referenceSpd(const CooMatrix &m)
+{
+    CooMatrix sym(m.rows(), m.cols());
+    for (const Triplet &t : m.entries()) {
+        if (t.row == t.col)
+            continue;
+        Value half = 0.5 * t.val;
+        sym.add(t.row, t.col, half);
+        sym.add(t.col, t.row, half);
+    }
+    sym.canonicalize();
+    std::vector<Value> row_abs(static_cast<std::size_t>(m.rows()), 0.0);
+    for (const Triplet &t : sym.entries())
+        row_abs[static_cast<std::size_t>(t.row)] += std::abs(t.val);
+    for (Idx r = 0; r < m.rows(); ++r)
+        sym.add(r, r, 1.0 + row_abs[static_cast<std::size_t>(r)]);
+    sym.canonicalize();
+    return CsrMatrix::fromCoo(std::move(sym));
+}
+
+/** prepareSpd(raw) against referenceSpd(raw), array by array. */
+::testing::AssertionResult
+matchesReferenceSpd(const CooMatrix &raw)
+{
+    const CsrMatrix got = prepareSpd(raw);
+    const CsrMatrix want = referenceSpd(raw);
+    if (!got.validate())
+        return ::testing::AssertionFailure() << "invalid CSR";
+    if (got.rows() != want.rows() || got.cols() != want.cols())
+        return ::testing::AssertionFailure() << "shape differs";
+    if (got.rowPtr() != want.rowPtr())
+        return ::testing::AssertionFailure() << "row pointers differ";
+    if (got.colIdx() != want.colIdx())
+        return ::testing::AssertionFailure() << "columns differ";
+    for (std::size_t i = 0; i < want.vals().size(); ++i) {
+        if (!testing::sameBits(got.vals()[i], want.vals()[i]))
+            return ::testing::AssertionFailure()
+                   << "value " << i << ": " << got.vals()[i]
+                   << " vs reference " << want.vals()[i];
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Canonical n x n matrix from (row, col, val) entries. */
+CooMatrix
+squareFrom(Idx n, std::initializer_list<Triplet> entries)
+{
+    CooMatrix m(n, n);
+    for (const Triplet &t : entries)
+        m.add(t.row, t.col, t.val);
+    m.sortRowMajor();
+    EXPECT_TRUE(m.isCanonical());
+    return m;
+}
+
+/** Row r of a CSR matrix as (col -> value). */
+std::map<Idx, Value>
+rowOf(const CsrMatrix &a, Idx r)
+{
+    std::map<Idx, Value> row;
+    for (std::size_t k = 0; k < a.rowCols(r).size(); ++k)
+        row[a.rowCols(r)[k]] = a.rowVals(r)[k];
+    return row;
+}
+
+TEST(Prepare, SpdMatchesCooAssemblyOnGeneratedShapes)
+{
+    EXPECT_TRUE(matchesReferenceSpd(testing::smallGraph()));
+    EXPECT_TRUE(matchesReferenceSpd(testing::smallGraph(32, 200, 41)));
+    EXPECT_TRUE(matchesReferenceSpd(testing::smallGraph(300, 4000, 7)));
+    EXPECT_TRUE(matchesReferenceSpd(testing::smallRmat()));
+    EXPECT_TRUE(matchesReferenceSpd(testing::smallRmat(512, 9000, 5)));
+    EXPECT_TRUE(matchesReferenceSpd(CooMatrix(0, 0)));
+    EXPECT_TRUE(matchesReferenceSpd(CooMatrix(5, 5)));
+}
+
+TEST(Prepare, SpdCancellationDropsTheEntryAndItsRowSum)
+{
+    // a_12 = -a_21: b_12 = 1.5 + -1.5 = 0 drops from both rows and
+    // from both row sums; a_13 survives.
+    const CooMatrix raw = squareFrom(
+        4, {{1, 2, 3.0}, {1, 3, 2.0}, {2, 1, -3.0}});
+    ASSERT_TRUE(matchesReferenceSpd(raw));
+    const CsrMatrix a = prepareSpd(raw);
+    EXPECT_EQ(rowOf(a, 1), (std::map<Idx, Value>{{1, 2.0}, {3, 1.0}}));
+    EXPECT_EQ(rowOf(a, 2), (std::map<Idx, Value>{{2, 1.0}}));
+    EXPECT_EQ(rowOf(a, 3), (std::map<Idx, Value>{{1, 1.0}, {3, 2.0}}));
+}
+
+TEST(Prepare, SpdIgnoresStoredDiagonalAndFillsEmptyRows)
+{
+    // Row 2 is empty in A and A^T; rows 0 and 3 store diagonals.
+    const CooMatrix raw = squareFrom(
+        5, {{0, 0, 9.0}, {0, 1, 4.0}, {3, 3, -7.0}, {3, 4, -2.0},
+            {4, 0, 6.0}});
+    ASSERT_TRUE(matchesReferenceSpd(raw));
+    const CsrMatrix a = prepareSpd(raw);
+    EXPECT_EQ(rowOf(a, 0),
+              (std::map<Idx, Value>{{0, 6.0}, {1, 2.0}, {4, 3.0}}));
+    EXPECT_EQ(rowOf(a, 2), (std::map<Idx, Value>{{2, 1.0}}));
+    EXPECT_EQ(rowOf(a, 3), (std::map<Idx, Value>{{3, 2.0}, {4, -1.0}}));
+}
+
+TEST(Prepare, SpdRowsWithEntriesOnOneSideOfTheDiagonal)
+{
+    // Strictly lower / upper triangular inputs: B's first row has
+    // entries only right of its diagonal, its last only left.
+    CooMatrix lower(6, 6), upper(6, 6);
+    for (Idx r = 0; r < 6; ++r) {
+        for (Idx c = 0; c < r; ++c) {
+            lower.add(r, c, static_cast<Value>(r * 10 + c));
+            upper.add(c, r, static_cast<Value>(r * 10 + c));
+        }
+    }
+    upper.sortRowMajor();
+    EXPECT_TRUE(matchesReferenceSpd(lower));
+    EXPECT_TRUE(matchesReferenceSpd(upper));
+    // One-sided rows of A itself: row 0 stores only right of the
+    // diagonal, row 3 only left, and nothing mirrors them.
+    EXPECT_TRUE(matchesReferenceSpd(
+        squareFrom(4, {{0, 2, 1.0}, {0, 3, 5.0}, {3, 1, -4.0}})));
+}
+
+TEST(Prepare, SpdSubnormalHalvesThatRoundToZeroDrop)
+{
+    const Value tiny = std::numeric_limits<Value>::denorm_min();
+    // (0,1)/(1,0): both halves round to zero, so the pair drops even
+    // though 0.5 * (tiny + tiny) would not.  (2,3): one-sided, drops.
+    // (4,5)/(5,4): 0.5 * 3 tiny rounds to 2 tiny, 0.5 * tiny to 0,
+    // and the 2 tiny row sum vanishes in the diagonal's 1 + sum.
+    const CooMatrix raw = squareFrom(
+        6, {{0, 1, tiny}, {1, 0, tiny}, {2, 3, tiny},
+            {4, 5, 3 * tiny}, {5, 4, tiny}});
+    ASSERT_TRUE(matchesReferenceSpd(raw));
+    const CsrMatrix a = prepareSpd(raw);
+    EXPECT_EQ(rowOf(a, 0), (std::map<Idx, Value>{{0, 1.0}}));
+    EXPECT_EQ(rowOf(a, 2), (std::map<Idx, Value>{{2, 1.0}}));
+    EXPECT_EQ(rowOf(a, 4),
+              (std::map<Idx, Value>{{4, 1.0}, {5, 2 * tiny}}));
+}
+
+TEST(Prepare, SpdCarriesInfinitiesAndNaNs)
+{
+    const Value inf_v = std::numeric_limits<Value>::infinity();
+    const Value nan_v = std::numeric_limits<Value>::quiet_NaN();
+    // inf + -inf is NaN (kept: only exact zeros drop); a one-sided
+    // inf or NaN poisons its rows' sums and diagonals.
+    const CooMatrix raw = squareFrom(
+        7, {{0, 1, inf_v}, {1, 0, -inf_v}, {2, 3, nan_v},
+            {4, 5, -inf_v}, {5, 6, 1.0}, {6, 5, nan_v}});
+    ASSERT_TRUE(matchesReferenceSpd(raw));
+    const CsrMatrix a = prepareSpd(raw);
+    EXPECT_TRUE(std::isnan(rowOf(a, 0).at(1)));
+    EXPECT_TRUE(std::isnan(rowOf(a, 0).at(0)));
+    EXPECT_TRUE(std::isnan(rowOf(a, 3).at(3)));
+    EXPECT_EQ(rowOf(a, 4).at(5), -inf_v);
+    EXPECT_EQ(rowOf(a, 4).at(4), inf_v);
 }
 
 TEST(Registry, AllAppsInstantiate)

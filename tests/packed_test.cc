@@ -17,7 +17,6 @@
 #include "semiring/packed.hh"
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <random>
 #include <vector>
@@ -25,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "sparse/csr.hh"
+#include "test_helpers.hh"
 
 namespace sparsepipe {
 namespace {
@@ -37,22 +37,7 @@ const SemiringKind kKinds[] = {
     SemiringKind::ArilAdd, SemiringKind::MaxMul,
 };
 
-/**
- * Bit equality with NaN as one value class.  IEEE 754 leaves NaN
- * payload propagation unspecified and the compiler may commute FP
- * adds differently per TU, so when *both* operands of an add are
- * NaN the surviving payload is not reproducible even between two
- * scalar builds; sign/payload of NaN is therefore out of contract.
- * Everything else — signed zeros, infinities, subnormals, the last
- * mantissa bit — must match exactly.
- */
-bool
-sameBits(Value a, Value b)
-{
-    if (std::isnan(a) && std::isnan(b))
-        return true;
-    return std::memcmp(&a, &b, sizeof(Value)) == 0;
-}
+using testing::sameBits;
 
 /** Mixed stream of ordinary values and FP specials. */
 class ValueGen

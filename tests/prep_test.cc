@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "core/buckets.hh"
 #include "prep/blocked.hh"
 #include "prep/reorder.hh"
@@ -153,6 +156,56 @@ TEST(Blocked, LayoutCountsNonzeroBlocks)
     EXPECT_EQ(layout.nonzero_blocks, 3);
     EXPECT_EQ(layout.nnz, 4);
     EXPECT_EQ(layout.grid_rows, 2);
+}
+
+/** Non-empty blocks counted the obvious way: a set of block ids. */
+Idx
+bruteForceBlocks(const CsrMatrix &m, Idx block_size)
+{
+    std::set<std::pair<Idx, Idx>> blocks;
+    for (Idx r = 0; r < m.rows(); ++r)
+        for (Idx c : m.rowCols(r))
+            blocks.emplace(r / block_size, c / block_size);
+    return static_cast<Idx>(blocks.size());
+}
+
+/** Random rows x cols matrix with about `nnz` entries. */
+CsrMatrix
+randomRect(Idx rows, Idx cols, Idx nnz, std::uint64_t seed)
+{
+    Rng rng(seed);
+    CooMatrix m(rows, cols);
+    for (Idx k = 0; k < nnz; ++k)
+        m.add(static_cast<Idx>(rng.nextBelow(
+                  static_cast<std::uint64_t>(rows))),
+              static_cast<Idx>(rng.nextBelow(
+                  static_cast<std::uint64_t>(cols))),
+              1.0);
+    return CsrMatrix::fromCoo(std::move(m));
+}
+
+TEST(Blocked, CountMatchesBruteForceOnRaggedShapes)
+{
+    // Rectangular shapes whose edges leave partial blocks at every
+    // tested block size, dense and sparse fills, and an empty matrix.
+    const std::vector<CsrMatrix> matrices = {
+        randomRect(300, 700, 5000, 1), randomRect(700, 300, 5000, 2),
+        randomRect(1000, 1000, 200, 3), randomRect(7, 5, 30, 4),
+        randomRect(1, 900, 40, 5), randomRect(900, 1, 40, 6),
+        CsrMatrix::fromCoo(CooMatrix(513, 257)),
+        CsrMatrix::fromCoo(CooMatrix(0, 0)),
+    };
+    for (const CsrMatrix &m : matrices) {
+        for (Idx block_size : {1, 3, 256}) {
+            const BlockedLayout layout =
+                buildBlockedLayout(m, block_size).value();
+            EXPECT_EQ(layout.nonzero_blocks,
+                      bruteForceBlocks(m, block_size))
+                << m.rows() << " x " << m.cols() << ", block "
+                << block_size;
+            EXPECT_EQ(layout.nnz, m.nnz());
+        }
+    }
 }
 
 TEST(Blocked, CompressesDualStorageSubstantially)

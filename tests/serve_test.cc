@@ -227,6 +227,48 @@ TEST(ServeAdmission, MemoryBudgetShedsButNeverStarvesAnIdleServer)
     EXPECT_TRUE(adm.tryAdmit(1).ok());
 }
 
+/** Bytes of a compressed matrix's three host arrays. */
+std::uint64_t
+arrayBytes(const std::vector<Idx> &ptr, const std::vector<Idx> &idx,
+           const std::vector<Value> &vals)
+{
+    return (ptr.size() + idx.size()) * sizeof(Idx) +
+           vals.size() * sizeof(Value);
+}
+
+TEST(ServeAdmission, ResidentEstimateBracketsTheBytesHeld)
+{
+    // What a run holds: the prepared CSR + CSC twin and the dense
+    // tensors of its workspace (which borrows the pair).  The
+    // estimate, sized from the dataset spec alone, must not
+    // undercount it and must stay within 2x.
+    api::Session session;
+    for (const char *app : {"pr", "bfs", "sssp", "gcn", "cg"}) {
+        const api::PreparedCase &pc =
+            session.prepared(app, "gy", ReorderKind::Vanilla);
+        const Workspace ws = api::Session::bindWorkspace(pc);
+        std::uint64_t held =
+            arrayBytes(pc.csr.rowPtr(), pc.csr.colIdx(),
+                       pc.csr.vals()) +
+            arrayBytes(pc.csc.colPtr(), pc.csc.rowIdx(),
+                       pc.csc.vals());
+        const auto &tensors = pc.app.program.tensors();
+        for (std::size_t id = 0; id < tensors.size(); ++id) {
+            const auto tid = static_cast<TensorId>(id);
+            if (tensors[id].kind == TensorKind::Vector)
+                held += ws.vec(tid).size() * sizeof(Value);
+            else if (tensors[id].kind == TensorKind::DenseMatrix)
+                held += ws.den(tid).data().size() * sizeof(Value);
+        }
+        const std::uint64_t estimate =
+            serve::estimateResidentBytes(app, "gy");
+        EXPECT_GE(estimate, held) << app;
+        EXPECT_LE(estimate, 2 * held) << app;
+    }
+    EXPECT_EQ(serve::estimateResidentBytes("nope", "gy"), 0u);
+    EXPECT_EQ(serve::estimateResidentBytes("pr", "nope"), 0u);
+}
+
 TEST(ServeAdmission, TicketMovesCarryTheSlot)
 {
     AdmissionController::Config config;

@@ -10,11 +10,13 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/session.hh"
 #include "obs/metrics.hh"
 #include "prep/blocked.hh"
+#include "ref/executor.hh"
 #include "sparse/datasets.hh"
 
 namespace sparsepipe {
@@ -250,6 +252,46 @@ TEST(Session, BindWorkspaceBindsBothCompressedForms)
     EXPECT_EQ(csc.nnz(), pc.nnz);
     EXPECT_EQ(csr.rows(), csc.rows());
     EXPECT_EQ(csr.cols(), csc.cols());
+    // The workspace borrows the cached pair instead of copying it.
+    EXPECT_EQ(&csr, &pc.csr);
+    EXPECT_EQ(&csc, &pc.csc);
+}
+
+/** Whether borrowMatrix accepts operands of these value categories. */
+template <typename Csr, typename Csc>
+concept CanBorrow = requires(Workspace &ws, Csr &&csr, Csc &&csc) {
+    ws.borrowMatrix(TensorId{}, std::forward<Csr>(csr),
+                    std::forward<Csc>(csc));
+};
+
+// A borrowed temporary would dangle once the statement ends, so only
+// lvalue pairs compile.
+static_assert(CanBorrow<const CsrMatrix &, const CscMatrix &>);
+static_assert(CanBorrow<CsrMatrix &, CscMatrix &>);
+static_assert(!CanBorrow<CsrMatrix, CscMatrix>);
+static_assert(!CanBorrow<CsrMatrix, const CscMatrix &>);
+static_assert(!CanBorrow<const CsrMatrix &, CscMatrix>);
+static_assert(!CanBorrow<const CsrMatrix, const CscMatrix>);
+
+TEST(Session, OwningBindKeepsATemporaryOperandAlive)
+{
+    api::Session session;
+    const api::PreparedCase &pc =
+        session.prepared("pr", "gy", ReorderKind::Vanilla);
+
+    // The operand is a temporary, gone once the bind returns; the
+    // workspace must hold its own copy of the pair.
+    Workspace owned(pc.app.program);
+    owned.bindMatrix(pc.app.matrix, CsrMatrix::fromCoo(pc.csr.toCoo()));
+    pc.app.init(owned);
+    EXPECT_NE(&owned.csr(pc.app.matrix), &pc.csr);
+    EXPECT_EQ(owned.csr(pc.app.matrix), pc.csr);
+    EXPECT_EQ(owned.csc(pc.app.matrix), pc.csc);
+
+    Workspace borrowed = api::Session::bindWorkspace(pc);
+    RefExecutor().run(owned, 6);
+    RefExecutor().run(borrowed, 6);
+    EXPECT_EQ(owned.vec(pc.app.result), borrowed.vec(pc.app.result));
 }
 
 TEST(Session, ConcurrentRunsShareOnePreparedDataset)

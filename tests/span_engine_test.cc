@@ -36,7 +36,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
@@ -50,6 +49,7 @@
 #include "runner/thread_pool.hh"
 #include "semiring/packed.hh"
 #include "sparse/generate.hh"
+#include "test_helpers.hh"
 #include "util/random.hh"
 
 namespace sparsepipe {
@@ -57,13 +57,7 @@ namespace {
 
 // ---- value comparison (NaN as one class) --------------------------
 
-bool
-sameBits(Value a, Value b)
-{
-    if (std::isnan(a) || std::isnan(b))
-        return std::isnan(a) && std::isnan(b);
-    return std::memcmp(&a, &b, sizeof(Value)) == 0;
-}
+using testing::sameBits;
 
 ::testing::AssertionResult
 sameVector(const DenseVector &got, const DenseVector &want)
@@ -131,7 +125,7 @@ runCell(const api::PreparedCase &pc, Idx iters, Idx lanes,
         int band_threads)
 {
     Workspace ws(pc.app.program);
-    ws.bindMatrix(pc.app.matrix, pc.csr, pc.csc);
+    ws.borrowMatrix(pc.app.matrix, pc.csr, pc.csc);
     pc.app.init(ws);
 
     SparsepipeConfig cfg;

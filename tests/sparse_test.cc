@@ -75,6 +75,23 @@ TEST(CsrMatrix, FromCooBasics)
     EXPECT_EQ(csr.rowVals(2)[1], 3.0);
 }
 
+TEST(CsrMatrix, FromPartsAdoptsOnlyCanonicalArrays)
+{
+    const CsrMatrix a = CsrMatrix::fromCoo(testing::smallGraph(16, 60));
+    EXPECT_EQ(CsrMatrix::fromParts(a.rows(), a.cols(), a.rowPtr(),
+                                   a.colIdx(), a.vals()),
+              a);
+    // Descending columns in a row, a short pointer array, and a
+    // column past the shape are all rejected.
+    EXPECT_DEATH(CsrMatrix::fromParts(2, 2, {0, 2, 2}, {1, 0},
+                                      {1.0, 2.0}),
+                 "canonical");
+    EXPECT_DEATH(CsrMatrix::fromParts(2, 2, {0, 1}, {0}, {1.0}),
+                 "canonical");
+    EXPECT_DEATH(CsrMatrix::fromParts(2, 2, {0, 1, 1}, {2}, {1.0}),
+                 "canonical");
+}
+
 TEST(CscMatrix, FromCooBasics)
 {
     CooMatrix coo(3, 3);

@@ -7,6 +7,7 @@
 #define SPARSEPIPE_TESTS_TEST_HELPERS_HH
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,23 @@ smallRmat(Idx n = 64, Idx nnz = 512, std::uint64_t seed = 43)
 {
     Rng rng(seed);
     return generateRmat(n, nnz, rng);
+}
+
+/**
+ * Bit equality with NaN as one value class.  IEEE 754 leaves NaN
+ * payload propagation unspecified and the compiler may commute FP
+ * adds differently per TU, so when *both* operands of an add are
+ * NaN the surviving payload is not reproducible even between two
+ * scalar builds; sign/payload of NaN is therefore out of contract.
+ * Everything else — signed zeros, infinities, subnormals, the last
+ * mantissa bit — must match exactly.
+ */
+inline bool
+sameBits(double a, double b)
+{
+    if (std::isnan(a) || std::isnan(b))
+        return std::isnan(a) && std::isnan(b);
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 /** Max |a-b| over two equal-length vectors, inf-aware. */
