@@ -157,6 +157,13 @@ struct TableIIIRow
     std::string semiring;
 };
 
+void
+PrintTo(const TableIIIRow &r, std::ostream *os)
+{
+    *os << r.app << (r.cross_iteration ? "/cross-iter/" : "/no-cross-iter/")
+        << r.semiring;
+}
+
 class TableIII : public ::testing::TestWithParam<TableIIIRow>
 {
 };
