@@ -85,8 +85,8 @@ StepBuckets::finalizeDerived()
 
     // Compress the occupied buckets into CSR/CSC-style span slabs so
     // the pass engine iterates only non-zero work.  Both slabs list
-    // spans in ascending index order, matching the dense scans they
-    // replace bucket for bucket.
+    // spans in ascending index order, the order the engine's binary
+    // searches rely on.
     std::size_t occupied = 0;
     for (const Idx cnt : counts_)
         occupied += cnt > 0;

@@ -62,24 +62,12 @@ struct SparsepipeConfig
      */
     Idx bw_timeline_samples = 25;
 
-    /** Fraction of free buffer space the prefetcher may claim. */
-    double prefetch_fraction = 0.5;
-
-    /**
-     * Host-side engine fast path: advance Load / IS stage
-     * bookkeeping over compressed non-zero bucket spans instead of
-     * scanning the dense (step, band) grid.  Purely an
-     * implementation strategy -- results are bit-identical either
-     * way; the flag exists so equivalence tests can run both.
-     */
-    bool span_batching = true;
-
     /**
      * Packed-SIMD lane width for the functional semiring kernels.
      * 0 picks the widest backend available (8 on AVX2, 4 portable);
      * 1 forces the scalar element path; 2..8 are explicit widths.
-     * Like span_batching this is pure implementation strategy:
-     * results and SimStats are bit-identical for every width.
+     * Pure implementation strategy: results and SimStats are
+     * bit-identical for every width.
      */
     Idx lanes = 0;
 

@@ -34,19 +34,6 @@ struct ExecPolicy
     /** Worker pool for band parallelism; null runs serial. */
     runner::ThreadPool *pool = nullptr;
 
-    /**
-     * Optional length-ordered column schedules for the fused pass
-     * (see packed::lengthOrder), cached per run since the matrix is
-     * static across iterations.  `os_order` covers the producer
-     * operand's columns and MUST be segmented at the pass sub-tensor
-     * width (Phase A consumes it slice by slice); `is_order` covers
-     * the consumer operand's CSC-twin columns and may be sorted
-     * globally.  Null falls back to natural column order — same
-     * bits, just idler lanes on skewed matrices.
-     */
-    const Idx *os_order = nullptr;
-    const Idx *is_order = nullptr;
-
     /** True when band work should actually fan out. */
     bool parallel() const { return pool != nullptr && threads > 1; }
 

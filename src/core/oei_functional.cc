@@ -315,21 +315,10 @@ runFusedPair(Workspace &ws, const Program &program,
             const Idx c1 = std::min(n, c0 + t);
             const auto width = static_cast<std::size_t>(c1 - c0);
 
-            // OS stage straight into this band's slice of y.  With a
-            // cached length-ordered schedule the slice's columns run
-            // grouped by similar length (order positions [c0, c1)
-            // still cover exactly this slice's columns).
-            if (policy.os_order) {
-                packed::vxmSpanOrdered(
-                    sr_os, lanes, csc.colPtr().data(),
-                    csc.rowIdx().data(), csc.vals().data(), x.data(),
-                    y.data(), policy.os_order, c0, c1);
-            } else {
-                packed::vxmSpan(sr_os, lanes, csc.colPtr().data(),
-                                csc.rowIdx().data(),
-                                csc.vals().data(), x.data(), y.data(),
-                                c0, c1);
-            }
+            // OS stage straight into this band's slice of y.
+            packed::vxmSpan(sr_os, lanes, csc.colPtr().data(),
+                            csc.rowIdx().data(), csc.vals().data(),
+                            x.data(), y.data(), c0, c1);
             std::memcpy(slabs[0].data(),
                         y.data() + static_cast<std::size_t>(c0),
                         width * sizeof(Value));
@@ -412,17 +401,9 @@ runFusedPair(Workspace &ws, const Program &program,
         const Idx j1 = (band + 1) * m / nbands;
         if (j0 >= j1)
             return;
-        if (policy.is_order) {
-            packed::vxmSpanOrdered(sr_is, lanes, csc2.colPtr().data(),
-                                   csc2.rowIdx().data(),
-                                   csc2.vals().data(), z_full.data(),
-                                   out2.data(), policy.is_order, j0,
-                                   j1);
-        } else {
-            packed::vxmSpan(sr_is, lanes, csc2.colPtr().data(),
-                            csc2.rowIdx().data(), csc2.vals().data(),
-                            z_full.data(), out2.data(), j0, j1);
-        }
+        packed::vxmSpan(sr_is, lanes, csc2.colPtr().data(),
+                        csc2.rowIdx().data(), csc2.vals().data(),
+                        z_full.data(), out2.data(), j0, j1);
     });
 
     }

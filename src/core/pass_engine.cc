@@ -372,36 +372,22 @@ struct PassEngine::Run
                 // already brought in (always unlocked-band rows)
                 // were IS-consumed at prefetch time, so they do not
                 // arrive again here.
-                double unlocked_arrivals = 0.0;
+                //
+                // Unlocked bands form a prefix of the band axis: their
+                // arrivals are one prefix-sum lookup, and the locked
+                // remainder walks only the occupied buckets of this
+                // column step.
                 const Idx unlocked = j - cfg.lag;
-                if (cfg.span_batching) {
-                    // Unlocked bands form a prefix of the band axis:
-                    // their arrivals are one prefix-sum lookup, and
-                    // the locked remainder walks only the occupied
-                    // buckets of this column step.
-                    unlocked_arrivals = static_cast<double>(
-                        b.colLoadedThrough(j, unlocked));
-                    const auto spans = b.colSpans(j);
-                    auto it = std::upper_bound(
-                        spans.begin(), spans.end(), unlocked,
-                        [](Idx v, const BucketSpan &sp) {
-                            return v < sp.at;
-                        });
-                    for (; it != spans.end(); ++it)
-                        buffer->addRowElems(it->at, it->cnt);
-                } else {
-                    for (Idx rs = 0; rs < bands; ++rs) {
-                        Idx cnt = b.count(j, rs);
-                        if (cnt == 0)
-                            continue;
-                        if (rs <= unlocked) {
-                            unlocked_arrivals +=
-                                static_cast<double>(cnt);
-                        } else {
-                            buffer->addRowElems(rs, cnt);
-                        }
-                    }
-                }
+                const double unlocked_arrivals = static_cast<double>(
+                    b.colLoadedThrough(j, unlocked));
+                const auto spans = b.colSpans(j);
+                auto it = std::upper_bound(
+                    spans.begin(), spans.end(), unlocked,
+                    [](Idx v, const BucketSpan &sp) {
+                        return v < sp.at;
+                    });
+                for (; it != spans.end(); ++it)
+                    buffer->addRowElems(it->at, it->cnt);
                 is_arrival[static_cast<std::size_t>(j)] += std::max(
                     0.0, unlocked_arrivals -
                              static_cast<double>(pre));
@@ -465,23 +451,15 @@ struct PassEngine::Run
             if (u >= 0 && u < bands && buffer) {
                 // Band u unlocks: elements of future column steps
                 // become prefetchable for the CSR loader.
-                const Idx cs_begin = std::min<Idx>(j + 2, steps);
-                if (cfg.span_batching) {
-                    const auto spans = b.bandSpans(u);
-                    auto it = std::lower_bound(
-                        spans.begin(), spans.end(), cs_begin,
-                        [](const BucketSpan &sp, Idx v) {
-                            return sp.at < v;
-                        });
-                    for (; it != spans.end(); ++it)
-                        prefetchable[static_cast<std::size_t>(
-                            it->at)] += it->cnt;
-                } else {
-                    for (Idx cs = cs_begin; cs < steps; ++cs) {
-                        prefetchable[static_cast<std::size_t>(cs)] +=
-                            b.count(cs, u);
-                    }
-                }
+                const auto spans = b.bandSpans(u);
+                auto it = std::lower_bound(
+                    spans.begin(), spans.end(), j + 2,
+                    [](const BucketSpan &sp, Idx v) {
+                        return sp.at < v;
+                    });
+                for (; it != spans.end(); ++it)
+                    prefetchable[static_cast<std::size_t>(it->at)] +=
+                        it->cnt;
                 const Idx resident = buffer->consumeBand(u);
                 const Idx evicted = buffer->takeEvicted(u);
                 const Idx reloaded =

@@ -293,12 +293,6 @@ SparsepipeSim::run(Workspace &ws, Idx max_iters)
     const Idx bytes_per_nz = static_cast<Idx>(
         std::ceil(config_.bytes_per_nz));
 
-    // The packed kernels can also run a length-ordered column
-    // schedule (ExecPolicy::os_order / is_order, built with
-    // packed::lengthOrder once per run since the matrix is static
-    // across passes).  It is off by default: the step reduction it
-    // buys on skewed matrices is outweighed by the gather-locality
-    // it costs on cache-sensitive hosts — see DESIGN.md section 10.
     for (Idx cs = 0; cs < buckets.steps(); ++cs) {
         for (const BucketSpan &sp : buckets.colSpans(cs)) {
             ++stats.counters.bucket_occupancy[

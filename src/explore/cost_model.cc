@@ -37,7 +37,6 @@ derivedFeatureNames()
         "log_buffer_kb",
         "log_pe_per_core",
         "eager_csr",
-        "prefetch_fraction",
         "reorder_none",
         "reorder_locality",
         "log_lag",
@@ -136,7 +135,6 @@ costFeatures(const DatasetRow &row)
         safeLog(buffer_kb),
         safeLog(row.configNum("pe_per_core", 1024.0)),
         row.configNum("eager_csr", 1.0),
-        row.configNum("prefetch_fraction", 0.5),
         reorder == "none" ? 1.0 : 0.0,
         reorder == "locality" ? 1.0 : 0.0,
         safeLog(row.configNum("lag", 2.0)),
@@ -281,6 +279,14 @@ modelFromJson(const std::string &text)
             "cost model lacks features/apps/coef arrays");
     for (const obs::JsonValue &v : features->array)
         model.feature_names.push_back(v.string);
+    // predictCycles pairs coefficients with this build's features by
+    // position, so a model fitted on another feature set would load
+    // and silently mispredict.
+    if (model.feature_names != derivedFeatureNames())
+        return invalidInput(
+            "cost model was fitted on %zu features that differ from "
+            "this build's %zu; refit it",
+            model.feature_names.size(), derivedFeatureNames().size());
     for (const obs::JsonValue &v : apps->array)
         model.apps.push_back(v.string);
     for (const obs::JsonValue &v : coef->array)

@@ -83,7 +83,11 @@ double predictCycles(const CostModel &model, const DatasetRow &row);
 /** Serialize (deterministic, byte-stable for identical models). */
 std::string modelToJson(const CostModel &model);
 
-/** Parse a serialized model; InvalidInput on schema mismatch. */
+/**
+ * Parse a serialized model; InvalidInput on schema mismatch or when
+ * its feature list differs from the one this build fits and predicts
+ * with.
+ */
 StatusOr<CostModel> modelFromJson(const std::string &text);
 
 /** Write / read a model file. */

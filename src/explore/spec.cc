@@ -71,11 +71,6 @@ axisRegistry()
          [](const std::string &v, api::RunRequest &req) {
              req.sp.eager_csr = v == "1";
          }},
-        {"prefetch_fraction", AxisType::Float, {}, 0.0, 1.0,
-         "0.5",
-         [](const std::string &v, api::RunRequest &req) {
-             req.sp.prefetch_fraction = asFloat(v);
-         }},
         {"sub_tensor_cols", AxisType::Int, {}, 0, 1 << 30,
          "0",
          [](const std::string &v, api::RunRequest &req) {
@@ -90,11 +85,6 @@ axisRegistry()
          "1",
          [](const std::string &v, api::RunRequest &req) {
              req.blocked = v == "1";
-         }},
-        {"span_batching", AxisType::Bool, {}, 0, 1,
-         "1",
-         [](const std::string &v, api::RunRequest &req) {
-             req.sp.span_batching = v == "1";
          }},
         {"lanes", AxisType::Int, {}, 0, 8,
          "0",

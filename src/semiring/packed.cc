@@ -70,94 +70,6 @@ vxmScalar(const Idx *col_ptr, const Idx *row_idx, const Value *vals,
     }
 }
 
-/** vxmGroup() with the K columns taken from an order array. */
-template <SemiringKind SK, int K>
-void
-vxmGroupOrdered(const Idx *col_ptr, const Idx *row_idx,
-                const Value *vals, const Value *x, Value *out,
-                const Idx *order, Idx o0)
-{
-    namespace det = detail;
-    Idx col[K];
-    Idx ptr[K];
-    Idx len[K];
-    Value acc[K];
-    Idx maxlen = 0;
-    for (int l = 0; l < K; ++l) {
-        col[l] = order[o0 + l];
-        ptr[l] = col_ptr[col[l]];
-        len[l] = col_ptr[col[l] + 1] - ptr[l];
-        acc[l] = det::identityOf<SK>();
-        maxlen = std::max(maxlen, len[l]);
-    }
-    for (Idx t = 0; t < maxlen; ++t) {
-        for (int l = 0; l < K; ++l) {
-            if (t >= len[l])
-                continue; // tail-lane mask: no loads behind the end
-            const Idx k = ptr[l] + t;
-            const Value xv =
-                x[static_cast<std::size_t>(row_idx[k])];
-            if (det::annihilatesOf<SK>(xv))
-                continue;
-            acc[l] = det::addOf<SK>(
-                acc[l], det::mulOf<SK>(xv, vals[k]));
-        }
-    }
-    for (int l = 0; l < K; ++l)
-        out[col[l]] = acc[l];
-}
-
-/** Scalar element loop over ordered columns. */
-template <SemiringKind SK>
-void
-vxmScalarOrdered(const Idx *col_ptr, const Idx *row_idx,
-                 const Value *vals, const Value *x, Value *out,
-                 const Idx *order, Idx o0, Idx o1)
-{
-    namespace det = detail;
-    for (Idx i = o0; i < o1; ++i) {
-        const Idx c = order[i];
-        Value acc = det::identityOf<SK>();
-        for (Idx k = col_ptr[c]; k < col_ptr[c + 1]; ++k) {
-            const Value xv =
-                x[static_cast<std::size_t>(row_idx[k])];
-            if (det::annihilatesOf<SK>(xv))
-                continue;
-            acc = det::addOf<SK>(acc, det::mulOf<SK>(xv, vals[k]));
-        }
-        out[c] = acc;
-    }
-}
-
-template <SemiringKind SK>
-void
-vxmPortableOrdered(Idx lanes, const Idx *col_ptr, const Idx *row_idx,
-                   const Value *vals, const Value *x, Value *out,
-                   const Idx *order, Idx o0, Idx o1)
-{
-    Idx i = o0;
-    switch (lanes) {
-#define SP_VXM_OGROUPS(K)                                            \
-      case K:                                                        \
-        for (; i + K <= o1; i += K)                                  \
-            vxmGroupOrdered<SK, K>(col_ptr, row_idx, vals, x, out,   \
-                                   order, i);                        \
-        break
-      SP_VXM_OGROUPS(2);
-      SP_VXM_OGROUPS(3);
-      SP_VXM_OGROUPS(4);
-      SP_VXM_OGROUPS(5);
-      SP_VXM_OGROUPS(6);
-      SP_VXM_OGROUPS(7);
-      SP_VXM_OGROUPS(8);
-#undef SP_VXM_OGROUPS
-      default:
-        break; // lanes == 1: the scalar loop below takes it all
-    }
-    vxmScalarOrdered<SK>(col_ptr, row_idx, vals, x, out, order, i,
-                         o1);
-}
-
 template <SemiringKind SK>
 void
 vxmPortable(Idx lanes, const Idx *col_ptr, const Idx *row_idx,
@@ -244,53 +156,6 @@ vxmSpan(const Semiring &sr, Idx lanes, const Idx *col_ptr,
     detail::withKind(sr.kind(), [&]<auto SK>() {
         vxmPortable<SK>(lanes, col_ptr, row_idx, vals, x, out, main,
                         c1);
-    });
-}
-
-std::vector<Idx>
-lengthOrder(const Idx *col_ptr, Idx n, Idx segment, Idx window)
-{
-    std::vector<Idx> order(static_cast<std::size_t>(n));
-    for (Idx c = 0; c < n; ++c)
-        order[static_cast<std::size_t>(c)] = c;
-    if (segment <= 0)
-        segment = n;
-    if (window <= 0)
-        window = segment;
-    const auto by_len = [col_ptr](Idx a, Idx b) {
-        const Idx la = col_ptr[a + 1] - col_ptr[a];
-        const Idx lb = col_ptr[b + 1] - col_ptr[b];
-        return la != lb ? la < lb : a < b;
-    };
-    for (Idx s = 0; s < n; s += segment) {
-        const Idx e = std::min(n, s + segment);
-        for (Idx w = s; w < e; w += window)
-            std::sort(order.begin() + w,
-                      order.begin() + std::min(e, w + window),
-                      by_len);
-    }
-    return order;
-}
-
-void
-vxmSpanOrdered(const Semiring &sr, Idx lanes, const Idx *col_ptr,
-               const Idx *row_idx, const Value *vals, const Value *x,
-               Value *out, const Idx *order, Idx o0, Idx o1)
-{
-    lanes = std::clamp<Idx>(lanes, 1, kMaxLanes);
-    Idx main = o0;
-#ifdef SPARSEPIPE_HAVE_AVX2
-    if (avx2Runtime() && (lanes == 4 || lanes == 8)) {
-        main = o0 + (o1 - o0) / lanes * lanes;
-        detail::vxmSpanOrderedAvx2(sr.kind(), lanes, col_ptr,
-                                   row_idx, vals, x, out, order, o0,
-                                   main);
-        lanes = 1; // tail columns run the scalar loop
-    }
-#endif
-    detail::withKind(sr.kind(), [&]<auto SK>() {
-        vxmPortableOrdered<SK>(lanes, col_ptr, row_idx, vals, x, out,
-                               order, main, o1);
     });
 }
 

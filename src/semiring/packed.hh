@@ -22,7 +22,6 @@
 #define SPARSEPIPE_SEMIRING_PACKED_HH
 
 #include <cstddef>
-#include <vector>
 
 #include "semiring/ewise.hh"
 #include "semiring/semiring.hh"
@@ -227,47 +226,6 @@ const char *backendName();
 void vxmSpan(const Semiring &sr, Idx lanes, const Idx *col_ptr,
              const Idx *row_idx, const Value *vals, const Value *x,
              Value *out, Idx c0, Idx c1);
-
-/**
- * Length-ordered column schedule for vxmSpanOrdered(): a permutation
- * of [0, n) where each `segment`-wide window
- * [k*segment, min(n, (k+1)*segment)) is sorted by ascending column
- * length (ties by column id, so the schedule is deterministic).
- *
- * A packed group steps to its *longest* member column, so grouping
- * similar lengths keeps lanes busy on skewed matrices — on the
- * evaluation set it cuts group steps by 1.2-3.3x.  Only the
- * processing order of independent columns changes; each column's
- * reduction order is untouched, so results stay bit-identical for
- * any schedule (pinned by the FusedPair ordered-schedule test).
- * `segment <= 0` treats the whole range as one segment.
- *
- * `window` bounds how far a column may move: each segment is sorted
- * in `window`-wide sub-windows (never crossing a segment boundary),
- * so a group's entry ranges stay within `window` columns of each
- * other and the CSC gathers keep some cache locality.
- *
- * Caveat: fewer group steps is not automatically faster.  Natural
- * order walks the entry arrays sequentially; any reordering turns
- * that into strided access, and on the evaluation set the cache
- * misses cost more host time than the saved steps buy back, even at
- * window 64.  That is why the simulator defaults to natural order
- * and this schedule is an opt-in experiment (ExecPolicy::os_order /
- * is_order) rather than the default.
- */
-std::vector<Idx> lengthOrder(const Idx *col_ptr, Idx n, Idx segment,
-                             Idx window = 64);
-
-/**
- * vxmSpan() over the columns order[o0..o1) instead of a contiguous
- * column range.  `order` must hold distinct column indices (see
- * lengthOrder()); each out[order[k]] equals the vxmSpan() result for
- * that column bit for bit.
- */
-void vxmSpanOrdered(const Semiring &sr, Idx lanes, const Idx *col_ptr,
-                    const Idx *row_idx, const Value *vals,
-                    const Value *x, Value *out, const Idx *order,
-                    Idx o0, Idx o1);
 
 /**
  * Dense SpMM row update: out[f] = add(out[f], multiply(aij, h[f]))

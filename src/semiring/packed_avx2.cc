@@ -132,86 +132,7 @@ vxmGroups(const Idx *col_ptr, const Idx *row_idx, const Value *vals,
     }
 }
 
-/**
- * vxmGroups() with the group's columns taken from an order array
- * (see packed::lengthOrder) instead of a contiguous range.  Stores
- * scatter back through the order, one lane at a time — AVX2 has no
- * scatter instruction, and four scalar stores per group are noise
- * next to the gather-bound step loop.
- */
-template <SemiringKind SK, int V>
-void
-vxmGroupsOrdered(const Idx *col_ptr, const Idx *row_idx,
-                 const Value *vals, const Value *x, Value *out,
-                 const Idx *order, Idx o0, Idx o1)
-{
-    const auto *rows_ll = reinterpret_cast<const long long *>(row_idx);
-    const Idx G = 4 * V;
-    for (Idx o = o0; o + G <= o1; o += G) {
-        __m256i ptr[V];
-        __m256i len[V];
-        __m256d acc[V];
-        Idx cols[8];
-        Idx maxlen = 0;
-        for (int v = 0; v < V; ++v) {
-            long long pv[4];
-            long long lv[4];
-            for (int l = 0; l < 4; ++l) {
-                const Idx c = order[o + 4 * v + l];
-                cols[4 * v + l] = c;
-                pv[l] = col_ptr[c];
-                lv[l] = col_ptr[c + 1] - col_ptr[c];
-                maxlen = std::max<Idx>(maxlen, lv[l]);
-            }
-            ptr[v] = _mm256_setr_epi64x(pv[0], pv[1], pv[2], pv[3]);
-            len[v] = _mm256_setr_epi64x(lv[0], lv[1], lv[2], lv[3]);
-            acc[v] = _mm256_set1_pd(identityOf<SK>());
-        }
-        for (Idx t = 0; t < maxlen; ++t) {
-            const __m256i tv = _mm256_set1_epi64x(t);
-            for (int v = 0; v < V; ++v) {
-                const __m256i act_i = _mm256_cmpgt_epi64(len[v], tv);
-                const __m256d act = _mm256_castsi256_pd(act_i);
-                if (!_mm256_movemask_pd(act))
-                    continue; // chain fully drained at this step
-                const __m256i idx = _mm256_add_epi64(ptr[v], tv);
-                const __m256i rows = _mm256_mask_i64gather_epi64(
-                    _mm256_setzero_si256(), rows_ll, idx, act_i, 8);
-                const __m256d xv = _mm256_mask_i64gather_pd(
-                    _mm256_setzero_pd(), x, rows, act, 8);
-                const __m256d vv = _mm256_mask_i64gather_pd(
-                    _mm256_setzero_pd(), vals, idx, act, 8);
-                const __m256d m = contribMask<SK>(xv, act);
-                acc[v] = _mm256_blendv_pd(
-                    acc[v], laneUpdate<SK>(acc[v], xv, vv), m);
-            }
-        }
-        for (int v = 0; v < V; ++v) {
-            alignas(32) Value lane_out[4];
-            _mm256_store_pd(lane_out, acc[v]);
-            for (int l = 0; l < 4; ++l)
-                out[cols[4 * v + l]] = lane_out[l];
-        }
-    }
-}
-
 } // anonymous namespace
-
-void
-vxmSpanOrderedAvx2(SemiringKind kind, Idx lanes, const Idx *col_ptr,
-                   const Idx *row_idx, const Value *vals,
-                   const Value *x, Value *out, const Idx *order,
-                   Idx o0, Idx o1)
-{
-    withKind(kind, [&]<auto SK>() {
-        if (lanes == 8)
-            vxmGroupsOrdered<SK, 2>(col_ptr, row_idx, vals, x, out,
-                                    order, o0, o1);
-        else
-            vxmGroupsOrdered<SK, 1>(col_ptr, row_idx, vals, x, out,
-                                    order, o0, o1);
-    });
-}
 
 void
 vxmSpanAvx2(SemiringKind kind, Idx lanes, const Idx *col_ptr,

@@ -103,12 +103,6 @@ withKind(SemiringKind kind, Fn &&fn)
 void vxmSpanAvx2(SemiringKind kind, Idx lanes, const Idx *col_ptr,
                  const Idx *row_idx, const Value *vals,
                  const Value *x, Value *out, Idx c0, Idx c1);
-// Ordered variant: columns order[o0..o1); same lanes / multiple-of-
-// lanes contract on (o1 - o0).
-void vxmSpanOrderedAvx2(SemiringKind kind, Idx lanes,
-                        const Idx *col_ptr, const Idx *row_idx,
-                        const Value *vals, const Value *x, Value *out,
-                        const Idx *order, Idx o0, Idx o1);
 void spmmRowAvx2(SemiringKind kind, Value aij, const Value *h,
                  Value *out, std::size_t n);
 void ewiseBinaryAvx2(BinaryOp op, Operand a, Operand b, Value *out,

@@ -5,6 +5,10 @@
  * generated matrices.
  */
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/buckets.hh"
@@ -68,6 +72,108 @@ TEST(StepBuckets, BandLoadedThroughIsPrefix)
         EXPECT_EQ(b.bandLoadedThrough(b.steps() + 5, rs), acc);
         EXPECT_EQ(b.bandLoadedThrough(-1, rs), 0);
         EXPECT_EQ(b.bandNnz(rs), acc);
+    }
+}
+
+/** Random rows x cols pattern with up to `nnz` distinct entries. */
+CooMatrix
+randomPattern(Idx rows, Idx cols, Idx nnz, std::uint64_t seed)
+{
+    Rng rng(seed);
+    CooMatrix m(rows, cols);
+    for (Idx k = 0; k < nnz; ++k)
+        m.add(static_cast<Idx>(
+                  rng.nextBelow(static_cast<std::uint64_t>(rows))),
+              static_cast<Idx>(
+                  rng.nextBelow(static_cast<std::uint64_t>(cols))),
+              1.0);
+    m.canonicalize();
+    return m;
+}
+
+/**
+ * Check the span slabs, the column prefix and the dense counts of `b`
+ * against a brute-force grid over `m`'s entries; `transposed` swaps
+ * which coordinate picks the column step.
+ */
+void
+expectSlabsMatchGrid(const StepBuckets &b, const CooMatrix &m,
+                     bool transposed, const std::string &label)
+{
+    const Idx t = b.t();
+    std::vector<std::vector<Idx>> grid(
+        static_cast<std::size_t>(b.steps()),
+        std::vector<Idx>(static_cast<std::size_t>(b.bands()), 0));
+    for (const Triplet &e : m.entries()) {
+        const Idx cs = (transposed ? e.row : e.col) / t;
+        const Idx rs = (transposed ? e.col : e.row) / t;
+        ++grid[static_cast<std::size_t>(cs)]
+              [static_cast<std::size_t>(rs)];
+    }
+    const auto cell = [&](Idx cs, Idx rs) {
+        return grid[static_cast<std::size_t>(cs)]
+                   [static_cast<std::size_t>(rs)];
+    };
+
+    using Spans = std::vector<std::pair<Idx, Idx>>;
+    for (Idx cs = 0; cs < b.steps(); ++cs) {
+        Spans want, got;
+        Idx prefix = 0;
+        EXPECT_EQ(b.colLoadedThrough(cs, -1), 0) << label;
+        for (Idx rs = 0; rs < b.bands(); ++rs) {
+            EXPECT_EQ(b.count(cs, rs), cell(cs, rs)) << label;
+            if (cell(cs, rs) > 0)
+                want.emplace_back(rs, cell(cs, rs));
+            prefix += cell(cs, rs);
+            EXPECT_EQ(b.colLoadedThrough(cs, rs), prefix)
+                << label << " cs=" << cs << " rs=" << rs;
+        }
+        EXPECT_EQ(b.colLoadedThrough(cs, b.bands()), prefix) << label;
+        EXPECT_EQ(b.colLoadedThrough(cs, b.bands() + 7), prefix)
+            << label;
+        for (const BucketSpan &sp : b.colSpans(cs))
+            got.emplace_back(sp.at, sp.cnt);
+        EXPECT_EQ(got, want) << label << " colSpans(" << cs << ")";
+    }
+    for (Idx rs = 0; rs < b.bands(); ++rs) {
+        Spans want, got;
+        for (Idx cs = 0; cs < b.steps(); ++cs)
+            if (cell(cs, rs) > 0)
+                want.emplace_back(cs, cell(cs, rs));
+        for (const BucketSpan &sp : b.bandSpans(rs))
+            got.emplace_back(sp.at, sp.cnt);
+        EXPECT_EQ(got, want) << label << " bandSpans(" << rs << ")";
+    }
+}
+
+TEST(StepBuckets, SpansAndColumnPrefixMatchTheDenseGrid)
+{
+    struct Shape
+    {
+        const char *name;
+        Idx rows, cols, nnz;
+    };
+    const Shape shapes[] = {
+        {"square", 90, 90, 700},
+        {"wide", 37, 150, 600},
+        {"tall", 150, 37, 600},
+        {"empty", 40, 24, 0},
+        {"zero", 0, 0, 0},
+    };
+    std::uint64_t seed = 11;
+    for (const Shape &shape : shapes) {
+        const CooMatrix m =
+            randomPattern(shape.rows, shape.cols, shape.nnz, ++seed);
+        for (Idx t : {1, 7, 16, 1000}) {
+            const std::string label = std::string(shape.name) +
+                                      " t=" + std::to_string(t);
+            expectSlabsMatchGrid(
+                StepBuckets::build(CscMatrix::fromCoo(m), t), m, false,
+                label + " build");
+            expectSlabsMatchGrid(
+                StepBuckets::buildTransposed(CsrMatrix::fromCoo(m), t),
+                m, true, label + " buildTransposed");
+        }
     }
 }
 

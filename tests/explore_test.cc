@@ -75,10 +75,10 @@ TEST(ExploreSpec, FloatCanonicalizationIsSpellingIndependent)
 {
     StatusOr<ExploreSpec> a = parseExploreSpec(
         "space s\napps pr\ndatasets gy\n"
-        "axis prefetch_fraction list 0.5\n");
+        "axis bandwidth_gb_s list 504\n");
     StatusOr<ExploreSpec> b = parseExploreSpec(
         "space s\napps pr\ndatasets gy\n"
-        "axis prefetch_fraction list 5e-1\n");
+        "axis bandwidth_gb_s list 5.04e2\n");
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(a.value().axes[0].values, b.value().axes[0].values);
 }
@@ -587,6 +587,41 @@ TEST(CostModel, RejectsUnderdeterminedAndForeignInputs)
               StatusCode::InvalidInput);
     EXPECT_EQ(modelFromJson("nope").status().code(),
               StatusCode::InvalidInput);
+}
+
+TEST(CostModel, RejectsAModelFittedOnOtherFeatures)
+{
+    // Coefficients pair with features by position, so a model whose
+    // feature list differs from this build's must not load even when
+    // its coefficient count is self-consistent.
+    StatusOr<CostModel> fit = fitCostModel(syntheticRows());
+    ASSERT_TRUE(fit.ok());
+    const CostModel &model = fit.value();
+
+    CostModel renamed = model;
+    renamed.feature_names.back() = "not_a_feature";
+
+    CostModel dropped = model;
+    dropped.feature_names.pop_back();
+    dropped.coef.erase(dropped.coef.begin() +
+                       static_cast<std::ptrdiff_t>(
+                           dropped.feature_names.size()));
+
+    // The feature list before the prefetch_fraction knob was removed.
+    CostModel older = model;
+    const auto eager = std::find(older.feature_names.begin(),
+                                 older.feature_names.end(), "eager_csr");
+    ASSERT_NE(eager, older.feature_names.end());
+    const auto at = eager - older.feature_names.begin() + 1;
+    older.feature_names.insert(older.feature_names.begin() + at,
+                               "prefetch_fraction");
+    older.coef.insert(older.coef.begin() + at, 0.25);
+
+    for (const CostModel *foreign : {&renamed, &dropped, &older}) {
+        StatusOr<CostModel> back = modelFromJson(modelToJson(*foreign));
+        EXPECT_EQ(back.status().code(), StatusCode::InvalidInput)
+            << modelToJson(*foreign);
+    }
 }
 
 TEST(CostModel, PruneKeepsBestPredictedCandidates)

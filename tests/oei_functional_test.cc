@@ -7,15 +7,12 @@
  * executor for hand-built programs.
  */
 
-#include <cstring>
-
 #include <gtest/gtest.h>
 
 #include "apps/apps.hh"
 #include "core/oei_functional.hh"
 #include "lang/builder.hh"
 #include "ref/executor.hh"
-#include "semiring/packed.hh"
 #include "test_helpers.hh"
 
 namespace sparsepipe {
@@ -191,63 +188,6 @@ TEST(FusedPair, AnnihilatingInputsAreSkippedConsistently)
     DenseVector out2 = runFusedPair(oei, p, an.pairings[0], chain, 8);
     EXPECT_LT(testing::vecError(oei.vec(r1), first), 1e-15);
     EXPECT_LT(testing::vecError(out2, ref.vec(r1)), 1e-15);
-}
-
-TEST(FusedPair, LengthOrderedScheduleIsBitIdentical)
-{
-    // The ExecPolicy order hooks reorder whole columns only, so any
-    // schedule must reproduce the natural-order pass bit for bit —
-    // on a skewed matrix, where the schedules actually differ.
-    const Idx n = 96;
-    const Idx t = 16;
-    Loop loop = simpleLoop(n);
-    CsrMatrix m = CsrMatrix::fromCoo(testing::smallRmat(n, 900));
-    Analysis an = analyzeProgram(loop.program);
-    FusedChain chain = buildFusedChain(loop.program, an.pairings[0]);
-
-    Workspace base(loop.program);
-    base.bindMatrix(loop.a, m);
-    Rng rng(7);
-    for (auto &v : base.vec(loop.x))
-        v = rng.nextRange(-1.0, 1.0);
-    DenseVector x0 = base.vec(loop.x);
-
-    ExecPolicy packed_pol;
-    packed_pol.lanes = 8;
-    DenseVector out_base = runFusedPair(
-        base, loop.program, an.pairings[0], chain, t, packed_pol);
-
-    Workspace ord(loop.program);
-    ord.bindMatrix(loop.a, m);
-    ord.vec(loop.x) = x0;
-    const CscMatrix &os_csc = ord.csc(loop.a);
-    const std::vector<Idx> os_order = packed::lengthOrder(
-        os_csc.colPtr().data(), os_csc.cols(), t);
-    const OpNode &cons =
-        loop.program.ops()[an.pairings[0].consumer_op];
-    const CscMatrix &is_csc = ord.csc(cons.inputs[1]);
-    const std::vector<Idx> is_order = packed::lengthOrder(
-        is_csc.colPtr().data(), is_csc.cols(), is_csc.cols());
-
-    ExecPolicy ord_pol = packed_pol;
-    ord_pol.os_order = os_order.data();
-    ord_pol.is_order = is_order.data();
-    DenseVector out_ord = runFusedPair(
-        ord, loop.program, an.pairings[0], chain, t, ord_pol);
-
-    // The schedules must actually differ for this to test anything.
-    ASSERT_NE(os_order,
-              packed::lengthOrder(os_csc.colPtr().data(),
-                                  os_csc.cols(), 1));
-
-    auto expect_bits = [](const DenseVector &a, const DenseVector &b) {
-        ASSERT_EQ(a.size(), b.size());
-        EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                              a.size() * sizeof(Value)), 0);
-    };
-    expect_bits(out_ord, out_base);
-    expect_bits(ord.vec(loop.y), base.vec(loop.y));
-    expect_bits(ord.vec(loop.z), base.vec(loop.z));
 }
 
 } // namespace

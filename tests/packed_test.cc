@@ -312,64 +312,6 @@ TEST(PackedSpanKernels, VxmSpanBitIdenticalToElementLoop)
     }
 }
 
-TEST(PackedSpanKernels, VxmSpanOrderedMatchesNaturalOrder)
-{
-    // A length-ordered schedule only changes which independent
-    // columns share a packed group, never a column's own reduction —
-    // every segmentation must reproduce the element loop bit for bit.
-    const CscMatrix a = raggedMatrix(64, 41, 4321);
-    ValueGen gen(777);
-    std::vector<Value> x(static_cast<std::size_t>(a.rows()));
-    for (Value &v : x)
-        v = gen.next();
-
-    for (SemiringKind kind : kKinds) {
-        const Semiring sr(kind);
-        const std::vector<Value> want = vxmElement(sr, a, x);
-        for (Idx segment : {Idx{0}, Idx{7}, Idx{16}, a.cols()}) {
-            const std::vector<Idx> order = packed::lengthOrder(
-                a.colPtr().data(), a.cols(), segment);
-            for (Idx lanes : {1, 3, 4, 8}) {
-                std::vector<Value> got(
-                    static_cast<std::size_t>(a.cols()), kNan);
-                packed::vxmSpanOrdered(
-                    sr, lanes, a.colPtr().data(), a.rowIdx().data(),
-                    a.vals().data(), x.data(), got.data(),
-                    order.data(), 0, a.cols());
-                for (std::size_t i = 0; i < got.size(); ++i)
-                    EXPECT_TRUE(sameBits(got[i], want[i]))
-                        << sr.name() << " lanes=" << lanes
-                        << " segment=" << segment << " col " << i
-                        << ": got " << got[i] << " want " << want[i];
-            }
-        }
-    }
-}
-
-TEST(PackedSpanKernels, LengthOrderIsSegmentedPermutation)
-{
-    const CscMatrix a = raggedMatrix(32, 29, 99);
-    const Idx segment = 8;
-    const std::vector<Idx> order =
-        packed::lengthOrder(a.colPtr().data(), a.cols(), segment);
-    ASSERT_EQ(order.size(), static_cast<std::size_t>(a.cols()));
-    for (Idx s = 0; s < a.cols(); s += segment) {
-        const Idx e = std::min(a.cols(), s + segment);
-        // Each window holds exactly its own columns...
-        std::vector<Idx> window(order.begin() + s, order.begin() + e);
-        std::sort(window.begin(), window.end());
-        for (Idx c = s; c < e; ++c)
-            EXPECT_EQ(window[static_cast<std::size_t>(c - s)], c);
-        // ...sorted by ascending length.
-        for (Idx i = s; i + 1 < e; ++i) {
-            const Idx ca = order[static_cast<std::size_t>(i)];
-            const Idx cb = order[static_cast<std::size_t>(i + 1)];
-            EXPECT_LE(a.colPtr()[ca + 1] - a.colPtr()[ca],
-                      a.colPtr()[cb + 1] - a.colPtr()[cb]);
-        }
-    }
-}
-
 TEST(PackedSpanKernels, VxmSpanExactlySizedBuffers)
 {
     // Heap buffers sized to the byte: any kernel read past nnz, past

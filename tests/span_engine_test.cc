@@ -2,11 +2,9 @@
  * @file
  * Engine equivalence matrix.
  *
- * Every "pure implementation strategy" flag of the simulator must be
+ * Every "pure implementation strategy" knob of the simulator must be
  * bit-identical to the reference element path it replaces:
  *
- *  - SparsepipeConfig::span_batching — the pass engine's compressed
- *    bucket-span scan vs the dense (step, band) grid;
  *  - SparsepipeConfig::lanes — the packed-SIMD semiring kernels at
  *    every lane width, including tail-odd widths;
  *  - SparsepipeConfig::band_threads — stepping independent column
@@ -324,50 +322,6 @@ INSTANTIATE_TEST_SUITE_P(Semirings, SemiringCell,
                          ::testing::Combine(::testing::Range(0, 5),
                                             ::testing::Range(0, 6)),
                          semiringCellName);
-
-// ---- span batching (the original equivalence flag) ----------------
-
-obs::MetricsRegistry
-runSpanOnce(const std::string &app, const api::PreparedCase &pc,
-            bool span_batching)
-{
-    api::Session session;
-    api::RunRequest req;
-    req.app = app;
-    req.dataset = "span-eq";
-    req.iters = 6;
-    req.sp.span_batching = span_batching;
-    const api::RunReport report = session.run(req, pc).value();
-    obs::MetricsRegistry reg;
-    recordSimMetrics(reg, "sim", report.stats);
-    for (std::size_t i = 0; i < report.stats.bw_timeline.size(); ++i)
-        reg.set("raw_timeline." + std::to_string(i),
-                report.stats.bw_timeline[i]);
-    return reg;
-}
-
-TEST(SpanEngine, MatchesElementScanAcrossAppsAndShapes)
-{
-    for (const char *app : kApps) {
-        for (int shape = 0; shape < 6; ++shape) {
-            const api::PreparedCase pc = api::prepareCase(
-                app, shapeMatrix(shape, 192, 1536));
-            const obs::MetricsRegistry with =
-                runSpanOnce(app, pc, true);
-            const obs::MetricsRegistry without =
-                runSpanOnce(app, pc, false);
-            EXPECT_EQ(with.entries(), without.entries())
-                << "span/element divergence for app=" << app
-                << " shape=" << kShapes[shape];
-        }
-    }
-}
-
-TEST(SpanEngine, SpanFlagDefaultsOn)
-{
-    EXPECT_TRUE(SparsepipeConfig{}.span_batching);
-    EXPECT_TRUE(SparsepipeConfig::isoCpu().span_batching);
-}
 
 } // anonymous namespace
 } // namespace sparsepipe
