@@ -31,21 +31,42 @@
  * plain reference accessors remain valid only while the entry is
  * resident once a bound is set.
  *
+ * Functional memo.  A run has a functional stage (values, which
+ * decide only the iteration a convergent app stops at) and a timing
+ * stage (cycles, from the operand pattern and the hardware
+ * configuration; see backend::CycleEngine).  Each PreparedCase
+ * memoizes the functional outcome {iterations, converged} per
+ * (max_iters, value semantics): Sparsepipe's fused kernels and
+ * gamma's reference interpreter are the two semantics.  The first
+ * run of a key binds a workspace and runs both stages; every later
+ * run of it, whatever its buffer, bandwidth, memory system or lane
+ * settings, is timing-only and binds nothing.  The stats are bit
+ * for bit those of the two-stage run.  Two threads that miss on one
+ * key both compute (a miss never waits on another thread) and
+ * publish the same outcome; a run that fails or is cancelled
+ * publishes nothing.  cacheStats().functional counts hits and
+ * misses.
+ *
  * Thread safety: a Session may be shared by concurrent callers.  The
  * caches serialize construction per key (KeyedCache), every run gets
- * its own Workspace + SparsepipeSim, and a PreparedCase is read-only
- * after construction.  bindWorkspace binds the cached CSR / CSC pair
- * by reference, so concurrent runs of one case share a single copy
- * of the operand; each run owns only its dense tensors and scalars.
+ * its own Workspace + engine, and a PreparedCase is read-only after
+ * construction apart from its internally locked memo.  bindWorkspace
+ * binds the cached CSR / CSC pair by reference, so concurrent runs
+ * of one case share a single copy of the operand; each run owns only
+ * its dense tensors and scalars.
  */
 
 #ifndef SPARSEPIPE_API_SESSION_HH
 #define SPARSEPIPE_API_SESSION_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "apps/apps.hh"
 #include "backend/backend.hh"
@@ -109,6 +130,40 @@ struct RunRequest
 };
 
 /**
+ * Thread-safe memo of one prepared case's functional outcomes, keyed
+ * by (max_iters, value semantics).  It holds up to kCapacity
+ * entries; the oldest goes once it is full.  A copied or assigned
+ * memo starts empty: entries describe the operand they were computed
+ * on, and a copied case may be edited.
+ */
+class FunctionalMemo
+{
+  public:
+    static constexpr std::size_t kCapacity = 16;
+
+    FunctionalMemo() = default;
+    FunctionalMemo(const FunctionalMemo &) {}
+    FunctionalMemo &operator=(const FunctionalMemo &);
+
+    std::optional<RunResult> find(Idx max_iters,
+                                  backend::ValueSemantics semantics);
+    /** @return true when the oldest entry made room for this one. */
+    bool publish(Idx max_iters, backend::ValueSemantics semantics,
+                 const RunResult &outcome);
+
+  private:
+    struct Entry
+    {
+        Idx max_iters;
+        backend::ValueSemantics semantics;
+        RunResult outcome;
+    };
+
+    std::mutex mu_;
+    std::vector<Entry> entries_;
+};
+
+/**
  * A fully preprocessed (app, matrix) pair: everything downstream of
  * the raw COO that does not depend on the hardware configuration.
  */
@@ -122,6 +177,8 @@ struct PreparedCase
     /** Per-nonzero footprint of the blocked dual storage. */
     double blocked_bytes_per_nz = 12.0;
     Idx nnz = 0;
+    /** Functional outcomes of Session runs (see the file comment). */
+    mutable FunctionalMemo functional;
 };
 
 /** Result of Session::run. */
@@ -134,7 +191,8 @@ struct RunReport
     Idx nnz = 0;
     SimStats stats;
     /**
-     * Host wall-clock spent inside the simulator (binding and
+     * Host wall-clock spent inside the engine: the timing stage,
+     * plus the functional stage on a memo miss (binding and
      * preprocessing excluded).  Machine-dependent — never part of a
      * byte-compared artifact; the explore dataset records it so the
      * cost of producing each row is queryable.
@@ -199,12 +257,18 @@ class Session
     void setCacheCapacities(std::size_t raw, std::size_t reordered,
                             std::size_t prepared);
 
-    /** Per-layer hit / miss / eviction counters. */
+    /**
+     * Per-layer hit / miss / eviction counters.  `functional` counts
+     * run() lookups in the cases' functional memos, and as evictions
+     * the entries a full memo dropped (entries also go, uncounted,
+     * with their case).
+     */
     struct CacheStatsSnapshot
     {
         runner::CacheStats raw;
         runner::CacheStats reordered;
         runner::CacheStats prepared;
+        runner::CacheStats functional;
     };
     CacheStatsSnapshot cacheStats() const;
 
@@ -233,7 +297,8 @@ class Session
      * Run a request against an externally supplied prepared case
      * (MatrixMarket / synthetic operands).  req.app must match the
      * app `pc` was prepared for; req.dataset labels the report.
-     * Same error contract as the cached overload.
+     * Same error contract and functional memo as the cached
+     * overload.
      */
     StatusOr<RunReport> run(const RunRequest &req,
                             const PreparedCase &pc);
@@ -259,6 +324,9 @@ class Session
                                   ReorderKind, std::uint64_t>,
                        PreparedCase>
         prepared_;
+    std::atomic<std::uint64_t> functional_hits_{0};
+    std::atomic<std::uint64_t> functional_misses_{0};
+    std::atomic<std::uint64_t> functional_evictions_{0};
 };
 
 } // namespace sparsepipe::api

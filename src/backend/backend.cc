@@ -13,9 +13,19 @@ class SparsepipeEngine final : public CycleEngine
     explicit SparsepipeEngine(SparsepipeConfig config)
         : sim_(std::move(config)) {}
 
-    SimStats run(Workspace &ws, Idx max_iters) override
+    ValueSemantics valueSemantics() const override
     {
-        return sim_.run(ws, max_iters);
+        return ValueSemantics::FusedOei;
+    }
+    RunResult runFunctional(Workspace &ws, Idx max_iters) override
+    {
+        return sim_.runFunctional(ws, max_iters);
+    }
+    SimStats runTiming(const Program &program,
+                       const OperandPatterns &operands,
+                       const RunResult &outcome, Idx max_iters) override
+    {
+        return sim_.runTiming(program, operands, outcome, max_iters);
     }
     void attachTrace(obs::TraceSink *sink) override
     {

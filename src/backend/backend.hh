@@ -23,9 +23,12 @@
  *
  * What a backend must provide (see DESIGN.md section 12):
  *
- *  - a CycleEngine whose run() leaves the workspace in a state
- *    value-identical to RefExecutor (the differential fuzzer diffs
- *    every registered backend against ref on every case);
+ *  - a CycleEngine in two stages: runFunctional() leaves the
+ *    workspace in a state value-identical to RefExecutor (the
+ *    differential fuzzer diffs every registered backend against ref
+ *    on every case) and returns {iterations, converged};
+ *    runTiming() is a pure function of (program, config, operand
+ *    patterns, that outcome, max_iters);
  *  - SimStats whose attribution phases tile [0, cycles] and whose
  *    bucket totals reconcile exactly with the cycle count (use the
  *    src/obs ActivityLog / PhaseWindow machinery and the DramModel
@@ -71,18 +74,49 @@ const std::vector<BackendKind> &registeredBackends();
 std::string registeredBackendList();
 
 /**
+ * Which kernels compute a backend's values.  Runs of one prepared
+ * case under the same semantics and max_iters end in the same
+ * outcome whatever the hardware configuration, so the pair keys
+ * api::Session's functional memo.  The two kinds may round
+ * differently, which is why the tag is part of the key.
+ */
+enum class ValueSemantics
+{
+    FusedOei,  ///< Sparsepipe's fused-pair and packed-lane kernels
+    Reference, ///< RefExecutor, operator at a time
+};
+
+/**
  * One cycle-level engine instance: the common surface of
- * SparsepipeSim and every alternate model behind the registry.
- * run() executes the workspace functionally (value-equivalent to
- * RefExecutor) while timing it; trace and cancellation follow the
- * SparsepipeSim contract (see core/sparsepipe_sim.hh).
+ * SparsepipeSim and every alternate model behind the registry.  A
+ * run has two stages (see core/sparsepipe_sim.hh): runFunctional()
+ * executes the workspace (value-equivalent to RefExecutor) and
+ * returns {iterations, converged}; runTiming() times that outcome
+ * from the operand patterns alone.  run() composes them and is the
+ * one path of every caller that binds its own workspace.  Trace and
+ * cancellation follow the SparsepipeSim contract; only runTiming()
+ * emits trace events.
  */
 class CycleEngine
 {
   public:
     virtual ~CycleEngine() = default;
 
-    virtual SimStats run(Workspace &ws, Idx max_iters) = 0;
+    /** Both stages: runFunctional(), then runTiming(). */
+    SimStats
+    run(Workspace &ws, Idx max_iters)
+    {
+        const RunResult outcome = runFunctional(ws, max_iters);
+        return runTiming(ws.program(), OperandPatterns(ws), outcome,
+                         max_iters);
+    }
+
+    virtual ValueSemantics valueSemantics() const = 0;
+    virtual RunResult runFunctional(Workspace &ws, Idx max_iters) = 0;
+    virtual SimStats runTiming(const Program &program,
+                               const OperandPatterns &operands,
+                               const RunResult &outcome,
+                               Idx max_iters) = 0;
     virtual void attachTrace(obs::TraceSink *sink) = 0;
     virtual void setCancelToken(const CancelToken *token) = 0;
 };

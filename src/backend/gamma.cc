@@ -79,17 +79,24 @@ struct RowPass
 
 } // anonymous namespace
 
-SimStats
-GammaSim::run(Workspace &ws, Idx max_iters)
+RunResult
+GammaSim::runFunctional(Workspace &ws, Idx max_iters)
 {
-    const Program &p = ws.program();
+    return RefExecutor().run(ws, max_iters, cancel_);
+}
+
+SimStats
+GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
+                    const RunResult &outcome, Idx /*max_iters*/)
+{
     const Analysis an = analyzeProgram(p);
 
     SimStats stats;
     stats.mode = ScheduleMode::Stream; // no OEI scheduling decision
+    stats.iterations = outcome.iterations;
+    stats.converged = outcome.converged;
 
     DramModel dram(config_.dram);
-    RefExecutor ref;
 
     obs::ActivityLog alog;
     std::vector<obs::PhaseWindow> windows;
@@ -126,7 +133,7 @@ GammaSim::run(Workspace &ws, Idx max_iters)
             std::max<Idx>(1, config_.bw_timeline_samples));
         stats.bw_timeline = dram.utilizationSeries(
             std::max<Tick>(drained, 1), samples);
-        stats.attribution = obs::attributeCycles(windows, alog);
+        stats.attribution = obs::attributeCycles(windows, alog.spans());
         if (trace_) {
             for (const obs::PhaseCycles &ph :
                  stats.attribution.phases) {
@@ -164,7 +171,7 @@ GammaSim::run(Workspace &ws, Idx max_iters)
     // --- pure element-wise programs: no matrix, no fiber cache ------
     if (an.leading_ops.empty()) {
         Tick t = 0;
-        for (Idx it = 0; it < max_iters; ++it) {
+        for (Idx it = 0; it < outcome.iterations; ++it) {
             // Iteration boundary: cold, so the unlatched pollNow()
             // sees an expired deadline immediately.
             if (cancel_) {
@@ -181,15 +188,6 @@ GammaSim::run(Workspace &ws, Idx max_iters)
             t = std::max(t_mem, t_cmp);
             alog.record(obs::Activity::Compute, t0, t_cmp);
             pushWindow(obs::PhaseKind::EwiseIteration, t0, t);
-            ref.runBody(ws);
-            ref.applyCarries(ws);
-            stats.iterations = it + 1;
-            if (p.hasConvergence() &&
-                ws.scalar(p.convergenceScalar()) <
-                    p.convergenceThreshold()) {
-                stats.converged = true;
-                break;
-            }
         }
         finalize(t);
         return stats;
@@ -200,8 +198,7 @@ GammaSim::run(Workspace &ws, Idx max_iters)
     // Each distinct sparse operand gets a disjoint byte range in the
     // fiber-cache address space, so two operators streaming different
     // matrices genuinely contend for cache capacity.
-    const Idx bytes_per_nz =
-        static_cast<Idx>(std::ceil(config_.bytes_per_nz));
+    const Idx bytes_per_nz = config_.bytesPerElem();
     std::vector<RowPass> passes;
     std::map<TensorId, Idx> operand_base;
     Idx next_base = 0;
@@ -213,7 +210,7 @@ GammaSim::run(Workspace &ws, Idx max_iters)
         auto [it, inserted] =
             operand_base.try_emplace(rp.matrix, next_base);
         if (inserted)
-            next_base += ws.csr(rp.matrix).nnz() * bytes_per_nz;
+            next_base += operands.csr(rp.matrix).nnz() * bytes_per_nz;
         rp.base_bytes = it->second;
         passes.push_back(rp);
     }
@@ -237,8 +234,7 @@ GammaSim::run(Workspace &ws, Idx max_iters)
     Tick next_poll = 0;
 
     Tick t = 0;
-    Idx it = 0;
-    while (it < max_iters) {
+    for (Idx it = 0; it < outcome.iterations; ++it) {
         if (cancel_) {
             ++stats.counters.cancel_polls;
             throwIfError(cancel_->pollNow());
@@ -250,7 +246,7 @@ GammaSim::run(Workspace &ws, Idx max_iters)
             const Tick t_vec =
                 rbytes > 0 ? dram.access(t0, rbytes, false) : t0;
 
-            const CsrMatrix &m = ws.csr(rp.matrix);
+            const CsrMatrix &m = operands.csr(rp.matrix);
             const double os_mult = rp.spmm
                 ? static_cast<double>(
                       std::max<Idx>(1, an.traffic.spmm_cols))
@@ -310,20 +306,6 @@ GammaSim::run(Workspace &ws, Idx max_iters)
             pushWindow(obs::PhaseKind::StreamPass, t0, t);
             ++stats.passes;
             stats.vector_bytes += rbytes + wbytes;
-        }
-
-        // Functional execution: the reference interpreter verbatim,
-        // so values are bit-identical to RefExecutor by construction.
-        ref.runBody(ws);
-        ref.applyCarries(ws);
-
-        ++it;
-        stats.iterations = it;
-        if (p.hasConvergence() &&
-            ws.scalar(p.convergenceScalar()) <
-                p.convergenceThreshold()) {
-            stats.converged = true;
-            break;
         }
     }
 

@@ -117,14 +117,22 @@ class GammaSim final : public CycleEngine
     explicit GammaSim(SparsepipeConfig config)
         : config_(std::move(config)) {}
 
-    SimStats run(Workspace &ws, Idx max_iters) override;
+    ValueSemantics valueSemantics() const override
+    {
+        return ValueSemantics::Reference;
+    }
+    /** RefExecutor::run verbatim, so values match it bit for bit. */
+    RunResult runFunctional(Workspace &ws, Idx max_iters) override;
+    SimStats runTiming(const Program &program,
+                       const OperandPatterns &operands,
+                       const RunResult &outcome, Idx max_iters) override;
     void attachTrace(obs::TraceSink *sink) override { trace_ = sink; }
     void setCancelToken(const CancelToken *token) override
     {
         cancel_ = token;
     }
 
-    /** Fiber-cache ledger of the most recent run(). */
+    /** Fiber-cache ledger of the most recent timing stage. */
     const FiberCacheStats &fiberCacheStats() const
     {
         return fiber_stats_;

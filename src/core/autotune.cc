@@ -38,16 +38,23 @@ autotuneSubTensor(const AppInstance &app, const CsrMatrix &prepared,
             candidates.push_back(pivot);
     }
 
+    // The probes differ only in sub_tensor_cols, which moves no
+    // value: compute the pilot's outcome once and time it per
+    // candidate.
+    Workspace ws(app.program);
+    ws.borrowMatrix(app.matrix, prepared, csc);
+    app.init(ws);
+    const RunResult pilot =
+        SparsepipeSim(config).runFunctional(ws, pilot_iters);
+    const OperandPatterns operands(app.matrix, prepared, csc);
+
     AutotuneResult result;
     Tick best_cycles = 0;
     for (Idx t : candidates) {
         SparsepipeConfig probe = config;
         probe.sub_tensor_cols = t;
-        SparsepipeSim sim(probe);
-        Workspace ws(app.program);
-        ws.borrowMatrix(app.matrix, prepared, csc);
-        app.init(ws);
-        SimStats stats = sim.run(ws, pilot_iters);
+        const SimStats stats = SparsepipeSim(probe).runTiming(
+            app.program, operands, pilot, pilot_iters);
         result.probes.push_back({t, stats.cycles});
         if (result.best == 0 || stats.cycles < best_cycles) {
             result.best = t;

@@ -21,11 +21,15 @@ SparsepipeConfig::resolveSubTensor(Idx cols, Idx nnz) const
 }
 
 Idx
+SparsepipeConfig::bytesPerElem() const
+{
+    return std::max<Idx>(1, static_cast<Idx>(std::ceil(bytes_per_nz)));
+}
+
+Idx
 SparsepipeConfig::bufferCapacityElems() const
 {
-    const Idx per_elem =
-        std::max<Idx>(1, static_cast<Idx>(std::ceil(bytes_per_nz)));
-    return buffer_bytes / per_elem;
+    return buffer_bytes / bytesPerElem();
 }
 
 } // namespace sparsepipe

@@ -119,8 +119,17 @@ struct SparsepipeConfig
     Idx resolveSubTensor(Idx cols, Idx nnz = 0) const;
 
     /**
+     * Whole bytes one stored non-zero occupies: bytes_per_nz rounded
+     * up, and at least 1.  A blocked layout of an empty operand
+     * reports 0 bytes per non-zero; the clamp keeps that a valid
+     * buffer element size.  Every engine sizes its buffer through
+     * this.
+     */
+    Idx bytesPerElem() const;
+
+    /**
      * Buffer capacity in non-zero elements, matching how the
-     * simulator sizes its DualBufferModel (bytes_per_nz rounded up).
+     * simulator sizes its DualBufferModel (bytesPerElem()).
      */
     Idx bufferCapacityElems() const;
 };

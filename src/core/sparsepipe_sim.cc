@@ -141,22 +141,76 @@ mergeBuffer(BufferStats &into, const BufferStats &from)
     into.sram_writes_elems += from.sram_writes_elems;
 }
 
+/** What one iteration does with the sparse operand. */
+enum class IterationRole
+{
+    Pass,       ///< a fused pass covering this iteration
+    PairedPass, ///< a fused pass covering this and the next iteration
+    Covered,    ///< charged by the previous iteration's paired pass
+    Stream,     ///< one stream pass per leading op
+};
+
+/**
+ * The cross-iteration pairing flags of iteration `it`.  Both stages
+ * ask this one function, so the functional stage runs the fused
+ * kernels on exactly the iterations the timing stage charges a fused
+ * pass for.  An even iteration pairs with the next one only when
+ * `it + 1 < max_iters`, which is why both stages take max_iters.
+ */
+IterationRole
+iterationRole(ScheduleMode mode, Idx it, Idx max_iters)
+{
+    switch (mode) {
+      case ScheduleMode::IntraIteration:
+        return IterationRole::Pass;
+      case ScheduleMode::CrossIteration:
+        if (it % 2 == 1)
+            return IterationRole::Covered;
+        return it + 1 < max_iters ? IterationRole::PairedPass
+                                  : IterationRole::Stream;
+      case ScheduleMode::Stream:
+        break;
+    }
+    return IterationRole::Stream;
+}
+
 } // anonymous namespace
+
+const CsrMatrix &
+OperandPatterns::csr(TensorId id) const
+{
+    if (ws_)
+        return ws_->csr(id);
+    if (id != id_)
+        sp_panic("OperandPatterns: tensor %lld is not in the view",
+                 static_cast<long long>(id));
+    return *csr_;
+}
+
+const CscMatrix &
+OperandPatterns::csc(TensorId id) const
+{
+    if (ws_)
+        return ws_->csc(id);
+    if (id != id_)
+        sp_panic("OperandPatterns: tensor %lld is not in the view",
+                 static_cast<long long>(id));
+    return *csc_;
+}
 
 SimStats
 SparsepipeSim::run(Workspace &ws, Idx max_iters)
 {
+    const RunResult outcome = runFunctional(ws, max_iters);
+    return runTiming(ws.program(), OperandPatterns(ws), outcome,
+                     max_iters);
+}
+
+RunResult
+SparsepipeSim::runFunctional(Workspace &ws, Idx max_iters)
+{
     const Program &p = ws.program();
-    const Analysis an = analyzeProgram(p);
-    const Plan plan = makePlan(p, an);
-
-    SimStats stats;
-    stats.mode = plan.mode;
-
-    EventQueue eq;
-    DramModel dram(config_.dram);
-    PassEngine engine(config_, dram, eq);
-    engine.setCancelToken(cancel_);
+    const Plan plan = makePlan(p, analyzeProgram(p));
     RefExecutor ref;
 
     // Functional-execution parallelism (pure implementation
@@ -169,6 +223,81 @@ SparsepipeSim::run(Workspace &ws, Idx max_iters)
         pol.threads = config_.band_threads;
         pol.pool = &*band_pool;
     }
+    const Idx t_cols = plan.functional_pass
+        ? config_.resolveSubTensor(ws.csc(plan.matrix).cols(),
+                                   ws.csc(plan.matrix).nnz())
+        : 0;
+
+    std::optional<DenseVector> pending;
+    const auto &ops = p.ops();
+    RunResult out;
+    while (out.iterations < max_iters) {
+        // Iteration boundary: cold enough for the unlatched pollNow().
+        if (cancel_)
+            throwIfError(cancel_->pollNow());
+        const IterationRole role =
+            iterationRole(plan.mode, out.iterations, max_iters);
+        const bool run_pass_functional =
+            plan.functional_pass && (role == IterationRole::Pass ||
+                                     role == IterationRole::PairedPass);
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            if (run_pass_functional && i == plan.pairing.producer_op) {
+                // Hoisted clean scalar preamble, then the pass.
+                for (std::size_t s : plan.scalar_preamble)
+                    RefExecutor::execOp(ws, ops[s]);
+                pending = runFusedPair(ws, p, plan.pairing,
+                                       plan.chain, t_cols, pol);
+                continue;
+            }
+            if (run_pass_functional &&
+                (std::find(plan.chain.replaced_ops.begin(),
+                           plan.chain.replaced_ops.end(), i) !=
+                     plan.chain.replaced_ops.end() ||
+                 std::find(plan.scalar_preamble.begin(),
+                           plan.scalar_preamble.end(), i) !=
+                     plan.scalar_preamble.end())) {
+                continue; // executed inside / ahead of the pass
+            }
+            if (pending && i == plan.pairing.consumer_op &&
+                !(run_pass_functional &&
+                  plan.pairing.crosses_iteration)) {
+                ws.vec(ops[i].output) = std::move(*pending);
+                pending.reset();
+                continue;
+            }
+            if (!execOpLanes(ws, ops[i], pol))
+                RefExecutor::execOp(ws, ops[i]);
+        }
+        ref.applyCarries(ws);
+
+        ++out.iterations;
+        if (p.hasConvergence() &&
+            ws.scalar(p.convergenceScalar()) <
+                p.convergenceThreshold()) {
+            out.converged = true;
+            break;
+        }
+    }
+    return out;
+}
+
+SimStats
+SparsepipeSim::runTiming(const Program &p,
+                         const OperandPatterns &operands,
+                         const RunResult &outcome, Idx max_iters)
+{
+    const Analysis an = analyzeProgram(p);
+    const Plan plan = makePlan(p, an);
+
+    SimStats stats;
+    stats.mode = plan.mode;
+    stats.iterations = outcome.iterations;
+    stats.converged = outcome.converged;
+
+    EventQueue eq;
+    DramModel dram(config_.dram);
+    PassEngine engine(config_, dram, eq);
+    engine.setCancelToken(cancel_);
 
     // Activity spans and phase windows feeding cycle attribution.
     // Windows tile [0, cycles]: every pass / iteration starts where
@@ -211,7 +340,7 @@ SparsepipeSim::run(Workspace &ws, Idx max_iters)
             std::max<Idx>(1, config_.bw_timeline_samples));
         stats.bw_timeline = dram.utilizationSeries(
             std::max<Tick>(drained, 1), samples);
-        stats.attribution = obs::attributeCycles(windows, alog);
+        stats.attribution = obs::attributeCycles(windows, alog.spans());
         if (trace_) {
             for (const obs::PhaseCycles &ph :
                  stats.attribution.phases) {
@@ -249,7 +378,7 @@ SparsepipeSim::run(Workspace &ws, Idx max_iters)
     // --- pure element-wise programs: no matrix stream --------------
     if (an.leading_ops.empty()) {
         Tick t = 0;
-        for (Idx it = 0; it < max_iters; ++it) {
+        for (Idx it = 0; it < outcome.iterations; ++it) {
             // Once per iteration — cold enough for the unlatched
             // pollNow(), so a deadline is seen on the next iteration
             // boundary rather than a stride of checks later.
@@ -267,31 +396,18 @@ SparsepipeSim::run(Workspace &ws, Idx max_iters)
             t = std::max(t_mem, t_cmp);
             alog.record(obs::Activity::Compute, t0, t_cmp);
             pushWindow(obs::PhaseKind::EwiseIteration, t0, t);
-            for (const OpNode &op : p.ops()) {
-                if (!execOpLanes(ws, op, pol))
-                    RefExecutor::execOp(ws, op);
-            }
-            ref.applyCarries(ws);
-            stats.iterations = it + 1;
-            if (p.hasConvergence() &&
-                ws.scalar(p.convergenceScalar()) <
-                    p.convergenceThreshold()) {
-                stats.converged = true;
-                break;
-            }
         }
         finalize(t);
         return stats;
     }
 
     // --- bucket decomposition of the sparse operand -----------------
-    const Idx t_cols = config_.resolveSubTensor(
-        ws.csc(plan.matrix).cols(), ws.csc(plan.matrix).nnz());
+    const CscMatrix &csc = operands.csc(plan.matrix);
+    const Idx t_cols = config_.resolveSubTensor(csc.cols(), csc.nnz());
     const StepBuckets buckets = plan.spmm
-        ? StepBuckets::buildTransposed(ws.csr(plan.matrix), t_cols)
-        : StepBuckets::build(ws.csc(plan.matrix), t_cols);
-    const Idx bytes_per_nz = static_cast<Idx>(
-        std::ceil(config_.bytes_per_nz));
+        ? StepBuckets::buildTransposed(operands.csr(plan.matrix), t_cols)
+        : StepBuckets::build(csc, t_cols);
+    const Idx bytes_per_nz = config_.bytesPerElem();
 
     for (Idx cs = 0; cs < buckets.steps(); ++cs) {
         for (const BucketSpan &sp : buckets.colSpans(cs)) {
@@ -301,31 +417,18 @@ SparsepipeSim::run(Workspace &ws, Idx max_iters)
     }
 
     Tick t = 0;
-    std::optional<DenseVector> pending;
-    bool timing_covered = false; // next iteration charged by a pass
-
-    Idx it = 0;
-    while (it < max_iters) {
+    for (Idx it = 0; it < outcome.iterations; ++it) {
         // Iteration boundary: unlatched poll, same as the element
         // path above (the hot per-event checks live in PassEngine).
         if (cancel_) {
             ++stats.counters.cancel_polls;
             throwIfError(cancel_->pollNow());
         }
-        bool pass_this_iter = false;
-        bool pairs_next = false;
-        if (plan.mode == ScheduleMode::CrossIteration &&
-            !timing_covered && it + 1 < max_iters) {
-            pass_this_iter = true;
-            pairs_next = true;
-        } else if (plan.mode == ScheduleMode::IntraIteration) {
-            pass_this_iter = true;
-        }
-
-        // ---- timing -------------------------------------------------
-        if (pass_this_iter) {
+        const IterationRole role = iterationRole(plan.mode, it, max_iters);
+        if (role == IterationRole::Pass ||
+            role == IterationRole::PairedPass) {
             PassCosts costs = per_iter;
-            if (pairs_next) {
+            if (role == IterationRole::PairedPass) {
                 costs.vector_read_bytes *= 2.0;
                 costs.vector_write_bytes *= 2.0;
                 costs.ewise_work *= 2.0;
@@ -338,10 +441,7 @@ SparsepipeSim::run(Workspace &ws, Idx max_iters)
             t = ps.end;
             mergePass(stats, ps);
             mergeBuffer(stats.buffer, buffer.stats());
-            timing_covered = pairs_next;
-        } else if (timing_covered) {
-            timing_covered = false; // charged by the previous pass
-        } else {
+        } else if (role == IterationRole::Stream) {
             const Idx v = static_cast<Idx>(an.leading_ops.size());
             PassCosts costs = per_iter;
             costs.vector_read_bytes /= static_cast<double>(v);
@@ -355,49 +455,7 @@ SparsepipeSim::run(Workspace &ws, Idx max_iters)
                 mergePass(stats, ps);
             }
         }
-
-        // ---- functional ---------------------------------------------
-        const auto &ops = p.ops();
-        const bool run_pass_functional =
-            plan.functional_pass && pass_this_iter;
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-            if (run_pass_functional && i == plan.pairing.producer_op) {
-                // Hoisted clean scalar preamble, then the pass.
-                for (std::size_t s : plan.scalar_preamble)
-                    RefExecutor::execOp(ws, ops[s]);
-                pending = runFusedPair(ws, p, plan.pairing,
-                                       plan.chain, t_cols, pol);
-                continue;
-            }
-            if (run_pass_functional &&
-                (std::find(plan.chain.replaced_ops.begin(),
-                           plan.chain.replaced_ops.end(), i) !=
-                     plan.chain.replaced_ops.end() ||
-                 std::find(plan.scalar_preamble.begin(),
-                           plan.scalar_preamble.end(), i) !=
-                     plan.scalar_preamble.end())) {
-                continue; // executed inside / ahead of the pass
-            }
-            if (pending && i == plan.pairing.consumer_op &&
-                !(run_pass_functional &&
-                  plan.pairing.crosses_iteration)) {
-                ws.vec(ops[i].output) = std::move(*pending);
-                pending.reset();
-                continue;
-            }
-            if (!execOpLanes(ws, ops[i], pol))
-                RefExecutor::execOp(ws, ops[i]);
-        }
-        ref.applyCarries(ws);
-
-        ++it;
-        stats.iterations = it;
-        if (p.hasConvergence() &&
-            ws.scalar(p.convergenceScalar()) <
-                p.convergenceThreshold()) {
-            stats.converged = true;
-            break;
-        }
+        // IterationRole::Covered: charged by the previous pass.
     }
 
     finalize(t);

@@ -96,7 +96,47 @@ struct SimStats
 };
 
 /**
+ * The sparse operands a timing stage reads, by tensor id.  Only their
+ * patterns matter.  The view covers either every operand bound in a
+ * workspace (the composed run) or one borrowed CSR/CSC pair (a
+ * prepared case replayed without binding a workspace).  The viewed
+ * matrices must outlive it.
+ */
+class OperandPatterns
+{
+  public:
+    explicit OperandPatterns(const Workspace &ws) : ws_(&ws) {}
+    OperandPatterns(TensorId id, const CsrMatrix &csr,
+                    const CscMatrix &csc)
+        : id_(id), csr_(&csr), csc_(&csc) {}
+
+    /** Panics when `id` is not in the view. */
+    const CsrMatrix &csr(TensorId id) const;
+    const CscMatrix &csc(TensorId id) const;
+
+  private:
+    const Workspace *ws_ = nullptr;
+    TensorId id_ = invalid_tensor;
+    const CsrMatrix *csr_ = nullptr;
+    const CscMatrix *csc_ = nullptr;
+};
+
+/**
  * Cycle-level Sparsepipe simulator.
+ *
+ * A run has two stages.  Values decide only when a convergent program
+ * stops, and cycles depend on the operand's pattern, never on its
+ * values, so the stages meet in a RunResult:
+ *
+ *  - runFunctional() executes the workspace with the fused-pair and
+ *    packed-lane kernels and returns {iterations, converged};
+ *  - runTiming() replays the pass engine for that many iterations.
+ *    It is a pure function of (program, config, operand patterns,
+ *    outcome, max_iters).
+ *
+ * run() composes the two.  A caller that already knows a case's
+ * outcome (api::Session's memo, the autotuner's probes) calls
+ * runTiming() alone.
  */
 class SparsepipeSim
 {
@@ -107,10 +147,30 @@ class SparsepipeSim
     /**
      * Run a bound + initialised workspace for up to max_iters
      * iterations (early-exit on the program's convergence
-     * condition).  The workspace ends in the same state a
-     * RefExecutor run would produce.
+     * condition): runFunctional() then runTiming().  The workspace
+     * ends in the same state a RefExecutor run would produce.
      */
     SimStats run(Workspace &ws, Idx max_iters);
+
+    /**
+     * Functional stage: execute the workspace for up to max_iters
+     * iterations and leave it final.  The outcome and the final
+     * workspace bits do not depend on sub_tensor_cols, lanes or
+     * band_threads (sparsepipe_sim_test pins this).  Polls the
+     * cancellation token once per iteration.
+     */
+    RunResult runFunctional(Workspace &ws, Idx max_iters);
+
+    /**
+     * Timing stage: the cycle model of a run whose functional stage
+     * ended in `outcome` under the same max_iters (so
+     * outcome.iterations <= max_iters).  Reads only the operands'
+     * patterns, so a run with other values but the same outcome
+     * times identically.
+     */
+    SimStats runTiming(const Program &program,
+                       const OperandPatterns &operands,
+                       const RunResult &outcome, Idx max_iters);
 
     /**
      * Convenience wrapper: prepare the app's operand from `raw`,
@@ -129,8 +189,8 @@ class SparsepipeSim
 
     /**
      * Attach a cancellation token (null detaches).  Runs check it
-     * per pass-engine stage launch and per iteration; on
-     * cancellation or deadline expiry the run unwinds by throwing
+     * per pass-engine stage launch and per iteration of each stage;
+     * on cancellation or deadline expiry the run unwinds by throwing
      * SpError (caught and flattened to a Status at the Session
      * boundary).  A cancelled run leaves the workspace mid-update;
      * callers must discard it.

@@ -55,7 +55,7 @@ charge(PhaseCycles &out, const int (&open)[4], Tick cycles)
 
 CycleAttribution
 attributeCycles(const std::vector<PhaseWindow> &windows,
-                const ActivityLog &log)
+                std::vector<ActivitySpan> spans)
 {
     CycleAttribution attr;
     attr.phases.reserve(windows.size());
@@ -63,7 +63,6 @@ attributeCycles(const std::vector<PhaseWindow> &windows,
     // Spans are recorded in roughly increasing order but ReadWait
     // tails start in the future; sort once so each window can scan a
     // contiguous range.
-    std::vector<ActivitySpan> spans = log.spans();
     std::sort(spans.begin(), spans.end(),
               [](const ActivitySpan &a, const ActivitySpan &b) {
                   return a.begin < b.begin;

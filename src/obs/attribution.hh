@@ -29,6 +29,7 @@
 #ifndef SPARSEPIPE_OBS_ATTRIBUTION_HH
 #define SPARSEPIPE_OBS_ATTRIBUTION_HH
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -54,8 +55,13 @@ struct ActivitySpan
 };
 
 /**
- * Append-only log of activity spans for one simulated run.  Spans
- * may overlap freely; classification happens at attribution time.
+ * Log of activity spans for one simulated run.  Spans may overlap
+ * freely; classification happens at attribution time, and it reads
+ * only the union of each kind's spans.  So record() folds a span
+ * into the last recorded span of the same kind when the two overlap
+ * or touch: the per-kind unions, and with them attributeCycles(),
+ * stay exactly as if every span were kept, while a run that records
+ * one span per row or per DRAM access keeps a handful.
  */
 class ActivityLog
 {
@@ -64,17 +70,31 @@ class ActivityLog
     void
     record(Activity kind, Tick begin, Tick end)
     {
-        if (end > begin)
-            spans_.push_back({begin, end, kind});
+        if (end <= begin)
+            return;
+        std::size_t &last = last_[static_cast<std::size_t>(kind)];
+        if (last < spans_.size()) {
+            ActivitySpan &prev = spans_[last];
+            if (begin <= prev.end && end >= prev.begin) {
+                prev.begin = std::min(prev.begin, begin);
+                prev.end = std::max(prev.end, end);
+                return;
+            }
+        }
+        last = spans_.size();
+        spans_.push_back({begin, end, kind});
     }
 
     void append(const std::vector<ActivitySpan> &spans);
 
     const std::vector<ActivitySpan> &spans() const { return spans_; }
-    void clear() { spans_.clear(); }
 
   private:
+    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
     std::vector<ActivitySpan> spans_;
+    /** Per kind, the index of its last span (kNone before the first). */
+    std::array<std::size_t, 4> last_ = {kNone, kNone, kNone, kNone};
 };
 
 /** The kind of simulator phase a window covers. */
@@ -137,13 +157,14 @@ struct CycleAttribution
 };
 
 /**
- * Classify every cycle of every phase window against the activity
- * log.  Windows must be sorted and non-overlapping (the simulator
- * produces them tiling the run); spans crossing a window boundary
- * contribute to each window they overlap.
+ * Classify every cycle of every phase window against activity spans
+ * (an ActivityLog's, or any raw list).  Windows must be sorted and
+ * non-overlapping (the simulator produces them tiling the run);
+ * spans crossing a window boundary contribute to each window they
+ * overlap.
  */
 CycleAttribution attributeCycles(const std::vector<PhaseWindow> &windows,
-                                 const ActivityLog &log);
+                                 std::vector<ActivitySpan> spans);
 
 /** Bins of the step-bucket occupancy histogram (log2 scale). */
 inline constexpr int kOccupancyBins = 8;

@@ -278,11 +278,14 @@ RefExecutor::applyCarries(Workspace &ws) const
 }
 
 RunResult
-RefExecutor::run(Workspace &ws, Idx max_iters) const
+RefExecutor::run(Workspace &ws, Idx max_iters,
+                 const CancelToken *cancel) const
 {
     const Program &p = ws.program();
     RunResult result;
     for (Idx it = 0; it < max_iters; ++it) {
+        if (cancel)
+            throwIfError(cancel->pollNow());
         runBody(ws);
         applyCarries(ws);
         ++result.iterations;

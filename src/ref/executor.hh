@@ -15,6 +15,7 @@
 #define SPARSEPIPE_REF_EXECUTOR_HH
 
 #include "lang/workspace.hh"
+#include "util/status.hh"
 
 namespace sparsepipe {
 
@@ -36,9 +37,12 @@ class RefExecutor
     /**
      * Execute up to max_iters loop iterations (stopping early if the
      * program's convergence condition fires).  Carries are applied
-     * simultaneously at each iteration end.
+     * simultaneously at each iteration end.  A non-null `cancel` is
+     * polled once per iteration; a fired token unwinds by throwing
+     * SpError and leaves the workspace mid-update.
      */
-    RunResult run(Workspace &ws, Idx max_iters) const;
+    RunResult run(Workspace &ws, Idx max_iters,
+                  const CancelToken *cancel = nullptr) const;
 
     /** Execute one loop-body pass (no carries). */
     void runBody(Workspace &ws) const;

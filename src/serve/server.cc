@@ -493,6 +493,7 @@ Server::fillMetrics(obs::MetricsRegistry &reg)
     setCacheMetrics(reg, "cache.raw", cache.raw);
     setCacheMetrics(reg, "cache.reordered", cache.reordered);
     setCacheMetrics(reg, "cache.prepared", cache.prepared);
+    setCacheMetrics(reg, "cache.functional", cache.functional);
 }
 
 std::string

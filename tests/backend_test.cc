@@ -217,6 +217,52 @@ TEST(GammaBackend, SessionRunReportsBackend)
     EXPECT_EQ(base.stats.iterations, report.stats.iterations);
 }
 
+TEST(CycleEngines, TimingIgnoresValues)
+{
+    // Every backend's timing stage reads the operand's pattern only:
+    // the same pattern and outcome with other values gives the same
+    // stats, which is what lets api::Session replay a memoized
+    // outcome.  A small buffer makes the fiber cache evict.
+    SparsepipeConfig cfg = SparsepipeConfig::isoGpu();
+    cfg.buffer_bytes = 8 << 10;
+    for (backend::BackendKind kind : backend::registeredBackends()) {
+        for (const char *name : {"pr", "sssp", "kcore", "gcn", "cg"}) {
+            const std::string label =
+                std::string(backend::backendName(kind)) + "/" + name;
+            const AppInstance app = makeApp(name, 200);
+            const CsrMatrix csr = app.prepare(smallRmat(200, 3000, 3));
+            const CscMatrix csc = CscMatrix::fromCsr(csr);
+            const CsrMatrix other = testing::perturbValues(csr);
+            const CscMatrix other_csc = CscMatrix::fromCsr(other);
+
+            const std::unique_ptr<backend::CycleEngine> engine =
+                backend::makeEngine(kind, cfg);
+            Workspace ws(app.program);
+            ws.borrowMatrix(app.matrix, csr, csc);
+            app.init(ws);
+            const SimStats full = engine->run(ws, app.default_iters);
+            const SimStats replay = engine->runTiming(
+                app.program,
+                OperandPatterns(app.matrix, other, other_csc),
+                {full.iterations, full.converged}, app.default_iters);
+            testing::expectSameSimStats(full, replay, label);
+            EXPECT_EQ(replay.iterations, full.iterations) << label;
+            EXPECT_EQ(replay.converged, full.converged) << label;
+        }
+    }
+}
+
+TEST(CycleEngines, ValueSemanticsNameTheKernels)
+{
+    const SparsepipeConfig cfg = SparsepipeConfig::isoGpu();
+    EXPECT_EQ(backend::makeEngine(backend::BackendKind::Sparsepipe, cfg)
+                  ->valueSemantics(),
+              backend::ValueSemantics::FusedOei);
+    EXPECT_EQ(backend::makeEngine(backend::BackendKind::Gamma, cfg)
+                  ->valueSemantics(),
+              backend::ValueSemantics::Reference);
+}
+
 TEST(ExploreAxis, BackendAxisTracksRegistry)
 {
     const explore::AxisDef *axis = nullptr;

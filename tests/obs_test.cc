@@ -15,6 +15,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "test_helpers.hh"
+#include "util/random.hh"
 
 namespace sparsepipe {
 namespace {
@@ -50,7 +51,7 @@ TEST(Attribution, ClassifiesByPriorityAndTilesExactly)
 
     std::vector<PhaseWindow> windows = {
         {PhaseKind::FusedPass, 0, 0, 100}};
-    CycleAttribution attr = attributeCycles(windows, log);
+    CycleAttribution attr = attributeCycles(windows, log.spans());
 
     ASSERT_EQ(attr.phases.size(), 1u);
     EXPECT_EQ(attr.compute, 30);
@@ -70,7 +71,7 @@ TEST(Attribution, SpansCrossingWindowBoundariesSplit)
     std::vector<PhaseWindow> windows = {
         {PhaseKind::FusedPass, 0, 0, 50},
         {PhaseKind::WriteDrain, 1, 50, 100}};
-    CycleAttribution attr = attributeCycles(windows, log);
+    CycleAttribution attr = attributeCycles(windows, log.spans());
     ASSERT_EQ(attr.phases.size(), 2u);
     EXPECT_EQ(attr.phases[0].compute, 10);
     EXPECT_EQ(attr.phases[1].compute, 10);
@@ -86,7 +87,7 @@ TEST(Attribution, OverlappingSpansOfOneKindCountOnce)
     log.record(Activity::ReadWait, 30, 50);
     std::vector<PhaseWindow> windows = {
         {PhaseKind::StreamPass, 0, 0, 60}};
-    CycleAttribution attr = attributeCycles(windows, log);
+    CycleAttribution attr = attributeCycles(windows, log.spans());
     EXPECT_EQ(attr.dram_read_stall, 60);
     EXPECT_EQ(attr.totalCycles(), 60);
 }
@@ -97,6 +98,130 @@ TEST(Attribution, ZeroLengthSpansAreDropped)
     log.record(Activity::Compute, 10, 10);
     log.record(Activity::Compute, 12, 11);
     EXPECT_TRUE(log.spans().empty());
+}
+
+/** Field-by-field equality of two attributions' phase rows. */
+void
+expectSamePhases(const CycleAttribution &a, const CycleAttribution &b,
+                 const std::string &label)
+{
+    ASSERT_EQ(a.phases.size(), b.phases.size()) << label;
+    for (std::size_t i = 0; i < a.phases.size(); ++i) {
+        const obs::PhaseCycles &pa = a.phases[i];
+        const obs::PhaseCycles &pb = b.phases[i];
+        EXPECT_EQ(pa.begin, pb.begin) << label << " phase " << i;
+        EXPECT_EQ(pa.end, pb.end) << label << " phase " << i;
+        EXPECT_EQ(pa.compute, pb.compute) << label << " phase " << i;
+        EXPECT_EQ(pa.dram_read_stall, pb.dram_read_stall)
+            << label << " phase " << i;
+        EXPECT_EQ(pa.dram_write_drain, pb.dram_write_drain)
+            << label << " phase " << i;
+        EXPECT_EQ(pa.buffer_swap_wait, pb.buffer_swap_wait)
+            << label << " phase " << i;
+    }
+}
+
+/**
+ * The specification of attributeCycles, one cycle at a time: a cycle
+ * goes to the highest-priority kind with a span covering it.
+ */
+CycleAttribution
+classifyEachCycle(const std::vector<PhaseWindow> &windows,
+                  const std::vector<obs::ActivitySpan> &spans)
+{
+    CycleAttribution attr;
+    for (const PhaseWindow &w : windows) {
+        obs::PhaseCycles ph;
+        ph.kind = w.kind;
+        ph.index = w.index;
+        ph.begin = w.begin;
+        ph.end = w.end;
+        for (Tick c = w.begin; c < w.end; ++c) {
+            bool busy[4] = {false, false, false, false};
+            for (const obs::ActivitySpan &s : spans)
+                if (s.begin <= c && c < s.end)
+                    busy[static_cast<int>(s.kind)] = true;
+            if (busy[static_cast<int>(Activity::Compute)])
+                ++ph.compute;
+            else if (busy[static_cast<int>(Activity::ReadTransfer)] ||
+                     busy[static_cast<int>(Activity::ReadWait)])
+                ++ph.dram_read_stall;
+            else if (busy[static_cast<int>(Activity::WriteTransfer)])
+                ++ph.dram_write_drain;
+            else
+                ++ph.buffer_swap_wait;
+        }
+        attr.phases.push_back(ph);
+    }
+    return attr;
+}
+
+TEST(Attribution, CoalescingKeepsEveryCycleAndMatchesPerCycleClassifier)
+{
+    // Random spans of all four kinds, each either touching the last
+    // span of its kind, overlapping it, or anywhere (out of order);
+    // zero-length ones included.  The log folds many of them, and
+    // the attribution of the folded log must equal both the
+    // attribution of the raw spans and the per-cycle specification.
+    Rng rng(2024);
+    std::size_t raw_total = 0, kept_total = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        const Tick horizon = 40 + static_cast<Tick>(rng.nextBelow(160));
+        std::vector<obs::ActivitySpan> raw;
+        ActivityLog log;
+        Tick last_begin[4] = {0, 0, 0, 0};
+        Tick last_end[4] = {0, 0, 0, 0};
+        const int n = static_cast<int>(rng.nextBelow(80));
+        for (int i = 0; i < n; ++i) {
+            const int k = static_cast<int>(rng.nextBelow(4));
+            Tick begin = 0;
+            switch (rng.nextBelow(3)) {
+              case 0: begin = last_end[k]; break; // touching
+              case 1:                             // overlapping
+                begin = last_begin[k] +
+                        static_cast<Tick>(rng.nextBelow(static_cast<
+                            std::uint64_t>(last_end[k] - last_begin[k] +
+                                           1)));
+                break;
+              default: // anywhere, often before the last span
+                begin = static_cast<Tick>(
+                    rng.nextBelow(static_cast<std::uint64_t>(horizon)));
+            }
+            const Tick end =
+                std::min(horizon,
+                         begin + static_cast<Tick>(rng.nextBelow(25)));
+            const Activity kind = static_cast<Activity>(k);
+            log.record(kind, begin, end);
+            if (end > begin) {
+                raw.push_back({begin, end, kind});
+                last_begin[k] = begin;
+                last_end[k] = end;
+            }
+        }
+        // Random windows tiling [0, horizon).
+        std::vector<PhaseWindow> windows;
+        Tick at = 0;
+        while (at < horizon) {
+            const Tick next = std::min(
+                horizon, at + 1 + static_cast<Tick>(rng.nextBelow(50)));
+            windows.push_back({PhaseKind::StreamPass,
+                               static_cast<Idx>(windows.size()), at,
+                               next});
+            at = next;
+        }
+
+        const std::string label = "trial " + std::to_string(trial);
+        const CycleAttribution folded =
+            attributeCycles(windows, log.spans());
+        expectSamePhases(folded, attributeCycles(windows, raw), label);
+        expectSamePhases(folded, classifyEachCycle(windows, raw), label);
+        EXPECT_EQ(folded.totalCycles(), horizon) << label;
+        EXPECT_LE(log.spans().size(), raw.size()) << label;
+        raw_total += raw.size();
+        kept_total += log.spans().size();
+    }
+    // Touching and overlapping spans were generated, so some folded.
+    EXPECT_LT(kept_total, raw_total);
 }
 
 TEST(Attribution, OccupancyBinsAreLog2)

@@ -539,6 +539,49 @@ TEST(ServeServer, RunPingScrapeAndBadInputOverTcp)
     EXPECT_EQ(counter(server, "serve.active_connections"), 0.0);
 }
 
+TEST(ServeServer, OtherBufferSizeOfOneKeyIsAFunctionalMemoHit)
+{
+    ServerConfig config;
+    Server server(config);
+    ASSERT_TRUE(server.start().ok());
+    StatusOr<Client> client = Client::connect(loopback(server.port()));
+    ASSERT_TRUE(client.ok());
+
+    // The first request computes the case's values; the second, for
+    // the same (app, dataset, iters) with another buffer, only times
+    // them.  Both are simulations, not coalesced replies.
+    Request first;
+    first.app = "pr";
+    first.dataset = "ca";
+    first.iters = 4;
+    Request second = first;
+    second.buffer_kb = 96;
+    StatusOr<Response> a = client->call(first);
+    ASSERT_TRUE(a.ok() && a->status.ok());
+    EXPECT_EQ(counter(server, "cache.functional.misses"), 1.0);
+    EXPECT_EQ(counter(server, "cache.functional.hits"), 0.0);
+    StatusOr<Response> b = client->call(second);
+    ASSERT_TRUE(b.ok() && b->status.ok());
+    EXPECT_FALSE(b->coalesced);
+    EXPECT_EQ(counter(server, "serve.sim_runs"), 2.0);
+    EXPECT_EQ(counter(server, "cache.functional.misses"), 1.0);
+    EXPECT_EQ(counter(server, "cache.functional.hits"), 1.0);
+    // A 96 KiB buffer cannot hold the operand: reloads cost cycles.
+    EXPECT_GT(b->cycles, a->cycles);
+
+    // The scrape exports the family.
+    StatusOr<std::string> body =
+        serve::scrapeMetrics(loopback(server.port()));
+    ASSERT_TRUE(body.ok()) << body.status().toString();
+    obs::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(obs::parseJson(*body, doc, &error)) << error;
+    const obs::JsonValue *hits =
+        doc.find("metrics")->find("cache.functional.hits");
+    ASSERT_NE(hits, nullptr);
+    EXPECT_EQ(hits->number, 1.0);
+}
+
 TEST(ServeServer, ConcurrentIdenticalRequestsRunOneSimulation)
 {
     ServerConfig config;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "prep/blocked.hh"
 #include "ref/executor.hh"
 #include "sparse/datasets.hh"
+#include "test_helpers.hh"
 
 namespace sparsepipe {
 namespace {
@@ -372,6 +374,271 @@ TEST(Session, ConcurrentMixedKeysWithEvictingPreparedCache)
         session.cacheStats();
     EXPECT_GT(stats.prepared.evictions, 0u);
     EXPECT_GE(stats.prepared.misses, 4u);
+}
+
+TEST(Session, ZeroEntryOperandRunsOnEveryBackend)
+{
+    // A valid operand with no entries: its blocked layout reports 0
+    // bytes per non-zero, which both engines must accept.
+    const api::PreparedCase pc = api::prepareCase("pr", CooMatrix(40, 40));
+    EXPECT_EQ(pc.nnz, 0);
+    EXPECT_EQ(pc.blocked_bytes_per_nz, 0.0);
+    api::Session session;
+    for (backend::BackendKind kind : backend::registeredBackends()) {
+        api::RunRequest req;
+        req.app = "pr";
+        req.dataset = "zero-entries";
+        req.iters = 4;
+        req.backend = kind;
+        StatusOr<api::RunReport> run = session.run(req, pc);
+        ASSERT_TRUE(run.ok()) << backend::backendName(kind) << ": "
+                              << run.status().toString();
+        EXPECT_EQ(run->stats.attribution.totalCycles(),
+                  run->stats.cycles);
+    }
+}
+
+// ---------------------------------------------------------------
+// The functional memo
+// ---------------------------------------------------------------
+
+/** `req` on `pc` through a freshly bound workspace and both engine
+ *  stages, bypassing the memo: what Session::run did before it. */
+SimStats
+twoStageRun(const api::RunRequest &req, const api::PreparedCase &pc)
+{
+    SparsepipeConfig cfg = req.sp;
+    cfg.bytes_per_nz = req.blocked ? pc.blocked_bytes_per_nz : 12.0;
+    Workspace ws = api::Session::bindWorkspace(pc);
+    return backend::makeEngine(req.backend, cfg)
+        ->run(ws, req.iters > 0 ? req.iters : pc.app.default_iters);
+}
+
+TEST(FunctionalMemo, HitEqualsTheTwoStageRunAcrossSweepAxes)
+{
+    // sweep_warm's axes: buffer sizes on both sides of the working
+    // set, the iso-GPU bandwidth ladder and the iso-CPU memory
+    // system for sparsepipe, the buffer sizes for gamma.  The first
+    // run of each (case, backend) misses; every other one replays the
+    // memoized outcome and must equal a full two-stage run bit for
+    // bit.  bfs converges before its default iteration count.
+    struct Point
+    {
+        bool iso_cpu;
+        double bandwidth_gb_s;
+        Idx buffer_kb;
+    };
+    std::vector<Point> points;
+    for (Idx kb : {Idx{256}, Idx{6144}}) {
+        for (double bw : {126.0, 504.0})
+            points.push_back({false, bw, kb});
+        points.push_back({true, 40.0, kb});
+    }
+
+    api::Session session;
+    std::uint64_t runs = 0, keys = 0;
+    const struct
+    {
+        const char *app;
+        const char *dataset;
+        Idx iters;
+    } kCases[] = {{"pr", "gy", 8}, {"bfs", "gy", 0}, {"gcn", "gy", 0},
+                  {"cg", "ca", 8}};
+    for (const auto &c : kCases) {
+        const api::PreparedCase &pc =
+            session.prepared(c.app, c.dataset, ReorderKind::Vanilla);
+        for (backend::BackendKind kind : backend::registeredBackends()) {
+            ++keys;
+            for (const Point &pt : points) {
+                if (kind == backend::BackendKind::Gamma &&
+                    (pt.iso_cpu || pt.bandwidth_gb_s != 504.0))
+                    continue;
+                api::RunRequest req;
+                req.app = c.app;
+                req.dataset = c.dataset;
+                req.iters = c.iters;
+                req.backend = kind;
+                req.sp = pt.iso_cpu ? SparsepipeConfig::isoCpu()
+                                    : SparsepipeConfig::isoGpu();
+                req.sp.dram.bandwidth_gb_s = pt.bandwidth_gb_s;
+                req.sp.buffer_bytes = pt.buffer_kb * 1024;
+                const std::string label =
+                    std::string(c.app) + "-" + c.dataset + " " +
+                    backend::backendName(kind) +
+                    (pt.iso_cpu ? " cpu " : " gpu ") +
+                    std::to_string(pt.bandwidth_gb_s) + " GB/s " +
+                    std::to_string(pt.buffer_kb) + " KiB";
+                const api::RunReport report = session.run(req).value();
+                ++runs;
+                testing::expectSameSimStats(report.stats,
+                                            twoStageRun(req, pc), label);
+            }
+        }
+    }
+    const api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_EQ(stats.functional.misses, keys);
+    EXPECT_EQ(stats.functional.hits, runs - keys);
+    EXPECT_EQ(stats.functional.evictions, 0u);
+}
+
+TEST(FunctionalMemo, KeyedByMaxItersAndValueSemantics)
+{
+    api::Session session;
+    api::RunRequest req;
+    req.app = "pr";
+    req.dataset = "gy";
+    req.iters = 4;
+    ASSERT_TRUE(session.run(req).ok());
+    req.iters = 6; // another max_iters: another key
+    ASSERT_TRUE(session.run(req).ok());
+    req.backend = backend::BackendKind::Gamma; // another semantics
+    ASSERT_TRUE(session.run(req).ok());
+    EXPECT_EQ(session.cacheStats().functional.misses, 3u);
+    EXPECT_EQ(session.cacheStats().functional.hits, 0u);
+
+    // Blocked / naive footprint and the lane override change no key.
+    req.blocked = false;
+    req.lanes = 1;
+    ASSERT_TRUE(session.run(req).ok());
+    EXPECT_EQ(session.cacheStats().functional.hits, 1u);
+
+    const api::PreparedCase &pc =
+        session.prepared("pr", "gy", ReorderKind::Vanilla);
+    const std::optional<RunResult> memo =
+        pc.functional.find(6, backend::ValueSemantics::Reference);
+    ASSERT_TRUE(memo.has_value());
+    EXPECT_EQ(memo->iterations, 6);
+
+    // A copy of a case may be edited, so it starts with no outcomes.
+    const api::PreparedCase copy = pc;
+    EXPECT_FALSE(
+        copy.functional.find(6, backend::ValueSemantics::Reference));
+}
+
+TEST(FunctionalMemo, FullMemoDropsItsOldestEntry)
+{
+    const api::PreparedCase pc =
+        api::prepareCase("pr", CooMatrix(40, 40));
+    api::Session session;
+    api::RunRequest req;
+    req.app = "pr";
+    req.dataset = "empty";
+    const Idx n = static_cast<Idx>(api::FunctionalMemo::kCapacity) + 1;
+    for (Idx iters = 1; iters <= n; ++iters) {
+        req.iters = iters;
+        ASSERT_TRUE(session.run(req, pc).ok());
+    }
+    const api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_EQ(stats.functional.misses, static_cast<std::uint64_t>(n));
+    EXPECT_EQ(stats.functional.evictions, 1u);
+    EXPECT_FALSE(pc.functional.find(1, backend::ValueSemantics::FusedOei));
+    EXPECT_TRUE(pc.functional.find(n, backend::ValueSemantics::FusedOei));
+}
+
+TEST(FunctionalMemo, RacingMissesBothPublishTheSameOutcome)
+{
+    // Session::run's miss path, from two threads that both look up
+    // before either publishes (the barrier): neither waits for the
+    // other, both compute, both publish, and the outcomes agree.
+    api::Session session;
+    const api::PreparedCase &pc =
+        session.prepared("pr", "gy", ReorderKind::Vanilla);
+    const Idx max_iters = pc.app.default_iters;
+    const auto semantics = backend::ValueSemantics::FusedOei;
+    std::barrier sync(2);
+    RunResult outcome[2];
+    bool missed[2] = {false, false};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 2; ++i) {
+        threads.emplace_back([&, i] {
+            missed[i] = !pc.functional.find(max_iters, semantics);
+            sync.arrive_and_wait();
+            Workspace ws = api::Session::bindWorkspace(pc);
+            outcome[i] = backend::makeEngine(
+                             backend::BackendKind::Sparsepipe,
+                             SparsepipeConfig::isoGpu())
+                             ->runFunctional(ws, max_iters);
+            pc.functional.publish(max_iters, semantics, outcome[i]);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_TRUE(missed[0] && missed[1]);
+    EXPECT_EQ(outcome[0].iterations, outcome[1].iterations);
+    EXPECT_EQ(outcome[0].converged, outcome[1].converged);
+    const std::optional<RunResult> memo =
+        pc.functional.find(max_iters, semantics);
+    ASSERT_TRUE(memo.has_value());
+    EXPECT_EQ(memo->iterations, outcome[0].iterations);
+
+    // The Session's next run of the key is a hit.
+    api::RunRequest req;
+    req.app = "pr";
+    req.dataset = "gy";
+    const api::RunReport report = session.run(req).value();
+    EXPECT_EQ(report.stats.iterations, outcome[0].iterations);
+    EXPECT_EQ(session.cacheStats().functional.hits, 1u);
+    EXPECT_EQ(session.cacheStats().functional.misses, 0u);
+}
+
+TEST(FunctionalMemo, ConcurrentRunsOfOneKeyAgree)
+{
+    // Runs under the TSan CI job: the memo's lookups and publishes
+    // race with each other and with the timing stages reading the
+    // shared operand.
+    api::Session session;
+    constexpr int kThreads = 6;
+    std::vector<std::thread> threads;
+    std::vector<StatusOr<api::RunReport>> reports(
+        kThreads, Status(StatusCode::Internal, "unset"));
+    for (int i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&session, &reports, i] {
+            api::RunRequest req;
+            req.app = "bfs";
+            req.dataset = "gy";
+            req.sp.buffer_bytes = (256 << 10) * (1 + i % 3);
+            reports[i] = session.run(req);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (int i = 0; i < kThreads; ++i) {
+        ASSERT_TRUE(reports[i].ok()) << reports[i].status().toString();
+        EXPECT_EQ(reports[i]->stats.iterations,
+                  reports[0]->stats.iterations);
+        // Same buffer size, same stats, hit or miss.
+        if (i >= 3) {
+            EXPECT_EQ(reports[i]->stats.cycles,
+                      reports[i - 3]->stats.cycles);
+        }
+    }
+    const api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_GE(stats.functional.misses, 1u);
+    EXPECT_EQ(stats.functional.hits + stats.functional.misses,
+              static_cast<std::uint64_t>(kThreads));
+}
+
+TEST(FunctionalMemo, CancelledRunPublishesNothing)
+{
+    api::Session session;
+    const api::PreparedCase &pc =
+        session.prepared("knn", "gy", ReorderKind::Vanilla);
+    api::RunRequest req;
+    req.app = "knn";
+    req.dataset = "gy";
+    // knn has no convergence test, so it runs far more iterations
+    // than the deadline allows: the functional stage's per-iteration
+    // poll unwinds the run mid-way.
+    req.iters = 1000000;
+    CancelToken token;
+    req.cancel = &token;
+    token.setDeadlineAfterMs(100);
+    StatusOr<api::RunReport> run = session.run(req, pc);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::DeadlineExceeded);
+    EXPECT_EQ(session.cacheStats().functional.misses, 1u);
+    EXPECT_FALSE(pc.functional.find(req.iters,
+                                    backend::ValueSemantics::FusedOei));
 }
 
 } // anonymous namespace

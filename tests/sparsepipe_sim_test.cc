@@ -14,12 +14,16 @@
 #include "apps/apps.hh"
 #include "core/sparsepipe_sim.hh"
 #include "ref/executor.hh"
+#include "sparse/csr.hh"
 #include "test_helpers.hh"
 #include "util/logging.hh"
 
 namespace sparsepipe {
 namespace {
 
+using testing::expectSameSimStats;
+using testing::perturbValues;
+using testing::sameBits;
 using testing::smallGraph;
 using testing::smallRmat;
 using testing::vecError;
@@ -226,6 +230,123 @@ TEST(SparsepipeSim, TimelineHas25Samples)
     }
     EXPECT_GT(stats.bw_utilization, 0.0);
     EXPECT_LE(stats.bw_utilization, 1.0);
+}
+
+// ---------------------------------------------------------------
+// The two stages
+// ---------------------------------------------------------------
+
+/** Apps covering every schedule: cross-iteration (pr, bfs converges
+ *  early), intra-iteration (knn), stream (cg) and SpMM (gcn). */
+const char *const kStageApps[] = {"pr", "bfs", "knn", "cg", "gcn"};
+
+TEST(SimStages, TimingIgnoresValues)
+{
+    // The same pattern and outcome with other values times the same,
+    // on every counter: what lets a memoized outcome stand in for
+    // the functional stage.
+    const CooMatrix raw = smallRmat(300, 4000, 5);
+    for (const char *name : kStageApps) {
+        const AppInstance app = makeApp(name, 300);
+        const CsrMatrix csr = app.prepare(raw);
+        const CscMatrix csc = CscMatrix::fromCsr(csr);
+        const CsrMatrix other = perturbValues(csr);
+        const CscMatrix other_csc = CscMatrix::fromCsr(other);
+        ASSERT_NE(other.vals(), csr.vals());
+
+        SparsepipeConfig cfg = SparsepipeConfig::isoGpu();
+        cfg.buffer_bytes = 16 << 10; // small enough to reload
+        SparsepipeSim sim(cfg);
+        Workspace ws(app.program);
+        ws.borrowMatrix(app.matrix, csr, csc);
+        app.init(ws);
+        const Idx max_iters = app.default_iters;
+        const SimStats full = sim.run(ws, max_iters);
+        const RunResult outcome{full.iterations, full.converged};
+        const SimStats replay = sim.runTiming(
+            app.program, OperandPatterns(app.matrix, other, other_csc),
+            outcome, max_iters);
+        expectSameSimStats(full, replay, name);
+        EXPECT_EQ(replay.iterations, full.iterations) << name;
+        EXPECT_EQ(replay.converged, full.converged) << name;
+    }
+}
+
+/** Every tensor of two workspaces of one program, bit for bit. */
+void
+expectSameWorkspace(const Workspace &a, const Workspace &b,
+                    const std::string &label)
+{
+    const Program &p = a.program();
+    for (TensorId id = 0; id < static_cast<TensorId>(p.tensors().size());
+         ++id) {
+        std::vector<double> va, vb;
+        switch (p.tensor(id).kind) {
+          case TensorKind::Vector:
+            va = a.vec(id);
+            vb = b.vec(id);
+            break;
+          case TensorKind::DenseMatrix:
+            va = a.den(id).data();
+            vb = b.den(id).data();
+            break;
+          case TensorKind::Scalar:
+            va = {a.scalar(id)};
+            vb = {b.scalar(id)};
+            break;
+          case TensorKind::SparseMatrix:
+            continue;
+        }
+        ASSERT_EQ(va.size(), vb.size()) << label;
+        bool same = true;
+        for (std::size_t i = 0; i < va.size(); ++i)
+            same = same && sameBits(va[i], vb[i]);
+        EXPECT_TRUE(same) << label << ": tensor '"
+                          << p.tensor(id).name << "' differs";
+    }
+}
+
+TEST(SimStages, OutcomeIgnoresSubTensorLanesAndBands)
+{
+    // The functional memo's key leaves out sub_tensor_cols, lanes and
+    // band_threads because none of them moves a value: the outcome
+    // and the final workspace match bit for bit across all of them.
+    const CooMatrix raw = smallRmat(600, 6000, 9);
+    for (const char *name : kStageApps) {
+        const AppInstance app = makeApp(name, 600);
+        const CsrMatrix csr = app.prepare(raw);
+        const CscMatrix csc = CscMatrix::fromCsr(csr);
+        auto functional = [&](Idx t_cols, Idx lanes, int bands,
+                              Workspace &ws) {
+            SparsepipeConfig cfg = SparsepipeConfig::isoGpu();
+            cfg.sub_tensor_cols = t_cols;
+            cfg.lanes = lanes;
+            cfg.band_threads = bands;
+            ws.borrowMatrix(app.matrix, csr, csc);
+            app.init(ws);
+            return SparsepipeSim(cfg).runFunctional(ws,
+                                                    app.default_iters);
+        };
+        Workspace base_ws(app.program);
+        const RunResult base = functional(0, 1, 1, base_ws);
+        for (Idx t_cols : {Idx{16}, Idx{256}, Idx{4096}, Idx{0}}) {
+            for (Idx lanes : {Idx{1}, Idx{0}}) {
+                for (int bands : {1, 2}) {
+                    const std::string label =
+                        std::string(name) + " t=" +
+                        std::to_string(t_cols) + " lanes=" +
+                        std::to_string(lanes) + " bands=" +
+                        std::to_string(bands);
+                    Workspace ws(app.program);
+                    const RunResult got =
+                        functional(t_cols, lanes, bands, ws);
+                    EXPECT_EQ(got.iterations, base.iterations) << label;
+                    EXPECT_EQ(got.converged, base.converged) << label;
+                    expectSameWorkspace(base_ws, ws, label);
+                }
+            }
+        }
+    }
 }
 
 } // namespace

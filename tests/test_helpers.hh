@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/sparsepipe_sim.hh"
+#include "obs/metrics.hh"
+#include "sparse/csr.hh"
 #include "sparse/generate.hh"
 #include "util/random.hh"
 
@@ -62,6 +65,47 @@ vecError(const std::vector<double> &a, const std::vector<double> &b)
         err = std::max(err, std::abs(a[i] - b[i]));
     }
     return err;
+}
+
+/** `m` with the same pattern and every value changed. */
+inline CsrMatrix
+perturbValues(const CsrMatrix &m)
+{
+    std::vector<Value> vals = m.vals();
+    for (std::size_t i = 0; i < vals.size(); ++i)
+        vals[i] = vals[i] * 1.75 + 0.125 * static_cast<double>(i % 7 + 1);
+    return CsrMatrix::fromParts(m.rows(), m.cols(), m.rowPtr(),
+                                m.colIdx(), std::move(vals));
+}
+
+/**
+ * Two runs report the same thing bit for bit: every recordSimMetrics
+ * counter, the bandwidth timeline, the schedule mode and every
+ * attribution phase.
+ */
+inline void
+expectSameSimStats(const SimStats &a, const SimStats &b,
+                   const std::string &label)
+{
+    obs::MetricsRegistry ra, rb;
+    recordSimMetrics(ra, "sim", a);
+    recordSimMetrics(rb, "sim", b);
+    EXPECT_EQ(ra.entries(), rb.entries()) << label;
+    EXPECT_EQ(a.bw_timeline, b.bw_timeline) << label;
+    EXPECT_EQ(a.mode, b.mode) << label;
+    ASSERT_EQ(a.attribution.phases.size(), b.attribution.phases.size())
+        << label;
+    for (std::size_t i = 0; i < a.attribution.phases.size(); ++i) {
+        const obs::PhaseCycles &pa = a.attribution.phases[i];
+        const obs::PhaseCycles &pb = b.attribution.phases[i];
+        EXPECT_TRUE(pa.kind == pb.kind && pa.index == pb.index &&
+                    pa.begin == pb.begin && pa.end == pb.end &&
+                    pa.compute == pb.compute &&
+                    pa.dram_read_stall == pb.dram_read_stall &&
+                    pa.dram_write_drain == pb.dram_write_drain &&
+                    pa.buffer_swap_wait == pb.buffer_swap_wait)
+            << label << ": phase " << i << " differs";
+    }
 }
 
 } // namespace sparsepipe::testing
