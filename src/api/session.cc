@@ -41,17 +41,35 @@ FunctionalMemo::publish(Idx max_iters, backend::ValueSemantics semantics,
     return full;
 }
 
+namespace {
+
+/**
+ * Preprocess the operand of `kind` from an already-reordered matrix:
+ * prepare + CSC twin + blocked layout sizing.  The uncached core of
+ * the operand layer.
+ */
+PreparedOperand
+prepareOperand(PrepareKind kind, const CooMatrix &reordered)
+{
+    PreparedOperand op;
+    op.csr = Prepare{kind}(reordered);
+    op.csc = CscMatrix::fromCsr(op.csr);
+    // The default block size is always legal, so value() cannot trip.
+    op.blocked_bytes_per_nz =
+        buildBlockedLayout(op.csr).value().bytesPerNonzero();
+    op.nnz = op.csr.nnz();
+    return op;
+}
+
+} // anonymous namespace
+
 PreparedCase
 prepareCase(const std::string &app_name, const CooMatrix &reordered)
 {
     PreparedCase pc;
     pc.app = makeApp(app_name, reordered.rows());
-    pc.csr = pc.app.prepare(reordered);
-    pc.csc = CscMatrix::fromCsr(pc.csr);
-    // The default block size is always legal, so value() cannot trip.
-    pc.blocked_bytes_per_nz =
-        buildBlockedLayout(pc.csr).value().bytesPerNonzero();
-    pc.nnz = pc.csr.nnz();
+    static_cast<PreparedOperand &>(pc) =
+        prepareOperand(pc.app.prepare.kind, reordered);
     return pc;
 }
 
@@ -124,8 +142,22 @@ Session::preparedShared(const std::string &app,
 {
     return prepared_.getShared(
         std::make_tuple(app, dataset, kind, seed), [&] {
-            auto pinned = reorderedShared(dataset, kind, seed);
-            return prepareCase(app, *pinned);
+            // Stand-ins are square with the spec's row count, so the
+            // app needs no matrix, and a resident operand no
+            // reordered matrix either.
+            PreparedCase pc;
+            pc.app = makeApp(app, datasetSpec(dataset).rows);
+            const PrepareKind prepare = pc.app.prepare.kind;
+            // Copying the operand's fields shares its arrays, which
+            // stay alive with the case if the operand is evicted.
+            static_cast<PreparedOperand &>(pc) = *operands_.getShared(
+                std::make_tuple(dataset, kind, seed, prepare), [&] {
+                    // The pin keeps LRU eviction of the reordered
+                    // layer from freeing the matrix mid-prepare.
+                    auto pinned = reorderedShared(dataset, kind, seed);
+                    return prepareOperand(prepare, *pinned);
+                });
+            return pc;
         });
 }
 
@@ -135,6 +167,7 @@ Session::setCacheCapacities(std::size_t raw, std::size_t reordered,
 {
     raw_.setCapacity(raw);
     reordered_.setCapacity(reordered);
+    operands_.setCapacity(prepared);
     prepared_.setCapacity(prepared);
 }
 
@@ -148,14 +181,15 @@ Session::cacheStats() const
     functional.evictions =
         functional_evictions_.load(std::memory_order_relaxed);
     return CacheStatsSnapshot{raw_.stats(), reordered_.stats(),
-                              prepared_.stats(), functional};
+                              operands_.stats(), prepared_.stats(),
+                              functional};
 }
 
 Workspace
 Session::bindWorkspace(const PreparedCase &pc)
 {
     Workspace ws(pc.app.program);
-    ws.borrowMatrix(pc.app.matrix, pc.csr, pc.csc);
+    ws.bindMatrix(pc.app.matrix, pc.csr, pc.csc);
     pc.app.init(ws);
     return ws;
 }

@@ -7,17 +7,26 @@
  * the fuzzer, the autotuner) re-assembled the pipeline by hand, and
  * each run paid the preprocessing twice: once to size the blocked
  * layout and once more inside simulateApp's bind.  A Session owns
- * thread-safe keyed caches for the three expensive artifacts —
+ * thread-safe keyed caches for the expensive artifacts —
  *
  *   raw        generated stand-in matrix       (dataset, seed)
- *   reordered  symmetric row permutation       (dataset, kind, seed)
- *   prepared   app operand: CSR + CSC twin +   (app, dataset, kind,
- *              blocked bytes/nz + AppInstance             seed)
+ *   reordered  symmetric row permutation       (dataset, reorder,
+ *                                               seed)
+ *   operand    CSR + CSC twin + blocked        (dataset, reorder,
+ *              bytes/nz + nnz                   seed, PrepareKind)
+ *   prepared   AppInstance + functional memo   (app, dataset,
+ *              + the operand's fields           reorder, seed)
  *
  * — so a sweep touching the same (app, dataset) under many hardware
  * configurations prepares exactly once, and a single run prepares
- * exactly once instead of twice.  Caching is bitwise-transparent:
- * every simulated counter is identical to the uncached pipeline.
+ * exactly once instead of twice.  The eleven apps use four prepare
+ * kinds (see PrepareKind), and apps of one kind build the same
+ * operand from the same matrix: the operand layer builds it once,
+ * and every app's PreparedCase copies its fields.  CsrMatrix and
+ * CscMatrix share their arrays on copy, so the eleven cases of one
+ * dataset hold four sets of arrays, not eleven.  Caching is
+ * bitwise-transparent: every simulated counter is identical to the
+ * uncached pipeline.
  *
  * By default entries live for the Session's lifetime, so the
  * references handed out stay valid while the Session exists.
@@ -25,11 +34,13 @@
  * and CLI use.
  *
  * Long-running daemons (src/serve) instead call setCacheCapacities()
- * to bound each layer with LRU eviction; the run path pins its
- * operands through shared_ptr (preparedShared) for the duration of a
- * simulation, so eviction can never dangle an in-flight run.  The
- * plain reference accessors remain valid only while the entry is
- * resident once a bound is set.
+ * to bound each layer with LRU eviction (the operand layer shares
+ * the prepared layer's bound); the run path pins its case through
+ * shared_ptr (preparedShared) for the duration of a simulation, so
+ * eviction can never dangle an in-flight run.  A case owns shares
+ * of its operand's arrays, so evicting the operand frees nothing a
+ * case still holds.  The plain reference accessors remain valid only
+ * while the entry is resident once a bound is set.
  *
  * Functional memo.  A run has a functional stage (values, which
  * decide only the iteration a convergent app stops at) and a timing
@@ -51,9 +62,9 @@
  * caches serialize construction per key (KeyedCache), every run gets
  * its own Workspace + engine, and a PreparedCase is read-only after
  * construction apart from its internally locked memo.  bindWorkspace
- * binds the cached CSR / CSC pair by reference, so concurrent runs
- * of one case share a single copy of the operand; each run owns only
- * its dense tensors and scalars.
+ * binds copies of the cached CSR / CSC pair, which share its arrays,
+ * so concurrent runs of every app of one kind read a single copy of
+ * the operand; each run owns only its dense tensors and scalars.
  */
 
 #ifndef SPARSEPIPE_API_SESSION_HH
@@ -164,19 +175,29 @@ class FunctionalMemo
 };
 
 /**
- * A fully preprocessed (app, matrix) pair: everything downstream of
- * the raw COO that does not depend on the hardware configuration.
+ * One PrepareKind of one reordered matrix: the app-independent part
+ * of a prepared case, which every app of that kind shares.
  */
-struct PreparedCase
+struct PreparedOperand
 {
-    /** Program + operand handles + init (shared, stateless). */
-    AppInstance app;
-    /** App-prepared operand in both compressed forms. */
+    /** The prepared operand in both compressed forms. */
     CsrMatrix csr;
     CscMatrix csc;
     /** Per-nonzero footprint of the blocked dual storage. */
     double blocked_bytes_per_nz = 12.0;
     Idx nnz = 0;
+};
+
+/**
+ * A fully preprocessed (app, matrix) pair: everything downstream of
+ * the raw COO that does not depend on the hardware configuration.
+ * Its operand fields share their arrays with every other case of the
+ * same operand (see the file comment).
+ */
+struct PreparedCase : PreparedOperand
+{
+    /** Program + operand handles + init (shared, stateless). */
+    AppInstance app;
     /** Functional outcomes of Session runs (see the file comment). */
     mutable FunctionalMemo functional;
 };
@@ -231,7 +252,10 @@ class Session
                                ReorderKind kind,
                                std::uint64_t seed = kDefaultSeed);
 
-    /** Preprocessed operand, cached per (app, dataset, kind, seed). */
+    /**
+     * Preprocessed case, cached per (app, dataset, kind, seed); its
+     * operand comes from the operand layer (see the file comment).
+     */
     const PreparedCase &prepared(const std::string &app,
                                  const std::string &dataset,
                                  ReorderKind kind,
@@ -248,25 +272,29 @@ class Session
                    std::uint64_t seed = kDefaultSeed);
 
     /**
-     * Bound the three cache layers with LRU eviction (0 = unbounded,
-     * the default).  Entry counts, not bytes: a daemon serving k
-     * distinct datasets hot keeps `prepared` at a small multiple of
-     * k.  See the file comment for the reference-validity contract
-     * once a bound is set.
+     * Bound the cache layers with LRU eviction (0 = unbounded, the
+     * default); `prepared` bounds the operand layer too.  Entry
+     * counts, not bytes: a daemon serving k distinct datasets hot
+     * keeps `prepared` at a small multiple of k.  See the file
+     * comment for the reference-validity contract once a bound is
+     * set.
      */
     void setCacheCapacities(std::size_t raw, std::size_t reordered,
                             std::size_t prepared);
 
     /**
-     * Per-layer hit / miss / eviction counters.  `functional` counts
-     * run() lookups in the cases' functional memos, and as evictions
-     * the entries a full memo dropped (entries also go, uncounted,
-     * with their case).
+     * Per-layer hit / miss / eviction counters.  `operand` counts the
+     * operand layer, looked up once per `prepared` miss; `prepared`
+     * counts the per-app layer.  `functional` counts run() lookups
+     * in the cases' functional memos, and as evictions the entries a
+     * full memo dropped (entries also go, uncounted, with their
+     * case).
      */
     struct CacheStatsSnapshot
     {
         runner::CacheStats raw;
         runner::CacheStats reordered;
+        runner::CacheStats operand;
         runner::CacheStats prepared;
         runner::CacheStats functional;
     };
@@ -274,11 +302,10 @@ class Session
 
     /**
      * Build a workspace for a prepared case: allocate the dense
-     * tensors, borrow the cached CSR/CSC pair (no copy, no
-     * transpose), run the app's init.  The workspace references
-     * pc.app.program and pc's pair, so `pc` must outlive it (the
-     * same duty the Program reference carries); Session::run holds
-     * a pin on the case for the whole run.
+     * tensors, bind copies of the cached CSR/CSC pair (they share
+     * its arrays: no array copy, no transpose), run the app's init.
+     * The workspace references pc.app.program, so `pc` must outlive
+     * it; Session::run holds a pin on the case for the whole run.
      */
     static Workspace bindWorkspace(const PreparedCase &pc);
 
@@ -320,6 +347,10 @@ class Session
         std::tuple<std::string, ReorderKind, std::uint64_t>,
         CooMatrix>
         reordered_;
+    runner::KeyedCache<std::tuple<std::string, ReorderKind,
+                                  std::uint64_t, PrepareKind>,
+                       PreparedOperand>
+        operands_;
     runner::KeyedCache<std::tuple<std::string, std::string,
                                   ReorderKind, std::uint64_t>,
                        PreparedCase>

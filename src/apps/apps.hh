@@ -35,6 +35,28 @@
 
 namespace sparsepipe {
 
+/**
+ * How an app turns a raw dataset into its operand.  Apps of one kind
+ * build the same operand from the same matrix, so api::Session
+ * prepares it once and shares it among them.
+ */
+enum class PrepareKind
+{
+    Boolean,    ///< prepareBoolean: bfs, kcore, knn
+    Stochastic, ///< prepareStochastic: pr, label, gcn
+    Weighted,   ///< prepareWeighted: sssp, kpp
+    Spd,        ///< prepareSpd: cg, bgs, gmres
+};
+
+/** An app's operand transform: its kind, callable on a raw matrix. */
+struct Prepare
+{
+    PrepareKind kind = PrepareKind::Boolean;
+
+    /** @return the prepare helper of `kind` applied to `m`. */
+    CsrMatrix operator()(CooMatrix m) const;
+};
+
 /** Everything needed to instantiate and run one application. */
 struct AppInstance
 {
@@ -50,7 +72,7 @@ struct AppInstance
      * (row-stochastic for pr, boolean for bfs/knn, SPD for the
      * solvers, ...).
      */
-    std::function<CsrMatrix(CooMatrix)> prepare;
+    Prepare prepare;
 
     /** Initialise workspace state (source vertex, seeds, ...). */
     std::function<void(Workspace &)> init;

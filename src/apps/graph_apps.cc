@@ -56,7 +56,7 @@ makePageRank(Idx n, Value damping)
     app.program = b.build();
     app.matrix = L;
     app.result = pr_next;
-    app.prepare = prepareStochastic;
+    app.prepare.kind = PrepareKind::Stochastic;
     app.default_iters = 20;
     app.init = [n, pr_next, dangling, L](Workspace &ws) {
         auto &pr0 = ws.vec(pr_next);
@@ -116,7 +116,7 @@ makeKcore(Idx n, Value k)
     app.program = b.build();
     app.matrix = A;
     app.result = active;
-    app.prepare = prepareBoolean;
+    app.prepare.kind = PrepareKind::Boolean;
     app.default_iters = 16;
     app.init = [active](Workspace &ws) {
         auto &a = ws.vec(active);
@@ -156,7 +156,7 @@ makeBfs(Idx n, Idx source)
     app.program = b.build();
     app.matrix = A;
     app.result = visited;
-    app.prepare = prepareBoolean;
+    app.prepare.kind = PrepareKind::Boolean;
     app.default_iters = 16;
     app.init = [frontier, visited, source, A](Workspace &ws) {
         Idx src = resolveSource(ws.csr(A), source);
@@ -193,7 +193,7 @@ makeSssp(Idx n, Idx source)
     app.program = b.build();
     app.matrix = W;
     app.result = dist;
-    app.prepare = prepareWeighted;
+    app.prepare.kind = PrepareKind::Weighted;
     app.default_iters = 16;
     app.init = [dist, source, W](Workspace &ws) {
         Idx src = resolveSource(ws.csr(W), source);
@@ -239,7 +239,7 @@ makeLabelProp(Idx n, Value alpha)
     app.program = b.build();
     app.matrix = W;
     app.result = score;
-    app.prepare = prepareStochastic;
+    app.prepare.kind = PrepareKind::Stochastic;
     app.default_iters = 16;
     app.init = [n, score, seed](Workspace &ws) {
         auto &s = ws.vec(seed);

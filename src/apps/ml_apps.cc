@@ -59,7 +59,7 @@ makeKpp(Idx n, Idx seed_center)
     app.program = b.build();
     app.matrix = D;
     app.result = mindist;
-    app.prepare = prepareWeighted;
+    app.prepare.kind = PrepareKind::Weighted;
     app.default_iters = 12;
     app.init = [sel, mindist, seed_center, D](Workspace &ws) {
         Idx seed = resolveSource(ws.csr(D), seed_center);
@@ -108,7 +108,7 @@ makeKnn(Idx n, Idx source)
     app.program = b.build();
     app.matrix = A;
     app.result = visited;
-    app.prepare = prepareBoolean;
+    app.prepare.kind = PrepareKind::Boolean;
     app.default_iters = 8;
     app.init = [frontier, visited, source, A](Workspace &ws) {
         Idx src = resolveSource(ws.csr(A), source);
@@ -144,7 +144,7 @@ makeGcn(Idx n, Idx features)
     app.program = b.build();
     app.matrix = A;
     app.result = H;
-    app.prepare = prepareStochastic;
+    app.prepare.kind = PrepareKind::Stochastic;
     app.default_iters = 4;
     app.init = [H, W, features](Workspace &ws) {
         Rng rng(0xfeedULL);

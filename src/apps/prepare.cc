@@ -24,6 +24,19 @@ resolveSource(const CsrMatrix &matrix, Idx source)
 }
 
 CsrMatrix
+Prepare::operator()(CooMatrix m) const
+{
+    switch (kind) {
+      case PrepareKind::Boolean:    return prepareBoolean(std::move(m));
+      case PrepareKind::Stochastic: return prepareStochastic(std::move(m));
+      case PrepareKind::Weighted:   return prepareWeighted(std::move(m));
+      case PrepareKind::Spd:        return prepareSpd(std::move(m));
+    }
+    sp_panic("Prepare: bad kind %d", static_cast<int>(kind));
+    __builtin_unreachable();
+}
+
+CsrMatrix
 prepareBoolean(CooMatrix m)
 {
     for (Triplet &t : m.entries())

@@ -51,7 +51,7 @@ makeGmres(Idx n)
     app.program = b.build();
     app.matrix = A;
     app.result = v;
-    app.prepare = prepareSpd;
+    app.prepare.kind = PrepareKind::Spd;
     app.default_iters = 20;
     app.init = [v](Workspace &ws) {
         Rng rng(0x6123ULL);
@@ -110,7 +110,7 @@ makeCg(Idx n)
     app.program = b.build();
     app.matrix = A;
     app.result = x;
-    app.prepare = prepareSpd;
+    app.prepare.kind = PrepareKind::Spd;
     app.default_iters = 20;
     app.init = [r, p, rr_old](Workspace &ws) {
         // Solve A x = b with x0 = 0, so r0 = p0 = b.
@@ -212,7 +212,7 @@ makeBgs(Idx n)
     app.program = b.build();
     app.matrix = A;
     app.result = x;
-    app.prepare = prepareSpd;
+    app.prepare.kind = PrepareKind::Spd;
     app.default_iters = 12;
     app.init = [r, r0](Workspace &ws) {
         // x0 = 0, p0 = v0 = 0: the first iteration then reduces to

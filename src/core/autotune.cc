@@ -42,7 +42,7 @@ autotuneSubTensor(const AppInstance &app, const CsrMatrix &prepared,
     // value: compute the pilot's outcome once and time it per
     // candidate.
     Workspace ws(app.program);
-    ws.borrowMatrix(app.matrix, prepared, csc);
+    ws.bindMatrix(app.matrix, prepared, csc);
     app.init(ws);
     const RunResult pilot =
         SparsepipeSim(config).runFunctional(ws, pilot_iters);

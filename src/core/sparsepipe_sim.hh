@@ -98,7 +98,7 @@ struct SimStats
 /**
  * The sparse operands a timing stage reads, by tensor id.  Only their
  * patterns matter.  The view covers either every operand bound in a
- * workspace (the composed run) or one borrowed CSR/CSC pair (a
+ * workspace (the composed run) or one caller-owned CSR/CSC pair (a
  * prepared case replayed without binding a workspace).  The viewed
  * matrices must outlive it.
  */

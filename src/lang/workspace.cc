@@ -13,8 +13,6 @@ Workspace::Workspace(const Program &program)
     scalars_.resize(tensors.size(), 0.0);
     csrs_.resize(tensors.size());
     cscs_.resize(tensors.size());
-    borrowed_csrs_.assign(tensors.size(), nullptr);
-    borrowed_cscs_.assign(tensors.size(), nullptr);
     bound_.assign(tensors.size(), 0);
 
     for (std::size_t id = 0; id < tensors.size(); ++id) {
@@ -51,9 +49,15 @@ Workspace::at(TensorId id) const
     return static_cast<std::size_t>(id);
 }
 
-std::size_t
-Workspace::checkBind(TensorId id, const CsrMatrix &csr,
-                     const CscMatrix &csc) const
+void
+Workspace::bindMatrix(TensorId id, CsrMatrix csr)
+{
+    CscMatrix csc = CscMatrix::fromCsr(csr);
+    bindMatrix(id, std::move(csr), std::move(csc));
+}
+
+void
+Workspace::bindMatrix(TensorId id, CsrMatrix csr, CscMatrix csc)
 {
     const TensorInfo &t = info(id);
     if (t.kind != TensorKind::SparseMatrix)
@@ -70,28 +74,9 @@ Workspace::checkBind(TensorId id, const CsrMatrix &csr,
         csc.nnz() != csr.nnz())
         sp_panic("bindMatrix: '%s' CSC twin disagrees with the CSR "
                  "operand", t.name.c_str());
-    return at(id);
-}
-
-void
-Workspace::bindMatrix(TensorId id, CsrMatrix csr)
-{
-    CscMatrix csc = CscMatrix::fromCsr(csr);
-    const std::size_t idx = checkBind(id, csr, csc);
-    cscs_[idx] = std::move(csc);
+    const std::size_t idx = at(id);
     csrs_[idx] = std::move(csr);
-    borrowed_csrs_[idx] = nullptr;
-    borrowed_cscs_[idx] = nullptr;
-    bound_[idx] = 1;
-}
-
-void
-Workspace::borrowMatrix(TensorId id, const CsrMatrix &csr,
-                        const CscMatrix &csc)
-{
-    const std::size_t idx = checkBind(id, csr, csc);
-    borrowed_csrs_[idx] = &csr;
-    borrowed_cscs_[idx] = &csc;
+    cscs_[idx] = std::move(csc);
     bound_[idx] = 1;
 }
 
@@ -146,8 +131,7 @@ Workspace::csr(TensorId id) const
     if (!matrixBound(id))
         sp_panic("Workspace::csr: matrix '%s' is unbound",
                  info(id).name.c_str());
-    const std::size_t idx = at(id);
-    return borrowed_csrs_[idx] ? *borrowed_csrs_[idx] : csrs_[idx];
+    return csrs_[at(id)];
 }
 
 const CscMatrix &
@@ -156,8 +140,7 @@ Workspace::csc(TensorId id) const
     if (!matrixBound(id))
         sp_panic("Workspace::csc: matrix '%s' is unbound",
                  info(id).name.c_str());
-    const std::size_t idx = at(id);
-    return borrowed_cscs_[idx] ? *borrowed_cscs_[idx] : cscs_[idx];
+    return cscs_[at(id)];
 }
 
 bool

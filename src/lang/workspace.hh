@@ -10,9 +10,10 @@
  * sparse storage, since the OS stage traverses columns and the IS
  * stage traverses rows of the same operand.
  *
- * Borrow contract: the workspace references its Program, and a pair
- * bound with borrowMatrix(), without owning either.  Both must
- * outlive the workspace.  bindMatrix() takes ownership instead.
+ * The workspace references its Program without owning it, so the
+ * Program must outlive the workspace.  Bound matrices are held by
+ * value; a copy of a CsrMatrix / CscMatrix shares its arrays, so
+ * binding a cached pair costs two reference-count bumps.
  */
 
 #ifndef SPARSEPIPE_LANG_WORKSPACE_HH
@@ -33,28 +34,15 @@ class Workspace
     /** Allocate storage for every tensor in the program. */
     explicit Workspace(const Program &program);
 
-    /**
-     * Bind the sparse operand by value: the workspace owns it and
-     * builds the CSC twin internally.
-     */
+    /** Bind the sparse operand, building its CSC twin. */
     void bindMatrix(TensorId id, CsrMatrix csr);
 
     /**
-     * Bind the sparse operand by reference to a caller-owned pair:
-     * no copy and no transpose.  `csc` must equal
-     * CscMatrix::fromCsr(csr), and the pair must outlive the
-     * workspace (see the file comment).  Callers that cache the pair
-     * (api::Session) bind it this way.  Temporaries would dangle, so
-     * the rvalue overloads are deleted.
+     * Bind the sparse operand with an already-built twin: no
+     * transpose.  `csc` must equal CscMatrix::fromCsr(csr).  Callers
+     * that cache the pair (api::Session) bind it this way.
      */
-    void borrowMatrix(TensorId id, const CsrMatrix &csr,
-                      const CscMatrix &csc);
-    void borrowMatrix(TensorId, const CsrMatrix &&,
-                      const CscMatrix &) = delete;
-    void borrowMatrix(TensorId, const CsrMatrix &,
-                      const CscMatrix &&) = delete;
-    void borrowMatrix(TensorId, const CsrMatrix &&,
-                      const CscMatrix &&) = delete;
+    void bindMatrix(TensorId id, CsrMatrix csr, CscMatrix csc);
 
     /** @return mutable dense vector storage for a Vector tensor. */
     DenseVector &vec(TensorId id);
@@ -74,7 +62,7 @@ class Workspace
     /** @return the bound matrix in column-compressed form. */
     const CscMatrix &csc(TensorId id) const;
 
-    /** @return true once the tensor was bound (either way). */
+    /** @return true once the tensor was bound. */
     bool matrixBound(TensorId id) const;
 
     const Program &program() const { return *program_; }
@@ -82,21 +70,13 @@ class Workspace
   private:
     const TensorInfo &info(TensorId id) const;
     std::size_t at(TensorId id) const;
-    /** Shape checks shared by both binds; @return the slot. */
-    std::size_t checkBind(TensorId id, const CsrMatrix &csr,
-                          const CscMatrix &csc) const;
 
     const Program *program_;
     std::vector<DenseVector> vectors_;
     std::vector<DenseMatrix> denses_;
     std::vector<Value> scalars_;
-    /** Pairs bound by value (bindMatrix). */
     std::vector<CsrMatrix> csrs_;
     std::vector<CscMatrix> cscs_;
-    /** Pairs bound by reference (borrowMatrix); null otherwise, so a
-     *  copied workspace never points into another's storage. */
-    std::vector<const CsrMatrix *> borrowed_csrs_;
-    std::vector<const CscMatrix *> borrowed_cscs_;
     std::vector<char> bound_;
 };
 

@@ -13,6 +13,11 @@
  * queueing, no blocking — a shed request never holds resources while
  * it waits, the *client* waits.
  *
+ * A run's bytes come in two parts (Charge): its own (the workspace's
+ * dense tensors), charged per ticket, and a shared part (the prepared
+ * operand, which every run of the same operand reads), charged once
+ * while any admitted ticket holds its key.
+ *
  * Coalesced followers bypass admission entirely (they piggyback on
  * the leader's slot), so a stampede of identical requests costs one
  * admission, not N.
@@ -22,13 +27,27 @@
 #define SPARSEPIPE_SERVE_ADMISSION_HH
 
 #include <cstdint>
+#include <map>
 #include <mutex>
+#include <string>
+#include <utility>
 
 #include "util/status.hh"
 
 namespace sparsepipe::serve {
 
 class AdmissionController;
+
+/** The memory a run asks admission for (see the file comment). */
+struct Charge
+{
+    /** Bytes only this run holds. */
+    std::uint64_t own_bytes = 0;
+    /** What the run shares with other runs; empty when nothing. */
+    std::string shared_key;
+    /** Bytes behind `shared_key`, charged once per key in flight. */
+    std::uint64_t shared_bytes = 0;
+};
 
 /** An admitted run's slot; releases on destruction (move-only). */
 class [[nodiscard]] Ticket
@@ -38,7 +57,8 @@ class [[nodiscard]] Ticket
     ~Ticket() { release(); }
 
     Ticket(Ticket &&other) noexcept
-        : controller_(other.controller_), bytes_(other.bytes_)
+        : controller_(other.controller_), bytes_(other.bytes_),
+          shared_key_(std::move(other.shared_key_))
     {
         other.controller_ = nullptr;
     }
@@ -49,6 +69,7 @@ class [[nodiscard]] Ticket
             release();
             controller_ = other.controller_;
             bytes_ = other.bytes_;
+            shared_key_ = std::move(other.shared_key_);
             other.controller_ = nullptr;
         }
         return *this;
@@ -63,11 +84,15 @@ class [[nodiscard]] Ticket
 
   private:
     friend class AdmissionController;
-    Ticket(AdmissionController *controller, std::uint64_t bytes)
-        : controller_(controller), bytes_(bytes) {}
+    Ticket(AdmissionController *controller, std::uint64_t bytes,
+           std::string shared_key)
+        : controller_(controller), bytes_(bytes),
+          shared_key_(std::move(shared_key)) {}
 
     AdmissionController *controller_ = nullptr;
+    /** The charge's own bytes. */
     std::uint64_t bytes_ = 0;
+    std::string shared_key_;
 };
 
 /** Counter snapshot of one controller. */
@@ -77,7 +102,7 @@ struct AdmissionStats
     /** Refused for queue depth / for the memory budget. */
     std::uint64_t shed_queue = 0;
     std::uint64_t shed_memory = 0;
-    /** Current gauges. */
+    /** Current gauges; a shared key's bytes count once. */
     std::uint64_t in_flight = 0;
     std::uint64_t in_flight_bytes = 0;
 };
@@ -99,14 +124,23 @@ class AdmissionController
     explicit AdmissionController(Config config) : config_(config) {}
 
     /**
-     * Try to claim a slot for a run estimated at `bytes` resident.
+     * Try to claim a slot for a run estimated at `charge`: its own
+     * bytes, plus its shared bytes unless an in-flight ticket already
+     * holds the shared key.
      * @return a live Ticket, or ResourceExhausted naming the bound
      * that refused (the caller stamps retryAfterMs() on the wire
      * response).  A single oversized request is still admitted when
      * the controller is otherwise idle — refusing it forever would
      * turn one big dataset into a permanent outage.
      */
-    StatusOr<Ticket> tryAdmit(std::uint64_t bytes);
+    StatusOr<Ticket> tryAdmit(const Charge &charge);
+
+    /** tryAdmit() for a run of `bytes` that shares nothing. */
+    StatusOr<Ticket>
+    tryAdmit(std::uint64_t bytes)
+    {
+        return tryAdmit(Charge{bytes, {}, 0});
+    }
 
     int retryAfterMs() const { return config_.retry_after_ms; }
 
@@ -114,11 +148,19 @@ class AdmissionController
 
   private:
     friend class Ticket;
-    void release(std::uint64_t bytes);
+    void release(std::uint64_t bytes, const std::string &shared_key);
+
+    /** A shared key some in-flight ticket holds. */
+    struct Shared
+    {
+        std::uint64_t bytes = 0;
+        std::uint64_t holders = 0;
+    };
 
     const Config config_;
     mutable std::mutex mutex_;
     AdmissionStats stats_;
+    std::map<std::string, Shared> shared_;
 };
 
 } // namespace sparsepipe::serve

@@ -34,36 +34,43 @@ setCacheMetrics(obs::MetricsRegistry &reg, const std::string &prefix,
 
 } // anonymous namespace
 
-std::uint64_t
-estimateResidentBytes(const std::string &app, const std::string &dataset)
+Charge
+estimateResidentBytes(const Request &req)
 {
-    const DatasetSpec *spec = findDatasetSpec(dataset);
-    if (!spec || !findAppInfo(app))
-        return 0;
-    const AppInstance instance = makeApp(app, spec->rows);
+    const DatasetSpec *spec = findDatasetSpec(req.dataset);
+    if (!spec || !findAppInfo(req.app))
+        return {};
+    const AppInstance instance = makeApp(req.app, spec->rows);
+    const PrepareKind kind = instance.prepare.kind;
     const auto rows = static_cast<std::uint64_t>(spec->rows);
     auto entries = static_cast<std::uint64_t>(spec->nnz);
     // The solvers' SPD operand, (A + A^T) / 2 plus a full diagonal,
     // holds up to 2 nnz + rows entries.
-    const auto *prepare =
-        instance.prepare.target<CsrMatrix (*)(CooMatrix)>();
-    if (prepare && *prepare == &prepareSpd)
+    if (kind == PrepareKind::Spd)
         entries = 2 * entries + rows;
-    // Prepared CSR + CSC twin at host widths: an Idx coordinate and
-    // a Value per entry in each, plus the square operand's pointers.
-    std::uint64_t bytes =
+    Charge charge;
+    // The operand the Session's operand layer shares among every run
+    // of this (dataset, reorder, seed, kind): CSR + CSC twin at host
+    // widths, an Idx coordinate and a Value per entry in each, plus
+    // the square operand's pointers.
+    charge.shared_key = req.dataset + "/" +
+                        reorderKindName(req.reorder) + "/" +
+                        std::to_string(req.seed) + "/" +
+                        std::to_string(static_cast<int>(kind));
+    charge.shared_bytes =
         2 * (entries * (sizeof(Idx) + sizeof(Value)) +
              (rows + 1) * sizeof(Idx));
-    // A run's workspace borrows the operand and owns its dense
-    // tensors.
+    // The run's own workspace: the dense tensors.
     for (const TensorInfo &t : instance.program.tensors()) {
         if (t.kind == TensorKind::Vector)
-            bytes += static_cast<std::uint64_t>(t.dim0) * sizeof(Value);
+            charge.own_bytes +=
+                static_cast<std::uint64_t>(t.dim0) * sizeof(Value);
         else if (t.kind == TensorKind::DenseMatrix)
-            bytes += static_cast<std::uint64_t>(t.dim0) *
-                     static_cast<std::uint64_t>(t.dim1) * sizeof(Value);
+            charge.own_bytes += static_cast<std::uint64_t>(t.dim0) *
+                                static_cast<std::uint64_t>(t.dim1) *
+                                sizeof(Value);
     }
-    return bytes;
+    return charge;
 }
 
 Server::Server(ServerConfig config)
@@ -319,8 +326,7 @@ Server::handleRequest(const Request &req)
         // ticket rides in the task closure and is released when the
         // run finishes.
         StatusOr<Ticket> ticket =
-            admission_.tryAdmit(
-                estimateResidentBytes(req.app, req.dataset));
+            admission_.tryAdmit(estimateResidentBytes(req));
         if (!ticket.ok()) {
             coalescer_.complete(
                 key, join.flight,
@@ -492,6 +498,7 @@ Server::fillMetrics(obs::MetricsRegistry &reg)
         session_.cacheStats();
     setCacheMetrics(reg, "cache.raw", cache.raw);
     setCacheMetrics(reg, "cache.reordered", cache.reordered);
+    setCacheMetrics(reg, "cache.operand", cache.operand);
     setCacheMetrics(reg, "cache.prepared", cache.prepared);
     setCacheMetrics(reg, "cache.functional", cache.functional);
 }

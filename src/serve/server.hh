@@ -91,7 +91,8 @@ struct ServerConfig
     int line_timeout_ms = 0;
     std::size_t max_request_bytes = 1 << 20;
     long long max_requests_per_conn = 0;
-    /** LRU bounds for the Session cache layers (0 = unbounded). */
+    /** LRU bounds for the Session cache layers (0 = unbounded);
+     *  the prepared bound covers the operand layer too. */
     std::size_t raw_cache_capacity = 16;
     std::size_t reordered_cache_capacity = 16;
     std::size_t prepared_cache_capacity = 32;
@@ -205,17 +206,18 @@ class Server
 };
 
 /**
- * Resident-bytes estimate for admitting a run of `app` on a built-in
- * dataset: the prepared CSR and its CSC twin at host widths (16 B
- * per entry each, with the solvers' SPD operand charged its 2 nnz +
- * rows entry bound), plus the dense tensors of the run's workspace,
- * sized from the app's Program.  The workspace borrows the operand,
- * so nothing is charged twice.  Sized from the dataset spec, never
+ * Resident-bytes estimate for admitting `req`, a run on a built-in
+ * dataset, as an admission Charge.  Shared: the prepared CSR and its
+ * CSC twin at host widths (16 B per entry each, with the solvers' SPD
+ * operand charged its 2 nnz + rows entry bound), keyed by what the
+ * Session's operand layer keys it by (dataset, reorder, seed and the
+ * app's PrepareKind), so concurrent runs of every app of one kind
+ * charge it once.  Own: the dense tensors of the run's workspace,
+ * sized from the app's Program.  Sized from the dataset spec, never
  * from the data, so it errs high, not low.  Unknown names estimate
- * 0.
+ * an empty charge.
  */
-std::uint64_t estimateResidentBytes(const std::string &app,
-                                    const std::string &dataset);
+Charge estimateResidentBytes(const Request &req);
 
 } // namespace sparsepipe::serve
 

@@ -42,19 +42,20 @@ compress(Idx major, const std::vector<Triplet> &entries,
  * indices ascending inside each run, so the result is canonical —
  * identical to the COO round-trip it replaces, without materializing
  * (and comparison-sorting) the triplet view.
+ * @param src_major  extent of the source's compressed dimension
+ * @param dst_major  extent of the destination's
  */
-void
+detail::CompressedArrays
 transposeCompressed(Idx src_major, Idx dst_major,
                     const std::vector<Idx> &src_ptr,
                     const std::vector<Idx> &src_idx,
-                    const std::vector<Value> &src_vals,
-                    std::vector<Idx> &dst_ptr,
-                    std::vector<Idx> &dst_idx,
-                    std::vector<Value> &dst_vals)
+                    const std::vector<Value> &src_vals)
 {
+    detail::CompressedArrays dst;
+    std::vector<Idx> &dst_ptr = dst.ptr;
     dst_ptr.assign(static_cast<std::size_t>(dst_major) + 1, 0);
-    dst_idx.resize(src_idx.size());
-    dst_vals.resize(src_vals.size());
+    dst.idx.resize(src_idx.size());
+    dst.vals.resize(src_vals.size());
     for (Idx m : src_idx)
         ++dst_ptr[static_cast<std::size_t>(m) + 1];
     for (std::size_t i = 1; i < dst_ptr.size(); ++i)
@@ -66,50 +67,93 @@ transposeCompressed(Idx src_major, Idx dst_major,
             const auto d = static_cast<std::size_t>(
                 src_idx[static_cast<std::size_t>(k)]);
             const auto at = static_cast<std::size_t>(cursor[d]++);
-            dst_idx[at] = s;
-            dst_vals[at] = src_vals[static_cast<std::size_t>(k)];
+            dst.idx[at] = s;
+            dst.vals[at] = src_vals[static_cast<std::size_t>(k)];
         }
     }
+    return dst;
+}
+
+/**
+ * Internal-consistency check shared by both forms: `major` + 1
+ * monotone pointers, in-bounds and strictly ascending minor indices
+ * below `minor`.
+ */
+bool
+validCompressed(const detail::CompressedArrays &a, Idx major, Idx minor)
+{
+    if (static_cast<Idx>(a.ptr.size()) != major + 1)
+        return false;
+    if (a.ptr.front() != 0 ||
+        a.ptr.back() != static_cast<Idx>(a.vals.size()))
+        return false;
+    if (a.idx.size() != a.vals.size())
+        return false;
+    for (Idx m = 0; m < major; ++m) {
+        if (a.ptr[m] > a.ptr[m + 1])
+            return false;
+        Idx prev = -1;
+        for (Idx k = a.ptr[m]; k < a.ptr[m + 1]; ++k) {
+            Idx i = a.idx[k];
+            if (i < 0 || i >= minor || i <= prev)
+                return false;
+            prev = i;
+        }
+    }
+    return true;
+}
+
+/** The arrays every default-constructed matrix shares. */
+const std::shared_ptr<const detail::CompressedArrays> &
+emptyArrays()
+{
+    static const auto empty =
+        std::make_shared<const detail::CompressedArrays>();
+    return empty;
 }
 
 } // anonymous namespace
+
+CsrMatrix::CsrMatrix() : a_(emptyArrays()) {}
+
+CsrMatrix::CsrMatrix(detail::CompressedArrays arrays)
+    : a_(std::make_shared<const detail::CompressedArrays>(
+          std::move(arrays)))
+{
+}
 
 CsrMatrix
 CsrMatrix::fromCoo(CooMatrix coo)
 {
     coo.canonicalize();
-    CsrMatrix out;
-    out.rows_ = coo.rows();
-    out.cols_ = coo.cols();
+    detail::CompressedArrays out;
+    out.rows = coo.rows();
+    out.cols = coo.cols();
     compress(coo.rows(), coo.entries(),
              [](const Triplet &t) { return t.row; },
              [](const Triplet &t) { return t.col; },
-             out.rowPtr_, out.colIdx_, out.vals_);
-    return out;
+             out.ptr, out.idx, out.vals);
+    return CsrMatrix(std::move(out));
 }
 
 CsrMatrix
 CsrMatrix::fromCsc(const CscMatrix &csc)
 {
-    CsrMatrix out;
-    out.rows_ = csc.rows();
-    out.cols_ = csc.cols();
-    transposeCompressed(csc.cols(), csc.rows(), csc.colPtr_,
-                        csc.rowIdx_, csc.vals_, out.rowPtr_,
-                        out.colIdx_, out.vals_);
-    return out;
+    detail::CompressedArrays out =
+        transposeCompressed(csc.cols(), csc.rows(), csc.colPtr(),
+                            csc.rowIdx(), csc.vals());
+    out.rows = csc.rows();
+    out.cols = csc.cols();
+    return CsrMatrix(std::move(out));
 }
 
 CsrMatrix
 CsrMatrix::fromParts(Idx rows, Idx cols, std::vector<Idx> row_ptr,
                      std::vector<Idx> col_idx, std::vector<Value> vals)
 {
-    CsrMatrix out;
-    out.rows_ = rows;
-    out.cols_ = cols;
-    out.rowPtr_ = std::move(row_ptr);
-    out.colIdx_ = std::move(col_idx);
-    out.vals_ = std::move(vals);
+    CsrMatrix out(detail::CompressedArrays{
+        rows, cols, std::move(row_ptr), std::move(col_idx),
+        std::move(vals)});
     if (!out.validate())
         sp_panic("CsrMatrix::fromParts: arrays do not form a "
                  "canonical %lld x %lld CSR matrix",
@@ -121,8 +165,8 @@ CsrMatrix::fromParts(Idx rows, Idx cols, std::vector<Idx> row_ptr,
 CooMatrix
 CsrMatrix::toCoo() const
 {
-    CooMatrix out(rows_, cols_);
-    for (Idx r = 0; r < rows_; ++r) {
+    CooMatrix out(rows(), cols());
+    for (Idx r = 0; r < rows(); ++r) {
         auto cols = rowCols(r);
         auto vals = rowVals(r);
         for (std::size_t k = 0; k < cols.size(); ++k)
@@ -134,25 +178,15 @@ CsrMatrix::toCoo() const
 bool
 CsrMatrix::validate() const
 {
-    if (static_cast<Idx>(rowPtr_.size()) != rows_ + 1)
-        return false;
-    if (rowPtr_.front() != 0 ||
-        rowPtr_.back() != static_cast<Idx>(vals_.size()))
-        return false;
-    if (colIdx_.size() != vals_.size())
-        return false;
-    for (Idx r = 0; r < rows_; ++r) {
-        if (rowPtr_[r] > rowPtr_[r + 1])
-            return false;
-        Idx prev = -1;
-        for (Idx k = rowPtr_[r]; k < rowPtr_[r + 1]; ++k) {
-            Idx c = colIdx_[k];
-            if (c < 0 || c >= cols_ || c <= prev)
-                return false;
-            prev = c;
-        }
-    }
-    return true;
+    return validCompressed(*a_, rows(), cols());
+}
+
+CscMatrix::CscMatrix() : a_(emptyArrays()) {}
+
+CscMatrix::CscMatrix(detail::CompressedArrays arrays)
+    : a_(std::make_shared<const detail::CompressedArrays>(
+          std::move(arrays)))
+{
 }
 
 CscMatrix
@@ -162,45 +196,43 @@ CscMatrix::fromCoo(CooMatrix coo)
     // The entries are now row-major canonical; a stable counting
     // sort by column lands them in (col, row) order without the
     // comparison sort the old sortColMajor() path paid.
-    CscMatrix out;
-    out.rows_ = coo.rows();
-    out.cols_ = coo.cols();
+    detail::CompressedArrays out;
+    out.rows = coo.rows();
+    out.cols = coo.cols();
     const auto &entries = coo.entries();
-    out.colPtr_.assign(static_cast<std::size_t>(coo.cols()) + 1, 0);
-    out.rowIdx_.resize(entries.size());
-    out.vals_.resize(entries.size());
+    out.ptr.assign(static_cast<std::size_t>(coo.cols()) + 1, 0);
+    out.idx.resize(entries.size());
+    out.vals.resize(entries.size());
     for (const Triplet &t : entries)
-        ++out.colPtr_[static_cast<std::size_t>(t.col) + 1];
-    for (std::size_t i = 1; i < out.colPtr_.size(); ++i)
-        out.colPtr_[i] += out.colPtr_[i - 1];
-    std::vector<Idx> cursor(out.colPtr_.begin(),
-                            out.colPtr_.end() - 1);
+        ++out.ptr[static_cast<std::size_t>(t.col) + 1];
+    for (std::size_t i = 1; i < out.ptr.size(); ++i)
+        out.ptr[i] += out.ptr[i - 1];
+    std::vector<Idx> cursor(out.ptr.begin(), out.ptr.end() - 1);
     for (const Triplet &t : entries) {
         const auto at = static_cast<std::size_t>(
             cursor[static_cast<std::size_t>(t.col)]++);
-        out.rowIdx_[at] = t.row;
-        out.vals_[at] = t.val;
+        out.idx[at] = t.row;
+        out.vals[at] = t.val;
     }
-    return out;
+    return CscMatrix(std::move(out));
 }
 
 CscMatrix
 CscMatrix::fromCsr(const CsrMatrix &csr)
 {
-    CscMatrix out;
-    out.rows_ = csr.rows();
-    out.cols_ = csr.cols();
-    transposeCompressed(csr.rows(), csr.cols(), csr.rowPtr_,
-                        csr.colIdx_, csr.vals_, out.colPtr_,
-                        out.rowIdx_, out.vals_);
-    return out;
+    detail::CompressedArrays out =
+        transposeCompressed(csr.rows(), csr.cols(), csr.rowPtr(),
+                            csr.colIdx(), csr.vals());
+    out.rows = csr.rows();
+    out.cols = csr.cols();
+    return CscMatrix(std::move(out));
 }
 
 CooMatrix
 CscMatrix::toCoo() const
 {
-    CooMatrix out(rows_, cols_);
-    for (Idx c = 0; c < cols_; ++c) {
+    CooMatrix out(rows(), cols());
+    for (Idx c = 0; c < cols(); ++c) {
         auto rows = colRows(c);
         auto vals = colVals(c);
         for (std::size_t k = 0; k < rows.size(); ++k)
@@ -213,25 +245,7 @@ CscMatrix::toCoo() const
 bool
 CscMatrix::validate() const
 {
-    if (static_cast<Idx>(colPtr_.size()) != cols_ + 1)
-        return false;
-    if (colPtr_.front() != 0 ||
-        colPtr_.back() != static_cast<Idx>(vals_.size()))
-        return false;
-    if (rowIdx_.size() != vals_.size())
-        return false;
-    for (Idx c = 0; c < cols_; ++c) {
-        if (colPtr_[c] > colPtr_[c + 1])
-            return false;
-        Idx prev = -1;
-        for (Idx k = colPtr_[c]; k < colPtr_[c + 1]; ++k) {
-            Idx r = rowIdx_[k];
-            if (r < 0 || r >= rows_ || r <= prev)
-                return false;
-            prev = r;
-        }
-    }
-    return true;
+    return validCompressed(*a_, cols(), rows());
 }
 
 } // namespace sparsepipe

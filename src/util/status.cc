@@ -114,6 +114,7 @@ void
 statusOrPanicOkWithoutValue()
 {
     sp_panic("StatusOr constructed from an Ok status without a value");
+    __builtin_unreachable();
 }
 
 void
@@ -121,6 +122,7 @@ statusOrPanicNoValue(const Status &status)
 {
     sp_panic("StatusOr::value() on error: %s",
              status.toString().c_str());
+    __builtin_unreachable();
 }
 
 } // namespace detail

@@ -238,7 +238,7 @@ TEST(CycleEngines, TimingIgnoresValues)
             const std::unique_ptr<backend::CycleEngine> engine =
                 backend::makeEngine(kind, cfg);
             Workspace ws(app.program);
-            ws.borrowMatrix(app.matrix, csr, csc);
+            ws.bindMatrix(app.matrix, csr, csc);
             app.init(ws);
             const SimStats full = engine->run(ws, app.default_iters);
             const SimStats replay = engine->runTiming(

@@ -109,8 +109,9 @@ TEST(Generators, RowStochasticRowsSumToOne)
         ++counts[static_cast<std::size_t>(t.row)];
     }
     for (Idx r = 0; r < 64; ++r) {
-        if (counts[static_cast<std::size_t>(r)] > 0)
+        if (counts[static_cast<std::size_t>(r)] > 0) {
             EXPECT_NEAR(sums[static_cast<std::size_t>(r)], 1.0, 1e-12);
+        }
     }
 }
 

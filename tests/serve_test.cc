@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -227,6 +228,16 @@ TEST(ServeAdmission, MemoryBudgetShedsButNeverStarvesAnIdleServer)
     EXPECT_TRUE(adm.tryAdmit(1).ok());
 }
 
+/** A run request for `app` on a built-in dataset. */
+Request
+runOf(const char *app, const char *dataset)
+{
+    Request req;
+    req.app = app;
+    req.dataset = dataset;
+    return req;
+}
+
 /** Bytes of a compressed matrix's three host arrays. */
 std::uint64_t
 arrayBytes(const std::vector<Idx> &ptr, const std::vector<Idx> &idx,
@@ -238,35 +249,103 @@ arrayBytes(const std::vector<Idx> &ptr, const std::vector<Idx> &idx,
 
 TEST(ServeAdmission, ResidentEstimateBracketsTheBytesHeld)
 {
-    // What a run holds: the prepared CSR + CSC twin and the dense
-    // tensors of its workspace (which borrows the pair).  The
-    // estimate, sized from the dataset spec alone, must not
-    // undercount it and must stay within 2x.
+    // What concurrent runs hold: each distinct prepared CSR + CSC
+    // twin once (pr and label share one), and the dense tensors of
+    // every run's workspace (which shares the pair).  The estimate,
+    // sized from the dataset spec alone, must not undercount it and
+    // must stay within 2x.
     api::Session session;
-    for (const char *app : {"pr", "bfs", "sssp", "gcn", "cg"}) {
-        const api::PreparedCase &pc =
-            session.prepared(app, "gy", ReorderKind::Vanilla);
-        const Workspace ws = api::Session::bindWorkspace(pc);
-        std::uint64_t held =
-            arrayBytes(pc.csr.rowPtr(), pc.csr.colIdx(),
-                       pc.csr.vals()) +
-            arrayBytes(pc.csc.colPtr(), pc.csc.rowIdx(),
-                       pc.csc.vals());
-        const auto &tensors = pc.app.program.tensors();
-        for (std::size_t id = 0; id < tensors.size(); ++id) {
-            const auto tid = static_cast<TensorId>(id);
-            if (tensors[id].kind == TensorKind::Vector)
-                held += ws.vec(tid).size() * sizeof(Value);
-            else if (tensors[id].kind == TensorKind::DenseMatrix)
-                held += ws.den(tid).data().size() * sizeof(Value);
+    const std::vector<std::vector<const char *>> groups = {
+        {"pr"}, {"bfs"}, {"sssp"}, {"gcn"}, {"cg"}, {"pr", "label"}};
+    for (const std::vector<const char *> &group : groups) {
+        std::uint64_t held = 0, estimate = 0;
+        std::set<const Value *> operands;
+        std::set<std::string> keys;
+        std::string label;
+        for (const char *app : group) {
+            label += std::string(app) + " ";
+            const api::PreparedCase &pc =
+                session.prepared(app, "gy", ReorderKind::Vanilla);
+            const Workspace ws = api::Session::bindWorkspace(pc);
+            if (operands.insert(pc.csr.vals().data()).second)
+                held += arrayBytes(pc.csr.rowPtr(), pc.csr.colIdx(),
+                                   pc.csr.vals()) +
+                        arrayBytes(pc.csc.colPtr(), pc.csc.rowIdx(),
+                                   pc.csc.vals());
+            const auto &tensors = pc.app.program.tensors();
+            for (std::size_t id = 0; id < tensors.size(); ++id) {
+                const auto tid = static_cast<TensorId>(id);
+                if (tensors[id].kind == TensorKind::Vector)
+                    held += ws.vec(tid).size() * sizeof(Value);
+                else if (tensors[id].kind == TensorKind::DenseMatrix)
+                    held += ws.den(tid).data().size() * sizeof(Value);
+            }
+            const serve::Charge charge =
+                serve::estimateResidentBytes(runOf(app, "gy"));
+            estimate += charge.own_bytes;
+            if (keys.insert(charge.shared_key).second)
+                estimate += charge.shared_bytes;
         }
-        const std::uint64_t estimate =
-            serve::estimateResidentBytes(app, "gy");
-        EXPECT_GE(estimate, held) << app;
-        EXPECT_LE(estimate, 2 * held) << app;
+        EXPECT_EQ(operands.size(), keys.size()) << label;
+        EXPECT_GE(estimate, held) << label;
+        EXPECT_LE(estimate, 2 * held) << label;
     }
-    EXPECT_EQ(serve::estimateResidentBytes("nope", "gy"), 0u);
-    EXPECT_EQ(serve::estimateResidentBytes("pr", "nope"), 0u);
+    for (const Request &unknown : {runOf("nope", "gy"), runOf("pr", "nope")}) {
+        const serve::Charge charge = serve::estimateResidentBytes(unknown);
+        EXPECT_EQ(charge.own_bytes + charge.shared_bytes, 0u);
+        EXPECT_TRUE(charge.shared_key.empty());
+    }
+}
+
+TEST(ServeAdmission, TicketsOfOneOperandChargeItOnce)
+{
+    // pr and label prepare the same row-stochastic operand of gy, so
+    // their tickets hold one operand plus two workspaces; bfs needs
+    // the boolean operand, another seed another matrix.
+    const serve::Charge pr = serve::estimateResidentBytes(runOf("pr", "gy"));
+    const serve::Charge label =
+        serve::estimateResidentBytes(runOf("label", "gy"));
+    const serve::Charge bfs =
+        serve::estimateResidentBytes(runOf("bfs", "gy"));
+    ASSERT_FALSE(pr.shared_key.empty());
+    ASSERT_GT(pr.own_bytes, 0u);
+    EXPECT_EQ(pr.shared_key, label.shared_key);
+    EXPECT_EQ(pr.shared_bytes, label.shared_bytes);
+    EXPECT_NE(pr.shared_key, bfs.shared_key);
+    Request reseeded = runOf("pr", "gy");
+    reseeded.seed = 7;
+    EXPECT_NE(serve::estimateResidentBytes(reseeded).shared_key,
+              pr.shared_key);
+
+    // A budget that fits one operand and both workspaces admits the
+    // pair, and sheds a third run needing another operand.
+    AdmissionController::Config config;
+    config.memory_budget_bytes =
+        pr.shared_bytes + pr.own_bytes + label.own_bytes;
+    AdmissionController adm(config);
+    StatusOr<Ticket> t_pr = adm.tryAdmit(pr);
+    StatusOr<Ticket> t_label = adm.tryAdmit(label);
+    ASSERT_TRUE(t_pr.ok() && t_label.ok());
+    EXPECT_EQ(adm.stats().in_flight_bytes, config.memory_budget_bytes);
+    StatusOr<Ticket> t_bfs = adm.tryAdmit(bfs);
+    ASSERT_FALSE(t_bfs.ok());
+    EXPECT_EQ(t_bfs.status().code(), StatusCode::ResourceExhausted);
+
+    // The operand stays charged while any ticket holds it, and a
+    // moved ticket carries its share.
+    t_pr->release();
+    EXPECT_EQ(adm.stats().in_flight_bytes,
+              label.shared_bytes + label.own_bytes);
+    Ticket moved = std::move(t_label).value();
+    moved.release();
+    EXPECT_EQ(adm.stats().in_flight, 0u);
+    EXPECT_EQ(adm.stats().in_flight_bytes, 0u);
+
+    // Released, the key charges again.
+    StatusOr<Ticket> again = adm.tryAdmit(label);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(adm.stats().in_flight_bytes,
+              label.shared_bytes + label.own_bytes);
 }
 
 TEST(ServeAdmission, TicketMovesCarryTheSlot)
@@ -580,6 +659,28 @@ TEST(ServeServer, OtherBufferSizeOfOneKeyIsAFunctionalMemoHit)
         doc.find("metrics")->find("cache.functional.hits");
     ASSERT_NE(hits, nullptr);
     EXPECT_EQ(hits->number, 1.0);
+}
+
+TEST(ServeServer, AppsOfOneKindShareOneOperand)
+{
+    ServerConfig config;
+    Server server(config);
+    ASSERT_TRUE(server.start().ok());
+    StatusOr<Client> client = Client::connect(loopback(server.port()));
+    ASSERT_TRUE(client.ok());
+
+    // pr and label prepare the same operand of ca: two per-app
+    // cases, one operand.
+    for (const char *app : {"pr", "label"}) {
+        Request req = runOf(app, "ca");
+        req.iters = 2;
+        StatusOr<Response> resp = client->call(req);
+        ASSERT_TRUE(resp.ok() && resp->status.ok()) << app;
+    }
+    EXPECT_EQ(counter(server, "cache.prepared.misses"), 2.0);
+    EXPECT_EQ(counter(server, "cache.operand.misses"), 1.0);
+    EXPECT_EQ(counter(server, "cache.operand.hits"), 1.0);
+    EXPECT_EQ(counter(server, "cache.operand.evictions"), 0.0);
 }
 
 TEST(ServeServer, ConcurrentIdenticalRequestsRunOneSimulation)

@@ -10,11 +10,13 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <map>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "api/session.hh"
+#include "apps/apps.hh"
 #include "obs/metrics.hh"
 #include "prep/blocked.hh"
 #include "ref/executor.hh"
@@ -254,26 +256,11 @@ TEST(Session, BindWorkspaceBindsBothCompressedForms)
     EXPECT_EQ(csc.nnz(), pc.nnz);
     EXPECT_EQ(csr.rows(), csc.rows());
     EXPECT_EQ(csr.cols(), csc.cols());
-    // The workspace borrows the cached pair instead of copying it.
-    EXPECT_EQ(&csr, &pc.csr);
-    EXPECT_EQ(&csc, &pc.csc);
+    // The workspace shares the cached pair's arrays instead of
+    // copying them.
+    EXPECT_EQ(csr.vals().data(), pc.csr.vals().data());
+    EXPECT_EQ(csc.vals().data(), pc.csc.vals().data());
 }
-
-/** Whether borrowMatrix accepts operands of these value categories. */
-template <typename Csr, typename Csc>
-concept CanBorrow = requires(Workspace &ws, Csr &&csr, Csc &&csc) {
-    ws.borrowMatrix(TensorId{}, std::forward<Csr>(csr),
-                    std::forward<Csc>(csc));
-};
-
-// A borrowed temporary would dangle once the statement ends, so only
-// lvalue pairs compile.
-static_assert(CanBorrow<const CsrMatrix &, const CscMatrix &>);
-static_assert(CanBorrow<CsrMatrix &, CscMatrix &>);
-static_assert(!CanBorrow<CsrMatrix, CscMatrix>);
-static_assert(!CanBorrow<CsrMatrix, const CscMatrix &>);
-static_assert(!CanBorrow<const CsrMatrix &, CscMatrix>);
-static_assert(!CanBorrow<const CsrMatrix, const CscMatrix>);
 
 TEST(Session, OwningBindKeepsATemporaryOperandAlive)
 {
@@ -286,14 +273,14 @@ TEST(Session, OwningBindKeepsATemporaryOperandAlive)
     Workspace owned(pc.app.program);
     owned.bindMatrix(pc.app.matrix, CsrMatrix::fromCoo(pc.csr.toCoo()));
     pc.app.init(owned);
-    EXPECT_NE(&owned.csr(pc.app.matrix), &pc.csr);
+    EXPECT_NE(owned.csr(pc.app.matrix).vals().data(), pc.csr.vals().data());
     EXPECT_EQ(owned.csr(pc.app.matrix), pc.csr);
     EXPECT_EQ(owned.csc(pc.app.matrix), pc.csc);
 
-    Workspace borrowed = api::Session::bindWorkspace(pc);
+    Workspace shared = api::Session::bindWorkspace(pc);
     RefExecutor().run(owned, 6);
-    RefExecutor().run(borrowed, 6);
-    EXPECT_EQ(owned.vec(pc.app.result), borrowed.vec(pc.app.result));
+    RefExecutor().run(shared, 6);
+    EXPECT_EQ(owned.vec(pc.app.result), shared.vec(pc.app.result));
 }
 
 TEST(Session, ConcurrentRunsShareOnePreparedDataset)
@@ -639,6 +626,154 @@ TEST(FunctionalMemo, CancelledRunPublishesNothing)
     EXPECT_EQ(session.cacheStats().functional.misses, 1u);
     EXPECT_FALSE(pc.functional.find(req.iters,
                                     backend::ValueSemantics::FusedOei));
+}
+
+// ---------------------------------------------------------------
+// Operands shared across apps
+// ---------------------------------------------------------------
+
+/** The operand fields of `a` and `b` hold equal contents. */
+void
+expectSameOperand(const api::PreparedOperand &a,
+                  const api::PreparedOperand &b, const std::string &label)
+{
+    EXPECT_TRUE(a.csr == b.csr) << label;
+    EXPECT_TRUE(a.csc == b.csc) << label;
+    EXPECT_EQ(a.blocked_bytes_per_nz, b.blocked_bytes_per_nz) << label;
+    EXPECT_EQ(a.nnz, b.nnz) << label;
+}
+
+TEST(Session, AppsOfOneKindShareOneOperand)
+{
+    // The 11 apps use 4 prepare kinds: 4 operands, each built once
+    // and shared (same arrays) by the apps of its kind.
+    api::Session session;
+    const CooMatrix &reordered =
+        session.reordered("gy", ReorderKind::Vanilla);
+    std::map<PrepareKind, const api::PreparedCase *> first_of_kind;
+    for (const AppInfo &info : appInfos()) {
+        const api::PreparedCase &pc =
+            session.prepared(info.name, "gy", ReorderKind::Vanilla);
+        expectSameOperand(pc, api::prepareCase(info.name, reordered),
+                          info.name);
+        const auto [first, inserted] =
+            first_of_kind.emplace(pc.app.prepare.kind, &pc);
+        if (inserted)
+            continue;
+        EXPECT_EQ(pc.csr.vals().data(), first->second->csr.vals().data())
+            << info.name;
+        EXPECT_EQ(pc.csc.rowIdx().data(),
+                  first->second->csc.rowIdx().data())
+            << info.name;
+    }
+    ASSERT_EQ(first_of_kind.size(), 4u);
+    for (const auto &[kind_a, a] : first_of_kind) {
+        for (const auto &[kind_b, b] : first_of_kind) {
+            if (kind_a == kind_b)
+                continue;
+            EXPECT_NE(a->csr.vals().data(), b->csr.vals().data());
+            EXPECT_NE(a->csc.rowIdx().data(), b->csc.rowIdx().data());
+        }
+    }
+    const api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_EQ(stats.operand.misses, 4u);
+    EXPECT_EQ(stats.operand.hits, 7u);
+    EXPECT_EQ(stats.prepared.misses, 11u);
+    EXPECT_EQ(stats.prepared.hits, 0u);
+
+    // Another reorder or seed of the dataset is another operand.
+    const api::PreparedCase *pr = first_of_kind.at(PrepareKind::Stochastic);
+    for (const auto &[reorder, seed] :
+         {std::pair{ReorderKind::Locality, api::kDefaultSeed},
+          std::pair{ReorderKind::Vanilla, std::uint64_t{7}}}) {
+        const api::PreparedCase &other =
+            session.prepared("label", "gy", reorder, seed);
+        expectSameOperand(
+            other,
+            api::prepareCase("label", session.reordered("gy", reorder, seed)),
+            "label");
+        EXPECT_NE(other.csr.vals().data(), pr->csr.vals().data());
+    }
+    EXPECT_EQ(session.cacheStats().operand.misses, 6u);
+}
+
+TEST(Session, ResidentOperandNeedsNoReorderedMatrix)
+{
+    // With one raw and one reordered entry, preparing ca evicts gy's
+    // matrices; label on gy then finds pr's operand resident and must
+    // not generate or reorder gy again.
+    api::Session session;
+    session.setCacheCapacities(1, 1, 4);
+    session.prepared("pr", "gy", ReorderKind::Vanilla);
+    session.prepared("pr", "ca", ReorderKind::Vanilla);
+    session.prepared("label", "gy", ReorderKind::Vanilla);
+    const api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_EQ(stats.operand.hits, 1u);
+    EXPECT_EQ(stats.reordered.misses, 2u);
+    EXPECT_EQ(stats.raw.misses, 2u);
+}
+
+TEST(FunctionalMemo, AppsSharingAnOperandKeepTheirOwnMemos)
+{
+    api::Session session;
+    const api::PreparedCase &pr =
+        session.prepared("pr", "gy", ReorderKind::Vanilla);
+    const api::PreparedCase &label =
+        session.prepared("label", "gy", ReorderKind::Vanilla);
+    ASSERT_EQ(pr.csr.vals().data(), label.csr.vals().data());
+
+    api::RunRequest req;
+    req.dataset = "gy";
+    req.iters = 6;
+    for (const char *app : {"pr", "label", "pr", "label"}) {
+        req.app = app;
+        const api::PreparedCase &pc = req.app == "pr" ? pr : label;
+        testing::expectSameSimStats(session.run(req).value().stats,
+                                    twoStageRun(req, pc), app);
+    }
+    // label's first run misses: pr's outcome is not label's.
+    const api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_EQ(stats.functional.misses, 2u);
+    EXPECT_EQ(stats.functional.hits, 2u);
+    EXPECT_TRUE(pr.functional.find(6, backend::ValueSemantics::FusedOei));
+    EXPECT_TRUE(
+        label.functional.find(6, backend::ValueSemantics::FusedOei));
+}
+
+TEST(Session, EvictedOperandLeavesItsCasesArraysIntact)
+{
+    // Runs under the ASan CI job: with every layer bounded to one
+    // entry, preparing bfs evicts pr's case and its operand, and the
+    // case pr's caller still pins must own its arrays.
+    api::Session session;
+    session.setCacheCapacities(1, 1, 1);
+    const std::shared_ptr<const api::PreparedCase> pr =
+        session.preparedShared("pr", "gy", ReorderKind::Vanilla);
+    const std::shared_ptr<const api::PreparedCase> bfs =
+        session.preparedShared("bfs", "gy", ReorderKind::Vanilla);
+    api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_EQ(stats.operand.evictions, 1u);
+    EXPECT_EQ(stats.prepared.evictions, 1u);
+
+    const CooMatrix &reordered =
+        session.reordered("gy", ReorderKind::Vanilla);
+    const api::PreparedCase fresh = api::prepareCase("pr", reordered);
+    expectSameOperand(*pr, fresh, "pr");
+    expectSameOperand(*bfs, api::prepareCase("bfs", reordered), "bfs");
+    api::RunRequest req;
+    req.app = "pr";
+    req.dataset = "gy";
+    req.iters = 4;
+    testing::expectSameSimStats(session.run(req, *pr).value().stats,
+                                twoStageRun(req, fresh), "pr");
+
+    // label finds the stochastic operand evicted and builds it anew.
+    const std::shared_ptr<const api::PreparedCase> label =
+        session.preparedShared("label", "gy", ReorderKind::Vanilla);
+    stats = session.cacheStats();
+    EXPECT_EQ(stats.operand.misses, 3u);
+    EXPECT_NE(label->csr.vals().data(), pr->csr.vals().data());
+    expectSameOperand(*label, *pr, "label");
 }
 
 } // anonymous namespace

@@ -123,7 +123,7 @@ runCell(const api::PreparedCase &pc, Idx iters, Idx lanes,
         int band_threads)
 {
     Workspace ws(pc.app.program);
-    ws.borrowMatrix(pc.app.matrix, pc.csr, pc.csc);
+    ws.bindMatrix(pc.app.matrix, pc.csr, pc.csc);
     pc.app.init(ws);
 
     SparsepipeConfig cfg;

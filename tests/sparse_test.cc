@@ -108,6 +108,57 @@ TEST(CscMatrix, FromCooBasics)
     EXPECT_EQ(csc.colVals(0)[0], 2.0);
 }
 
+TEST(CompressedMatrix, CopiesShareArraysAndCompareByContent)
+{
+    const CsrMatrix csr = CsrMatrix::fromCoo(testing::smallGraph(16, 60));
+    const CscMatrix csc = CscMatrix::fromCsr(csr);
+    ASSERT_GT(csr.nnz(), 0);
+
+    // A copy, a copy-assignment and a move all share the arrays.
+    const CsrMatrix csr_copy = csr;
+    CscMatrix csc_copy;
+    csc_copy = csc;
+    EXPECT_EQ(csr_copy.vals().data(), csr.vals().data());
+    EXPECT_EQ(csr_copy.colIdx().data(), csr.colIdx().data());
+    EXPECT_EQ(csr_copy.rowPtr().data(), csr.rowPtr().data());
+    EXPECT_EQ(csc_copy.vals().data(), csc.vals().data());
+    EXPECT_EQ(csc_copy.rowIdx().data(), csc.rowIdx().data());
+    EXPECT_EQ(csc_copy.colPtr().data(), csc.colPtr().data());
+
+    // A moved-from matrix stays a usable copy of its contents.
+    CsrMatrix csr_source = csr;
+    CscMatrix csc_source = csc;
+    const CsrMatrix csr_moved = std::move(csr_source);
+    CscMatrix csc_moved;
+    csc_moved = std::move(csc_source);
+    EXPECT_EQ(csr_moved.vals().data(), csr.vals().data());
+    EXPECT_EQ(csc_moved.vals().data(), csc.vals().data());
+    EXPECT_TRUE(csr_source.validate());
+    EXPECT_TRUE(csc_source.validate());
+    EXPECT_EQ(csr_source, csr);
+    EXPECT_EQ(csc_source, csc);
+    EXPECT_EQ(csr_source.rowCols(3).size(),
+              static_cast<std::size_t>(csr.rowNnz(3)));
+    EXPECT_EQ(CscMatrix::fromCsr(csr_source), csc);
+
+    // Equality compares contents: a rebuilt matrix has its own
+    // arrays and equals the original; another value does not.
+    const CsrMatrix rebuilt = CsrMatrix::fromCoo(csr.toCoo());
+    EXPECT_NE(rebuilt.vals().data(), csr.vals().data());
+    EXPECT_EQ(rebuilt, csr);
+    EXPECT_EQ(CscMatrix::fromCoo(csc.toCoo()), csc);
+    EXPECT_FALSE(testing::perturbValues(csr) == csr);
+
+    // Default-constructed matrices are valid and empty.
+    const CsrMatrix empty_csr;
+    const CscMatrix empty_csc;
+    EXPECT_TRUE(empty_csr.validate());
+    EXPECT_TRUE(empty_csc.validate());
+    EXPECT_EQ(empty_csr.rows(), 0);
+    EXPECT_EQ(empty_csc.nnz(), 0);
+    EXPECT_EQ(empty_csr, CsrMatrix::fromCoo(CooMatrix(0, 0)));
+}
+
 class FormatRoundTrip : public ::testing::TestWithParam<std::uint64_t>
 {
 };

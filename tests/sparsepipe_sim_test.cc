@@ -258,7 +258,7 @@ TEST(SimStages, TimingIgnoresValues)
         cfg.buffer_bytes = 16 << 10; // small enough to reload
         SparsepipeSim sim(cfg);
         Workspace ws(app.program);
-        ws.borrowMatrix(app.matrix, csr, csc);
+        ws.bindMatrix(app.matrix, csr, csc);
         app.init(ws);
         const Idx max_iters = app.default_iters;
         const SimStats full = sim.run(ws, max_iters);
@@ -322,7 +322,7 @@ TEST(SimStages, OutcomeIgnoresSubTensorLanesAndBands)
             cfg.sub_tensor_cols = t_cols;
             cfg.lanes = lanes;
             cfg.band_threads = bands;
-            ws.borrowMatrix(app.matrix, csr, csc);
+            ws.bindMatrix(app.matrix, csr, csc);
             app.init(ws);
             return SparsepipeSim(cfg).runFunctional(ws,
                                                     app.default_iters);
