@@ -1,20 +1,18 @@
 /**
  * @file
  * Backend comparison: cycles and the exact stall partition for every
- * registered cycle-level backend over the Table I matrices, emitting
- * a BENCH_9.json document.
+ * registered cycle-level backend over the Table I matrices.
  *
  * The same PageRank program runs under each backend so the numbers
  * isolate the architecture: Sparsepipe's inter-operator OEI dataflow
  * keeps intermediate vectors on chip across fused operators, while
  * the Gamma-style row-wise backend re-reads them through its fiber
  * cache every pass.  Each backend's attribution partition must
- * reconcile exactly with its total cycles (checked here with a
- * fatal, and gated again by the nightly backend-compare job).
+ * reconcile exactly with its total cycles; a case that does not is
+ * fatal, which is the check the nightly fuzz-sweep job runs.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "backend/backend.hh"
@@ -27,22 +25,15 @@ using namespace sparsepipe::bench;
 int
 main(int argc, char **argv)
 {
-    std::string json_path = "BENCH_9.json";
-    std::string app = "pr";
-    int jobs = 0;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (arg == "--app" && i + 1 < argc) {
-            app = argv[++i];
-        } else if ((arg == "--jobs" || arg == "-j") && i + 1 < argc) {
-            jobs = std::atoi(argv[++i]);
-        } else {
-            sp_fatal("usage: bench_backend_compare [--json PATH] "
-                     "[--app NAME] [--jobs N]");
-        }
+    BenchArgs args = parseBenchArgs(argc, argv);
+    // The backend is the axis this bench sweeps.
+    if (args.backend) {
+        std::fprintf(stderr, "bench_backend_compare runs every "
+                             "registered backend; --backend does not "
+                             "apply (try --help)\n");
+        return kExitUsage;
     }
+    const std::string app = "pr";
 
     printHeader("Backend comparison: cycles and stall partition per "
                 "registered backend (" + app + ")",
@@ -58,13 +49,14 @@ main(int argc, char **argv)
     std::vector<CaseSpec> specs;
     for (backend::BackendKind kind : backends) {
         RunConfig cfg;
+        applyArgOverrides(args, cfg);
         cfg.backend = kind;
         for (const std::string &dataset : datasets)
             specs.push_back({app, dataset, cfg,
                              std::string(backend::backendName(kind)) +
                                  "-" + dataset});
     }
-    const std::vector<CaseResult> results = runSweep(specs, jobs);
+    const std::vector<CaseResult> results = runSweep(specs, args.jobs);
 
     auto at = [&](std::size_t b, std::size_t d) -> const CaseResult & {
         return results[b * datasets.size() + d];
@@ -72,7 +64,7 @@ main(int argc, char **argv)
 
     // The partition is the product being compared, so a backend
     // whose buckets do not reconcile would poison every ratio
-    // downstream: fail loudly instead of emitting bad JSON.
+    // downstream: fail loudly instead of emitting bad metrics.
     for (std::size_t b = 0; b < backends.size(); ++b)
         for (std::size_t d = 0; d < datasets.size(); ++d) {
             const SimStats &st = at(b, d).sp;
@@ -119,53 +111,18 @@ main(int argc, char **argv)
     }
     table.print();
 
-    FILE *f = std::fopen(json_path.c_str(), "w");
-    if (!f)
-        sp_fatal("cannot write %s", json_path.c_str());
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"bench_backend_compare\",\n");
-    std::fprintf(f, "  \"schema\": \"backend-compare-v1\",\n");
-    std::fprintf(f, "  \"app\": \"%s\",\n", app.c_str());
-    std::fprintf(f, "  \"backends\": [\n");
-    for (std::size_t b = 0; b < backends.size(); ++b) {
-        std::fprintf(f, "    {\"name\": \"%s\", \"cases\": [\n",
-                     backend::backendName(backends[b]));
-        for (std::size_t d = 0; d < datasets.size(); ++d) {
-            const CaseResult &r = at(b, d);
-            const SimStats &st = r.sp;
-            std::fprintf(
-                f,
-                "      {\"dataset\": \"%s\", \"cycles\": %llu, "
-                "\"iterations\": %lld, "
-                "\"compute\": %llu, \"dram_read_stall\": %llu, "
-                "\"dram_write_drain\": %llu, "
-                "\"buffer_swap_wait\": %llu, "
-                "\"dram_read_bytes\": %lld, "
-                "\"dram_write_bytes\": %lld, "
-                "\"reload_bytes\": %lld, "
-                "\"bw_utilization\": %.6f}%s\n",
-                datasets[d].c_str(),
-                static_cast<unsigned long long>(st.cycles),
-                static_cast<long long>(st.iterations),
-                static_cast<unsigned long long>(
-                    st.attribution.compute),
-                static_cast<unsigned long long>(
-                    st.attribution.dram_read_stall),
-                static_cast<unsigned long long>(
-                    st.attribution.dram_write_drain),
-                static_cast<unsigned long long>(
-                    st.attribution.buffer_swap_wait),
-                static_cast<long long>(st.dram_read_bytes),
-                static_cast<long long>(st.dram_write_bytes),
-                static_cast<long long>(st.reload_bytes),
-                st.bw_utilization,
-                d + 1 < datasets.size() ? "," : "");
-        }
-        std::fprintf(f, "    ]}%s\n",
-                     b + 1 < backends.size() ? "," : "");
+    if (!args.metrics_out.empty()) {
+        obs::MetricsRegistry reg;
+        // Every backend runs the same (app, dataset) keys; prefix
+        // each case with its backend.
+        for (std::size_t b = 0; b < backends.size(); ++b)
+            for (std::size_t d = 0; d < datasets.size(); ++d) {
+                CaseResult r = at(b, d);
+                r.app = std::string(backend::backendName(backends[b])) +
+                        "-" + r.app;
+                recordCaseMetrics(reg, r);
+            }
+        writeMetrics(args, reg);
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path.c_str());
     return 0;
 }

@@ -62,9 +62,10 @@ struct CaseResult
 
     SimStats sp;
     /**
-     * Host wall-clock spent inside the simulator for this case (not
-     * dataset prep).  Machine-dependent: printed in walltime
-     * summaries, never recorded in metrics-v1 dumps.
+     * Host wall-clock spent inside the simulator for this case, as
+     * RunReport::host_ms records it (dataset prep excluded).
+     * Machine-dependent: printed in walltime summaries, never
+     * recorded in metrics-v1 dumps.
      */
     double host_ms = 0.0;
     BaselineStats ideal;

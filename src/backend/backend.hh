@@ -126,12 +126,11 @@ std::unique_ptr<CycleEngine> makeEngine(BackendKind kind,
                                         const SparsepipeConfig &config);
 
 /**
- * Executor adapter over any registered backend, the factory-driven
- * generalization of SimulatorExecutor: the differential fuzzer runs
- * one of these per registry entry next to ref and oei.  The outcome
- * carries backend-tagged stats; `mode` is populated only by the
- * sparsepipe backend (the one engine that makes an OEI scheduling
- * decision).
+ * Executor adapter over any registered backend: the differential
+ * fuzzer runs one of these per registry entry next to ref and oei.
+ * The outcome carries backend-tagged stats; `mode` is populated only
+ * by the sparsepipe backend (the one engine that makes an OEI
+ * scheduling decision).
  */
 class BackendExecutor final : public Executor
 {

@@ -271,7 +271,7 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
                     rp.base_bytes + m.rowPtr()[r] * bytes_per_nz;
                 const FiberCache::Access acc = cache.access(
                     fiber_begin, fiber_begin + nnz * bytes_per_nz);
-                Tick ready = start + config_.is_scatter_latency;
+                Tick ready = start + kIsScatterLatency;
                 if (acc.miss_lines > 0) {
                     const Idx miss_bytes =
                         acc.miss_lines * line_bytes;
@@ -287,7 +287,7 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
                     static_cast<double>(nnz) * os_mult /
                     static_cast<double>(group_pes)));
                 const Tick end =
-                    ready + mults + config_.os_tree_latency;
+                    ready + mults + kOsTreeLatency;
                 alog.record(obs::Activity::Compute, ready, end);
                 free[g] = end;
                 stats.os_elems += nnz;

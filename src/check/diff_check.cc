@@ -298,14 +298,10 @@ checkCase(const FuzzCase &fuzz, InjectedBug bug)
 
         Workspace ws_elem = makeWorkspace(fuzz);
         const SimStats st_elem =
-            *SimulatorExecutor(cfg_elem)
-                 .execute(ws_elem, fuzz.iters)
-                 .stats;
+            SparsepipeSim(cfg_elem).run(ws_elem, fuzz.iters);
         Workspace ws_lanes = makeWorkspace(fuzz);
         const SimStats st_lanes =
-            *SimulatorExecutor(cfg_lanes)
-                 .execute(ws_lanes, fuzz.iters)
-                 .stats;
+            SparsepipeSim(cfg_lanes).run(ws_lanes, fuzz.iters);
 
         compareWorkspaceBits(report.failures, "sim-lanes",
                              fuzz.program, ws_elem, ws_lanes);

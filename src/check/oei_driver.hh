@@ -43,8 +43,8 @@ OeiResult runOeiFunctional(Workspace &ws, Idx max_iters,
 
 /**
  * The functional OEI driver behind the unified Executor interface,
- * completing the differential trio next to ReferenceExecutor and
- * SimulatorExecutor.
+ * next to ReferenceExecutor and the backend::BackendExecutor of each
+ * registered cycle backend.
  */
 class OeiExecutor final : public Executor
 {

@@ -18,6 +18,13 @@
 
 namespace sparsepipe {
 
+/**
+ * Adder-tree / scatter-network fixed latencies (cycles), charged by
+ * the Sparsepipe pass engine and the gamma backend alike.
+ */
+inline constexpr Tick kOsTreeLatency = 10;
+inline constexpr Tick kIsScatterLatency = 6;
+
 /** Top-level Sparsepipe configuration. */
 struct SparsepipeConfig
 {
@@ -48,10 +55,6 @@ struct SparsepipeConfig
      * steps: e-wise outputs for step j unlock IS work at j + lag.
      */
     Idx lag = 2;
-
-    /** Adder-tree / scatter-network fixed latencies (cycles). */
-    Tick os_tree_latency = 10;
-    Tick is_scatter_latency = 6;
 
     /** Memory system (Table II; iso-CPU uses ddr4()). */
     DramConfig dram = DramConfig::gddr6x();

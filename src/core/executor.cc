@@ -10,17 +10,4 @@ ReferenceExecutor::execute(Workspace &ws, Idx max_iters) const
     return out;
 }
 
-ExecOutcome
-SimulatorExecutor::execute(Workspace &ws, Idx max_iters) const
-{
-    SparsepipeSim sim(config_);
-    ExecOutcome out;
-    out.backend = "sparsepipe";
-    out.stats = sim.run(ws, max_iters);
-    out.run.iterations = out.stats->iterations;
-    out.run.converged = out.stats->converged;
-    out.mode = out.stats->mode;
-    return out;
-}
-
 } // namespace sparsepipe

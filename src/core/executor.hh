@@ -1,15 +1,16 @@
 /**
  * @file
- * Unified execution interface over the three engines that can run a
- * bound workspace: the reference executor (src/ref), the functional
- * OEI driver (src/check), and the cycle-level simulator (src/core).
+ * Unified execution interface over the engines that can run a bound
+ * workspace: the reference executor (src/ref), the functional OEI
+ * driver (src/check), and every registered cycle-level backend
+ * (backend::BackendExecutor, src/backend).
  *
- * All three transform a Workspace the same way — OEI only reorders
- * computation — so callers that care about values, iteration counts,
- * or schedule agreement (the differential checker, the Session API)
- * can hold them behind one vtable instead of three ad-hoc call
- * shapes.  Timing statistics are optional: only the simulator
- * produces them.
+ * All of them transform a Workspace the same way — OEI only
+ * reorders computation — so callers that care about values,
+ * iteration counts, or schedule agreement (the differential checker)
+ * can hold them behind one vtable instead of ad-hoc call shapes.
+ * Timing statistics are optional: only the cycle backends produce
+ * them.
  */
 
 #ifndef SPARSEPIPE_CORE_EXECUTOR_HH
@@ -56,7 +57,7 @@ class Executor
   public:
     virtual ~Executor() = default;
 
-    /** Short name for reports ("ref", "oei", "sim"). */
+    /** Short name for reports ("ref", "oei", or a backend name). */
     virtual const char *name() const = 0;
 
     /** Run up to max_iters iterations (convergence may stop early). */
@@ -69,22 +70,6 @@ class ReferenceExecutor final : public Executor
   public:
     const char *name() const override { return "ref"; }
     ExecOutcome execute(Workspace &ws, Idx max_iters) const override;
-};
-
-/** The cycle-level Sparsepipe simulator (timing + values). */
-class SimulatorExecutor final : public Executor
-{
-  public:
-    explicit SimulatorExecutor(SparsepipeConfig config)
-        : config_(std::move(config)) {}
-
-    const char *name() const override { return "sim"; }
-    ExecOutcome execute(Workspace &ws, Idx max_iters) const override;
-
-    const SparsepipeConfig &config() const { return config_; }
-
-  private:
-    SparsepipeConfig config_;
 };
 
 } // namespace sparsepipe

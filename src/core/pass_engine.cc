@@ -251,7 +251,7 @@ struct PassEngine::Run
             dram.config().bytesPerCycle();
         return static_cast<Tick>(std::max(
                    {os_compute, ew_compute, mem,
-                    static_cast<double>(cfg.os_tree_latency)})) + 1;
+                    static_cast<double>(kOsTreeLatency)})) + 1;
     }
 
     /**
@@ -405,7 +405,7 @@ struct PassEngine::Run
                 std::ceil(static_cast<double>(nnz_j) * costs.os_mult /
                           static_cast<double>(cfg.pe_per_core))) + 1;
             if (j == 0)
-                dur += cfg.os_tree_latency;
+                dur += kOsTreeLatency;
             // Wait for the slice's data to arrive from DRAM.
             const Tick ready = data_ready[static_cast<std::size_t>(j)];
             if (ready > now)
@@ -492,7 +492,7 @@ struct PassEngine::Run
                     1;
                 if (j == cfg.lag) {
                     // Scatter-network fill charged once per pass.
-                    dur += cfg.is_scatter_latency;
+                    dur += kIsScatterLatency;
                 }
                 end = std::max(now + dur, t_fetch);
             }

@@ -86,16 +86,6 @@ axisRegistry()
          [](const std::string &v, api::RunRequest &req) {
              req.blocked = v == "1";
          }},
-        {"lanes", AxisType::Int, {}, 0, 8,
-         "0",
-         [](const std::string &v, api::RunRequest &req) {
-             req.lanes = static_cast<Idx>(asInt(v));
-         }},
-        {"band_threads", AxisType::Int, {}, 1, 64,
-         "1",
-         [](const std::string &v, api::RunRequest &req) {
-             req.band_threads = static_cast<int>(asInt(v));
-         }},
         {"backend", AxisType::Enum,
          [] {
              std::vector<std::string> names;

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -92,6 +93,14 @@ struct Expected
     /** Substring the status message must carry. */
     std::string needle;
 };
+
+/** Readable test names: without it gtest prints the struct's raw
+ *  bytes, a heap pointer included, so names change per build. */
+void
+PrintTo(const Expected &e, std::ostream *os)
+{
+    *os << statusCodeName(e.code) << ": " << e.needle;
+}
 
 const std::map<std::string, Expected> &
 corpusTable()
