@@ -212,7 +212,7 @@ parseBenchArgs(int argc, char **argv)
                 "                     (compare runs with "
                 "tools/metrics_diff)\n"
                 "  --lanes N          packed-SIMD lane width (0 = "
-                "widest backend, 1 = scalar\n"
+                "preferred, 4; 1 = scalar\n"
                 "                     element path; output is "
                 "bit-identical for any width)\n"
                 "  --band-threads N   band threads per simulation "

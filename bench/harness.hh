@@ -153,7 +153,7 @@ struct BenchArgs
     std::string metrics_out;
     /**
      * Packed-lane width override (-1 keeps the bench's RunConfig
-     * default, 0 = widest backend, 1 = scalar element path).  All
+     * default, 0 = preferred width, 1 = scalar element path).  All
      * widths produce bit-identical metrics; the flag exists to
      * time one path against the other.
      */

@@ -44,20 +44,64 @@ FunctionalMemo::publish(Idx max_iters, backend::ValueSemantics semantics,
 namespace {
 
 /**
- * Preprocess the operand of `kind` from an already-reordered matrix:
- * prepare + CSC twin + blocked layout sizing.  The uncached core of
- * the operand layer.
+ * The pattern of `csr`: its row form, the column form, the blocked
+ * sizing and a bucket memo adding to `counters`.
+ */
+PreparedPattern
+makePattern(const CsrMatrix &csr,
+            std::shared_ptr<BucketMemoCounters> counters)
+{
+    const PatternPtr csc = CscMatrix::patternOf(csr);
+    // The default block size is always legal, so value() cannot trip.
+    return PreparedPattern{
+        csr.pattern(), csc,
+        buildBlockedLayout(csr).value().bytesPerNonzero(),
+        BucketMemo(csr.pattern(), csc, std::move(counters))};
+}
+
+/**
+ * True when `csr` stores exactly the coordinates of `coo`'s entries,
+ * in their order (`csr` is canonical, so `coo` is then sorted and
+ * duplicate-free).  Every such operand of one matrix has one pattern.
+ */
+bool
+storesEveryEntryOf(const CsrMatrix &csr, const CooMatrix &coo)
+{
+    if (csr.rows() != coo.rows() || csr.cols() != coo.cols() ||
+        csr.nnz() != coo.nnz())
+        return false;
+    auto entry = coo.entries().begin();
+    for (Idx r = 0; r < csr.rows(); ++r) {
+        for (Idx c : csr.rowCols(r)) {
+            if (entry->row != r || entry->col != c)
+                return false;
+            ++entry;
+        }
+    }
+    return true;
+}
+
+/**
+ * Finish a prepared CSR into an operand: on `shared` when its
+ * coordinates equal that pattern's, keeping only its own values,
+ * else on a pattern of its own.  Then the CSC twin's values and the
+ * blocked sizing come from the pattern.
  */
 PreparedOperand
-prepareOperand(PrepareKind kind, const CooMatrix &reordered)
+prepareOperand(CsrMatrix csr, std::shared_ptr<const PreparedPattern> shared,
+               std::shared_ptr<BucketMemoCounters> counters)
 {
+    if (shared)
+        csr = csr.withPattern(shared->csr);
+    if (!shared || csr.pattern() != shared->csr)
+        shared = std::make_shared<const PreparedPattern>(
+            makePattern(csr, std::move(counters)));
     PreparedOperand op;
-    op.csr = Prepare{kind}(reordered);
-    op.csc = CscMatrix::fromCsr(op.csr);
-    // The default block size is always legal, so value() cannot trip.
-    op.blocked_bytes_per_nz =
-        buildBlockedLayout(op.csr).value().bytesPerNonzero();
+    op.csr = std::move(csr);
+    op.csc = CscMatrix::fromCsr(op.csr, shared->csc);
+    op.blocked_bytes_per_nz = shared->blocked_bytes_per_nz;
     op.nnz = op.csr.nnz();
+    op.pattern = std::move(shared);
     return op;
 }
 
@@ -69,7 +113,7 @@ prepareCase(const std::string &app_name, const CooMatrix &reordered)
     PreparedCase pc;
     pc.app = makeApp(app_name, reordered.rows());
     static_cast<PreparedOperand &>(pc) =
-        prepareOperand(pc.app.prepare.kind, reordered);
+        prepareOperand(pc.app.prepare(reordered), nullptr, nullptr);
     return pc;
 }
 
@@ -155,7 +199,18 @@ Session::preparedShared(const std::string &app,
                     // The pin keeps LRU eviction of the reordered
                     // layer from freeing the matrix mid-prepare.
                     auto pinned = reorderedShared(dataset, kind, seed);
-                    return prepareOperand(prepare, *pinned);
+                    CsrMatrix csr = Prepare{prepare}(*pinned);
+                    // The first operand that stores every entry of
+                    // the matrix supplies the layer's pattern; the
+                    // others adopt it.
+                    std::shared_ptr<const PreparedPattern> shared;
+                    if (storesEveryEntryOf(csr, *pinned))
+                        shared = patterns_.getShared(
+                            std::make_tuple(dataset, kind, seed), [&] {
+                                return makePattern(csr, bucket_counters_);
+                            });
+                    return prepareOperand(std::move(csr), std::move(shared),
+                                          bucket_counters_);
                 });
             return pc;
         });
@@ -167,6 +222,7 @@ Session::setCacheCapacities(std::size_t raw, std::size_t reordered,
 {
     raw_.setCapacity(raw);
     reordered_.setCapacity(reordered);
+    patterns_.setCapacity(prepared);
     operands_.setCapacity(prepared);
     prepared_.setCapacity(prepared);
 }
@@ -180,9 +236,16 @@ Session::cacheStats() const
         functional_misses_.load(std::memory_order_relaxed);
     functional.evictions =
         functional_evictions_.load(std::memory_order_relaxed);
-    return CacheStatsSnapshot{raw_.stats(), reordered_.stats(),
-                              operands_.stats(), prepared_.stats(),
-                              functional};
+    runner::CacheStats buckets;
+    buckets.hits = bucket_counters_->hits.load(std::memory_order_relaxed);
+    buckets.misses =
+        bucket_counters_->misses.load(std::memory_order_relaxed);
+    buckets.evictions =
+        bucket_counters_->evictions.load(std::memory_order_relaxed);
+    return CacheStatsSnapshot{raw_.stats(),      reordered_.stats(),
+                              patterns_.stats(), operands_.stats(),
+                              prepared_.stats(), functional,
+                              buckets};
 }
 
 Workspace
@@ -279,8 +342,9 @@ Session::run(const RunRequest &req, const PreparedCase &pc)
             memo ? *memo : engine->runFunctional(*ws, max_iters);
         report.stats = engine->runTiming(
             pc.app.program,
-            OperandPatterns(pc.app.matrix, pc.csr, pc.csc), outcome,
-            max_iters);
+            OperandPatterns(pc.app.matrix, pc.csr, pc.csc,
+                            pc.pattern ? &pc.pattern->buckets : nullptr),
+            outcome, max_iters);
         report.host_ms =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - t0)

@@ -12,8 +12,10 @@
  *   raw        generated stand-in matrix       (dataset, seed)
  *   reordered  symmetric row permutation       (dataset, reorder,
  *                                               seed)
- *   operand    CSR + CSC twin + blocked        (dataset, reorder,
- *              bytes/nz + nnz                   seed, PrepareKind)
+ *   pattern    CSR + CSC index arrays +        (dataset, reorder,
+ *              blocked bytes/nz + bucket memo   seed)
+ *   operand    CSR + CSC values on a pattern   (dataset, reorder,
+ *              + blocked bytes/nz + nnz         seed, PrepareKind)
  *   prepared   AppInstance + functional memo   (app, dataset,
  *              + the operand's fields           reorder, seed)
  *
@@ -28,17 +30,35 @@
  * bitwise-transparent: every simulated counter is identical to the
  * uncached pipeline.
  *
+ * Pattern layer.  The boolean, row-stochastic and weighted kinds
+ * change values, not coordinates, so their operands of one reordered
+ * matrix store one pattern.  The pattern layer holds, per (dataset,
+ * reorder, seed), the pattern of the operands that store every entry
+ * of the reordered matrix (checked by content against its entries):
+ * the first of them supplies it, and each later one adopts its CSR
+ * and CSC index arrays and its blocked bytes/nz and keeps only its
+ * own values.  An operand of other coordinates (SPD's A + A^T, or a
+ * kind that drops entries) builds a pattern of its own outside the
+ * layer.  Either way PreparedOperand::pattern names the pattern its
+ * arrays read.  Each pattern memoizes its timing StepBuckets per
+ * (sub-tensor width, orientation) (BucketMemo), so the timing stage
+ * of a prepared case builds them once per pattern instead of once
+ * per run: one dataset's eleven apps build three sets (the shared
+ * pattern in CSC order and, for gcn's SpMM, transposed; SPD's in CSC
+ * order).
+ *
  * By default entries live for the Session's lifetime, so the
  * references handed out stay valid while the Session exists.
  * Session::process() is the shared process-wide instance the benches
  * and CLI use.
  *
  * Long-running daemons (src/serve) instead call setCacheCapacities()
- * to bound each layer with LRU eviction (the operand layer shares
- * the prepared layer's bound); the run path pins its case through
- * shared_ptr (preparedShared) for the duration of a simulation, so
- * eviction can never dangle an in-flight run.  A case owns shares
- * of its operand's arrays, so evicting the operand frees nothing a
+ * to bound each layer with LRU eviction (the pattern and operand
+ * layers share the prepared layer's bound); the run path pins its
+ * case through shared_ptr (preparedShared) for the duration of a
+ * simulation, so eviction can never dangle an in-flight run.  A case
+ * owns shares of its operand's arrays and of its pattern (memo
+ * included), so evicting the operand or the pattern frees nothing a
  * case still holds.  The plain reference accessors remain valid only
  * while the entry is resident once a bound is set.
  *
@@ -61,10 +81,11 @@
  * Thread safety: a Session may be shared by concurrent callers.  The
  * caches serialize construction per key (KeyedCache), every run gets
  * its own Workspace + engine, and a PreparedCase is read-only after
- * construction apart from its internally locked memo.  bindWorkspace
- * binds copies of the cached CSR / CSC pair, which share its arrays,
- * so concurrent runs of every app of one kind read a single copy of
- * the operand; each run owns only its dense tensors and scalars.
+ * construction apart from its internally locked memos (functional
+ * outcomes, and its pattern's buckets).  bindWorkspace binds copies
+ * of the cached CSR / CSC pair, which share its arrays, so concurrent
+ * runs of every app of one kind read a single copy of the operand;
+ * each run owns only its dense tensors and scalars.
  */
 
 #ifndef SPARSEPIPE_API_SESSION_HH
@@ -123,7 +144,7 @@ struct RunRequest
     bool blocked = true;
     /**
      * Packed-lane width override: -1 inherits sp.lanes, 0 picks the
-     * widest backend, 1 forces the element path, 2..8 explicit.
+     * preferred width (4), 1 forces the element path, 2..8 explicit.
      * Bit-identical for every value (see SparsepipeConfig::lanes).
      */
     Idx lanes = -1;
@@ -175,6 +196,21 @@ class FunctionalMemo
 };
 
 /**
+ * One sparsity pattern of prepared operands: the row and column
+ * forms of their coordinates, its blocked sizing, and the memo of its
+ * timing buckets (see the file comment).
+ */
+struct PreparedPattern
+{
+    PatternPtr csr;
+    PatternPtr csc;
+    /** Per-nonzero footprint of the blocked dual storage. */
+    double blocked_bytes_per_nz = 12.0;
+    /** StepBuckets of this pattern, built on first use. */
+    mutable BucketMemo buckets;
+};
+
+/**
  * One PrepareKind of one reordered matrix: the app-independent part
  * of a prepared case, which every app of that kind shares.
  */
@@ -186,6 +222,12 @@ struct PreparedOperand
     /** Per-nonzero footprint of the blocked dual storage. */
     double blocked_bytes_per_nz = 12.0;
     Idx nnz = 0;
+    /**
+     * The pattern csr and csc read, whose bucket memo Session::run
+     * uses.  Null for a case assembled field by field: its runs
+     * build their buckets per call.
+     */
+    std::shared_ptr<const PreparedPattern> pattern;
 };
 
 /**
@@ -223,9 +265,10 @@ struct RunReport
 
 /**
  * Preprocess an app operand from an already-reordered matrix:
- * makeApp + prepare + CSC twin + blocked layout sizing.  The
- * uncached core of Session::prepared(), exposed for external
- * matrices (MatrixMarket / synthetic inputs).
+ * makeApp + prepare + CSC twin + blocked layout sizing, on a pattern
+ * of its own (whose bucket memo counts in no Session).  The uncached
+ * core of Session::prepared(), exposed for external matrices
+ * (MatrixMarket / synthetic inputs).
  */
 PreparedCase prepareCase(const std::string &app_name,
                          const CooMatrix &reordered);
@@ -273,9 +316,9 @@ class Session
 
     /**
      * Bound the cache layers with LRU eviction (0 = unbounded, the
-     * default); `prepared` bounds the operand layer too.  Entry
-     * counts, not bytes: a daemon serving k distinct datasets hot
-     * keeps `prepared` at a small multiple of k.  See the file
+     * default); `prepared` bounds the pattern and operand layers
+     * too.  Entry counts, not bytes: a daemon serving k distinct
+     * datasets hot keeps `prepared` at a small multiple of k.  See the file
      * comment for the reference-validity contract once a bound is
      * set.
      */
@@ -283,20 +326,26 @@ class Session
                             std::size_t prepared);
 
     /**
-     * Per-layer hit / miss / eviction counters.  `operand` counts the
-     * operand layer, looked up once per `prepared` miss; `prepared`
+     * Per-layer hit / miss / eviction counters.  `operand` counts
+     * the operand layer, looked up once per `prepared` miss, and
+     * `pattern` the pattern layer, looked up once per `operand` miss
+     * whose operand stores every entry of its matrix; `prepared`
      * counts the per-app layer.  `functional` counts run() lookups
      * in the cases' functional memos, and as evictions the entries a
      * full memo dropped (entries also go, uncounted, with their
      * case).
+     * `buckets` counts the timing stage's lookups in the bucket memos
+     * of the patterns this Session built: a miss is a bucket build.
      */
     struct CacheStatsSnapshot
     {
         runner::CacheStats raw;
         runner::CacheStats reordered;
+        runner::CacheStats pattern;
         runner::CacheStats operand;
         runner::CacheStats prepared;
         runner::CacheStats functional;
+        runner::CacheStats buckets;
     };
     CacheStatsSnapshot cacheStats() const;
 
@@ -347,6 +396,10 @@ class Session
         std::tuple<std::string, ReorderKind, std::uint64_t>,
         CooMatrix>
         reordered_;
+    runner::KeyedCache<
+        std::tuple<std::string, ReorderKind, std::uint64_t>,
+        PreparedPattern>
+        patterns_;
     runner::KeyedCache<std::tuple<std::string, ReorderKind,
                                   std::uint64_t, PrepareKind>,
                        PreparedOperand>
@@ -358,6 +411,9 @@ class Session
     std::atomic<std::uint64_t> functional_hits_{0};
     std::atomic<std::uint64_t> functional_misses_{0};
     std::atomic<std::uint64_t> functional_evictions_{0};
+    /** Shared by the bucket memos of every pattern built here. */
+    const std::shared_ptr<BucketMemoCounters> bucket_counters_ =
+        std::make_shared<BucketMemoCounters>();
 };
 
 } // namespace sparsepipe::api

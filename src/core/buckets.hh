@@ -9,11 +9,18 @@
  * All per-step loader / compute / buffer quantities reduce to the
  * counts b[col_step][row_band], which this structure precomputes in
  * one pass over the matrix.
+ *
+ * Buckets depend only on the sparsity pattern and T, so a pattern
+ * that many runs share memoizes them (BucketMemo).
  */
 
 #ifndef SPARSEPIPE_CORE_BUCKETS_HH
 #define SPARSEPIPE_CORE_BUCKETS_HH
 
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -31,6 +38,8 @@ struct BucketSpan
 {
     Idx at = 0;
     Idx cnt = 0;
+
+    bool operator==(const BucketSpan &other) const = default;
 };
 
 /** Element counts bucketed by (column step, row band). */
@@ -63,7 +72,7 @@ class StepBuckets
     /** Elements in (column-step cs, row-band rs). */
     Idx count(Idx cs, Idx rs) const
     {
-        return counts_[index(cs, rs)];
+        return colLoadedThrough(cs, rs) - colLoadedThrough(cs, rs - 1);
     }
 
     /** Total elements in row-band rs across all column steps. */
@@ -75,7 +84,7 @@ class StepBuckets
     /**
      * Elements of band rs in column steps <= cs (what is on chip
      * for that band once the OS frontier reaches cs, absent
-     * eviction).
+     * eviction).  Walks the band's spans.
      */
     Idx bandLoadedThrough(Idx cs, Idx rs) const;
 
@@ -114,8 +123,22 @@ class StepBuckets
         return {band_slab_.data() + lo, hi - lo};
     }
 
+    /** Bytes the arrays hold. */
+    std::uint64_t heldBytes() const;
+
+    /**
+     * Upper bound on heldBytes() of buckets of a `rows` x `cols`
+     * pattern with `nnz` entries at width t, in either orientation.
+     */
+    static std::uint64_t boundBytes(Idx rows, Idx cols, Idx nnz, Idx t);
+
+    bool operator==(const StepBuckets &other) const = default;
+
   private:
-    /** Build prefixes and span slabs from the filled counts grid. */
+    /**
+     * Build the span slabs from the counts grid that col_prefix_
+     * holds on entry, then turn the grid into its prefix.
+     */
     void finalizeDerived();
 
     std::size_t index(Idx cs, Idx rs) const
@@ -129,12 +152,12 @@ class StepBuckets
     Idx steps_ = 0;
     Idx bands_ = 0;
     Idx nnz_ = 0;
-    std::vector<Idx> counts_;        ///< dense steps x bands grid
     std::vector<Idx> col_step_nnz_;
     std::vector<Idx> band_nnz_;
-    /** Per-band prefix over column steps (for residency queries). */
-    std::vector<Idx> band_prefix_;
-    /** Per-column-step prefix over row bands (unlock shortcut). */
+    /**
+     * Per-column-step prefix over row bands (unlock shortcut), the
+     * one dense steps x bands grid.
+     */
     std::vector<Idx> col_prefix_;
     /** Occupied buckets by column step (CSR-style slab). */
     std::vector<BucketSpan> col_slab_;
@@ -158,6 +181,84 @@ struct ResidencyStats
 };
 
 ResidencyStats residencySweep(const StepBuckets &buckets, Idx lag);
+
+/**
+ * Lookup counts of the BucketMemos that share it: a miss is a lookup
+ * that built its entry, a hit one that found it, and an eviction an
+ * entry a full memo dropped.
+ */
+struct BucketMemoCounters
+{
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> misses{0};
+    std::atomic<std::uint64_t> evictions{0};
+};
+
+/**
+ * Thread-safe memo of one sparsity pattern's StepBuckets, keyed by
+ * (sub-tensor width, orientation).  It serves only matrices that read
+ * the very pattern arrays it was made for, which it pins: any other
+ * matrix (say, a copied case whose operand was replaced) gets freshly
+ * built buckets, so an entry never describes another pattern.  It
+ * holds up to kCapacity entries; the oldest goes once it is full.
+ * Threads that miss on one key build once: the others wait for the
+ * thread that builds.  A build that throws publishes nothing, and
+ * the next lookup retries.  A copied memo serves the same pattern and starts
+ * empty.
+ */
+class BucketMemo
+{
+  public:
+    static constexpr std::size_t kCapacity = 4;
+
+    /** Serves no pattern: every lookup builds. */
+    BucketMemo() = default;
+    /**
+     * Serve matrices on `csr` (transposed buckets) or `csc` (CSC
+     * buckets), the two forms of one pattern.  Lookups add to
+     * `counters` when it is set.
+     */
+    BucketMemo(PatternPtr csr, PatternPtr csc,
+               std::shared_ptr<BucketMemoCounters> counters = nullptr);
+    BucketMemo(const BucketMemo &other);
+    BucketMemo &operator=(const BucketMemo &) = delete;
+
+    /** StepBuckets::build(csc, t), memoized on this memo's pattern. */
+    std::shared_ptr<const StepBuckets> build(const CscMatrix &csc, Idx t);
+
+    /** StepBuckets::buildTransposed(csr, t), likewise. */
+    std::shared_ptr<const StepBuckets> buildTransposed(const CsrMatrix &csr,
+                                                       Idx t);
+
+    /** Bytes the built entries hold. */
+    std::uint64_t heldBytes() const;
+
+  private:
+    struct Slot
+    {
+        std::once_flag once;
+        std::shared_ptr<const StepBuckets> buckets;
+        /** Set once `buckets` is built (read by heldBytes). */
+        std::atomic<bool> built{false};
+    };
+    struct Entry
+    {
+        Idx t;
+        bool transposed;
+        std::shared_ptr<Slot> slot;
+    };
+
+    /** The entry of (t, transposed), built by `make` on a miss. */
+    template <typename Make>
+    std::shared_ptr<const StepBuckets> lookup(Idx t, bool transposed,
+                                              Make make);
+
+    PatternPtr csr_;
+    PatternPtr csc_;
+    std::shared_ptr<BucketMemoCounters> counters_;
+    mutable std::mutex mu_;
+    std::vector<Entry> entries_;
+};
 
 } // namespace sparsepipe
 

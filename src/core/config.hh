@@ -67,8 +67,9 @@ struct SparsepipeConfig
 
     /**
      * Packed-SIMD lane width for the functional semiring kernels.
-     * 0 picks the widest backend available (8 on AVX2, 4 portable);
-     * 1 forces the scalar element path; 2..8 are explicit widths.
+     * 0 picks the preferred width (packed::preferredLanes, 4 on every
+     * backend); 1 forces the scalar element path; 2..8 are explicit
+     * widths.
      * Pure implementation strategy: results and SimStats are
      * bit-identical for every width.
      */

@@ -198,6 +198,16 @@ OperandPatterns::csc(TensorId id) const
     return *csc_;
 }
 
+std::shared_ptr<const StepBuckets>
+OperandPatterns::buckets(TensorId id, Idx t, bool transposed) const
+{
+    // A memo of no pattern builds for every call and holds nothing.
+    static BucketMemo none;
+    BucketMemo &memo = memo_ ? *memo_ : none;
+    return transposed ? memo.buildTransposed(csr(id), t)
+                      : memo.build(csc(id), t);
+}
+
 SimStats
 SparsepipeSim::run(Workspace &ws, Idx max_iters)
 {
@@ -404,9 +414,9 @@ SparsepipeSim::runTiming(const Program &p,
     // --- bucket decomposition of the sparse operand -----------------
     const CscMatrix &csc = operands.csc(plan.matrix);
     const Idx t_cols = config_.resolveSubTensor(csc.cols(), csc.nnz());
-    const StepBuckets buckets = plan.spmm
-        ? StepBuckets::buildTransposed(operands.csr(plan.matrix), t_cols)
-        : StepBuckets::build(csc, t_cols);
+    const std::shared_ptr<const StepBuckets> held =
+        operands.buckets(plan.matrix, t_cols, plan.spmm);
+    const StepBuckets &buckets = *held;
     const Idx bytes_per_nz = config_.bytesPerElem();
 
     for (Idx cs = 0; cs < buckets.steps(); ++cs) {

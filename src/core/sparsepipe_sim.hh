@@ -20,11 +20,13 @@
 #ifndef SPARSEPIPE_CORE_SPARSEPIPE_SIM_HH
 #define SPARSEPIPE_CORE_SPARSEPIPE_SIM_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/apps.hh"
 #include "buffer/dual_buffer.hh"
+#include "core/buckets.hh"
 #include "core/config.hh"
 #include "graph/analysis.hh"
 #include "obs/attribution.hh"
@@ -99,26 +101,37 @@ struct SimStats
  * The sparse operands a timing stage reads, by tensor id.  Only their
  * patterns matter.  The view covers either every operand bound in a
  * workspace (the composed run) or one caller-owned CSR/CSC pair (a
- * prepared case replayed without binding a workspace).  The viewed
- * matrices must outlive it.
+ * prepared case replayed without binding a workspace), optionally
+ * with the memo of that pair's pattern.  The viewed matrices and the
+ * memo must outlive it.
  */
 class OperandPatterns
 {
   public:
     explicit OperandPatterns(const Workspace &ws) : ws_(&ws) {}
     OperandPatterns(TensorId id, const CsrMatrix &csr,
-                    const CscMatrix &csc)
-        : id_(id), csr_(&csr), csc_(&csc) {}
+                    const CscMatrix &csc, BucketMemo *memo = nullptr)
+        : id_(id), csr_(&csr), csc_(&csc), memo_(memo) {}
 
     /** Panics when `id` is not in the view. */
     const CsrMatrix &csr(TensorId id) const;
     const CscMatrix &csc(TensorId id) const;
+
+    /**
+     * The StepBuckets of operand `id` at width t: built from its CSC
+     * form, or from its CSR form when `transposed` (SpMM).  Read
+     * from the memo when the view has one (it serves only its own
+     * pattern), else built for this call.
+     */
+    std::shared_ptr<const StepBuckets> buckets(TensorId id, Idx t,
+                                               bool transposed) const;
 
   private:
     const Workspace *ws_ = nullptr;
     TensorId id_ = invalid_tensor;
     const CsrMatrix *csr_ = nullptr;
     const CscMatrix *csc_ = nullptr;
+    BucketMemo *memo_ = nullptr;
 };
 
 /**

@@ -125,9 +125,9 @@ backendName()
 Idx
 preferredLanes()
 {
-    // 8 keeps two AVX2 gather chains in flight; 4 is the portable
-    // sweet spot (one cache line of values per group step).
-    return simdActive() ? 8 : 4;
+    // One cache line of values per group step.  On AVX2 too, 4 lanes
+    // measured faster than 8 (DESIGN.md section 10).
+    return 4;
 }
 
 Idx

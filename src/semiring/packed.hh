@@ -197,7 +197,7 @@ fnmadd(const Semiring &sr, PackedV<K> &acc, const PackedV<K> &x,
 /** True when the AVX2 backend is compiled in and the CPU has it. */
 bool simdActive();
 
-/** Auto lane width: 8 on the AVX2 backend, 4 portable. */
+/** Auto lane width: 4, on the AVX2 and the portable backend. */
 Idx preferredLanes();
 
 /** Resolve a config knob: <= 0 is auto, otherwise clamp to kMaxLanes. */

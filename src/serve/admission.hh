@@ -13,10 +13,12 @@
  * queueing, no blocking — a shed request never holds resources while
  * it waits, the *client* waits.
  *
- * A run's bytes come in two parts (Charge): its own (the workspace's
- * dense tensors), charged per ticket, and a shared part (the prepared
- * operand, which every run of the same operand reads), charged once
- * while any admitted ticket holds its key.
+ * A run's bytes come in three parts (Charge): its own (the
+ * workspace's dense tensors), charged per ticket, and two shared
+ * parts, each charged once while any admitted ticket holds its key:
+ * the prepared operand's values, which every run of the same operand
+ * reads, and the pattern the operand reads (index arrays and timing
+ * buckets), which operands of several kinds may share.
  *
  * Coalesced followers bypass admission entirely (they piggyback on
  * the leader's slot), so a stampede of identical requests costs one
@@ -43,10 +45,17 @@ struct Charge
 {
     /** Bytes only this run holds. */
     std::uint64_t own_bytes = 0;
-    /** What the run shares with other runs; empty when nothing. */
+    /** The operand the run shares with other runs; empty when none. */
     std::string shared_key;
     /** Bytes behind `shared_key`, charged once per key in flight. */
     std::uint64_t shared_bytes = 0;
+    /**
+     * The pattern the run's operand reads, which other operands may
+     * share; empty when none.  A key space apart from shared_key's.
+     */
+    std::string pattern_key;
+    /** Bytes behind `pattern_key`, charged once per key in flight. */
+    std::uint64_t pattern_bytes = 0;
 };
 
 /** An admitted run's slot; releases on destruction (move-only). */
@@ -58,7 +67,8 @@ class [[nodiscard]] Ticket
 
     Ticket(Ticket &&other) noexcept
         : controller_(other.controller_), bytes_(other.bytes_),
-          shared_key_(std::move(other.shared_key_))
+          shared_key_(std::move(other.shared_key_)),
+          pattern_key_(std::move(other.pattern_key_))
     {
         other.controller_ = nullptr;
     }
@@ -70,6 +80,7 @@ class [[nodiscard]] Ticket
             controller_ = other.controller_;
             bytes_ = other.bytes_;
             shared_key_ = std::move(other.shared_key_);
+            pattern_key_ = std::move(other.pattern_key_);
             other.controller_ = nullptr;
         }
         return *this;
@@ -85,14 +96,16 @@ class [[nodiscard]] Ticket
   private:
     friend class AdmissionController;
     Ticket(AdmissionController *controller, std::uint64_t bytes,
-           std::string shared_key)
+           std::string shared_key, std::string pattern_key)
         : controller_(controller), bytes_(bytes),
-          shared_key_(std::move(shared_key)) {}
+          shared_key_(std::move(shared_key)),
+          pattern_key_(std::move(pattern_key)) {}
 
     AdmissionController *controller_ = nullptr;
     /** The charge's own bytes. */
     std::uint64_t bytes_ = 0;
     std::string shared_key_;
+    std::string pattern_key_;
 };
 
 /** Counter snapshot of one controller. */
@@ -102,7 +115,7 @@ struct AdmissionStats
     /** Refused for queue depth / for the memory budget. */
     std::uint64_t shed_queue = 0;
     std::uint64_t shed_memory = 0;
-    /** Current gauges; a shared key's bytes count once. */
+    /** Current gauges; each shared key's bytes count once. */
     std::uint64_t in_flight = 0;
     std::uint64_t in_flight_bytes = 0;
 };
@@ -125,8 +138,8 @@ class AdmissionController
 
     /**
      * Try to claim a slot for a run estimated at `charge`: its own
-     * bytes, plus its shared bytes unless an in-flight ticket already
-     * holds the shared key.
+     * bytes, plus the bytes of each of its shared keys that no
+     * in-flight ticket holds yet.
      * @return a live Ticket, or ResourceExhausted naming the bound
      * that refused (the caller stamps retryAfterMs() on the wire
      * response).  A single oversized request is still admitted when
@@ -139,7 +152,7 @@ class AdmissionController
     StatusOr<Ticket>
     tryAdmit(std::uint64_t bytes)
     {
-        return tryAdmit(Charge{bytes, {}, 0});
+        return tryAdmit(Charge{bytes, {}, 0, {}, 0});
     }
 
     int retryAfterMs() const { return config_.retry_after_ms; }
@@ -148,7 +161,11 @@ class AdmissionController
 
   private:
     friend class Ticket;
-    void release(std::uint64_t bytes, const std::string &shared_key);
+    void release(std::uint64_t bytes, const std::string &shared_key,
+                 const std::string &pattern_key);
+    /** Drop one holder of `key` (no-op when empty); the last one
+     *  uncharges its bytes. */
+    void unhold(const std::string &key);
 
     /** A shared key some in-flight ticket holds. */
     struct Shared

@@ -48,18 +48,30 @@ estimateResidentBytes(const Request &req)
     // holds up to 2 nnz + rows entries.
     if (kind == PrepareKind::Spd)
         entries = 2 * entries + rows;
+    const std::string matrix = req.dataset + "/" +
+                               reorderKindName(req.reorder) + "/" +
+                               std::to_string(req.seed);
     Charge charge;
+    // The pattern the Session's pattern layer shares among the value
+    // kinds of this (dataset, reorder, seed); SPD's A + A^T has one of
+    // its own.  CSR + CSC index arrays at host widths, an Idx per
+    // entry and per pointer of the square operand in each form, plus
+    // the bucket memo's bound here: requests cannot set the sub-tensor
+    // width, so a pattern's memo holds at most one set per orientation
+    // (CSC, and transposed for SpMM) at the width the operand resolves.
+    charge.pattern_key =
+        kind == PrepareKind::Spd ? matrix + "/spd" : matrix;
+    const Idx t_cols = SparsepipeConfig{}.resolveSubTensor(
+        spec->rows, static_cast<Idx>(entries));
+    charge.pattern_bytes =
+        2 * (entries + rows + 1) * sizeof(Idx) +
+        2 * StepBuckets::boundBytes(spec->rows, spec->rows,
+                                    static_cast<Idx>(entries), t_cols);
     // The operand the Session's operand layer shares among every run
-    // of this (dataset, reorder, seed, kind): CSR + CSC twin at host
-    // widths, an Idx coordinate and a Value per entry in each, plus
-    // the square operand's pointers.
-    charge.shared_key = req.dataset + "/" +
-                        reorderKindName(req.reorder) + "/" +
-                        std::to_string(req.seed) + "/" +
-                        std::to_string(static_cast<int>(kind));
-    charge.shared_bytes =
-        2 * (entries * (sizeof(Idx) + sizeof(Value)) +
-             (rows + 1) * sizeof(Idx));
+    // of this (dataset, reorder, seed, kind): its CSR and CSC values.
+    charge.shared_key =
+        matrix + "/" + std::to_string(static_cast<int>(kind));
+    charge.shared_bytes = 2 * entries * sizeof(Value);
     // The run's own workspace: the dense tensors.
     for (const TensorInfo &t : instance.program.tensors()) {
         if (t.kind == TensorKind::Vector)
@@ -498,9 +510,11 @@ Server::fillMetrics(obs::MetricsRegistry &reg)
         session_.cacheStats();
     setCacheMetrics(reg, "cache.raw", cache.raw);
     setCacheMetrics(reg, "cache.reordered", cache.reordered);
+    setCacheMetrics(reg, "cache.pattern", cache.pattern);
     setCacheMetrics(reg, "cache.operand", cache.operand);
     setCacheMetrics(reg, "cache.prepared", cache.prepared);
     setCacheMetrics(reg, "cache.functional", cache.functional);
+    setCacheMetrics(reg, "cache.buckets", cache.buckets);
 }
 
 std::string

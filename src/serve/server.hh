@@ -92,7 +92,8 @@ struct ServerConfig
     std::size_t max_request_bytes = 1 << 20;
     long long max_requests_per_conn = 0;
     /** LRU bounds for the Session cache layers (0 = unbounded);
-     *  the prepared bound covers the operand layer too. */
+     *  the prepared bound covers the pattern and operand layers
+     *  too. */
     std::size_t raw_cache_capacity = 16;
     std::size_t reordered_cache_capacity = 16;
     std::size_t prepared_cache_capacity = 32;
@@ -207,15 +208,20 @@ class Server
 
 /**
  * Resident-bytes estimate for admitting `req`, a run on a built-in
- * dataset, as an admission Charge.  Shared: the prepared CSR and its
- * CSC twin at host widths (16 B per entry each, with the solvers' SPD
- * operand charged its 2 nnz + rows entry bound), keyed by what the
- * Session's operand layer keys it by (dataset, reorder, seed and the
- * app's PrepareKind), so concurrent runs of every app of one kind
- * charge it once.  Own: the dense tensors of the run's workspace,
- * sized from the app's Program.  Sized from the dataset spec, never
- * from the data, so it errs high, not low.  Unknown names estimate
- * an empty charge.
+ * dataset, as an admission Charge, keyed as the Session's layers key
+ * what they share (see api/session.hh).  Pattern: the CSR and CSC
+ * index arrays at host widths (8 B per entry and pointer each) plus
+ * the bound of the bucket sets its memo can hold here (one per
+ * orientation at the one width serve runs at), keyed by (dataset,
+ * reorder, seed), which the value kinds share, or for the solvers'
+ * SPD operand by its own key and sized at its 2 nnz + rows entry
+ * bound.  Operand: the CSR
+ * and CSC values (8 B per entry each), keyed by (dataset, reorder,
+ * seed, PrepareKind).  So concurrent runs of every app of one kind
+ * charge the values once and of every value kind the pattern once.
+ * Own: the dense tensors of the run's workspace, sized from the app's
+ * Program.  Sized from the dataset spec, never from the data, so it
+ * errs high, not low.  Unknown names estimate an empty charge.
  */
 Charge estimateResidentBytes(const Request &req);
 

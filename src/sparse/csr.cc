@@ -37,38 +37,43 @@ compress(Idx major, const std::vector<Triplet> &entries,
 }
 
 /**
- * Stable counting-sort transpose between the compressed layouts.
- * Walking the source majors in order keeps the destination's minor
- * indices ascending inside each run, so the result is canonical —
- * identical to the COO round-trip it replaces, without materializing
- * (and comparison-sorting) the triplet view.
+ * Stable counting-sort transpose between the compressed layouts, of
+ * the pattern and, when `src_vals` is given, of the values into
+ * `dst_vals`.  Walking the source majors in order keeps the
+ * destination's minor indices ascending inside each run, so the
+ * result is canonical — identical to the COO round-trip it replaces,
+ * without materializing (and comparison-sorting) the triplet view.
  * @param src_major  extent of the source's compressed dimension
  * @param dst_major  extent of the destination's
  */
-detail::CompressedArrays
+SparsityPattern
 transposeCompressed(Idx src_major, Idx dst_major,
-                    const std::vector<Idx> &src_ptr,
-                    const std::vector<Idx> &src_idx,
-                    const std::vector<Value> &src_vals)
+                    const SparsityPattern &src,
+                    const std::vector<Value> *src_vals,
+                    std::vector<Value> *dst_vals)
 {
-    detail::CompressedArrays dst;
+    SparsityPattern dst;
+    dst.rows = src.rows;
+    dst.cols = src.cols;
     std::vector<Idx> &dst_ptr = dst.ptr;
     dst_ptr.assign(static_cast<std::size_t>(dst_major) + 1, 0);
-    dst.idx.resize(src_idx.size());
-    dst.vals.resize(src_vals.size());
-    for (Idx m : src_idx)
+    dst.idx.resize(src.idx.size());
+    if (src_vals)
+        dst_vals->resize(src_vals->size());
+    for (Idx m : src.idx)
         ++dst_ptr[static_cast<std::size_t>(m) + 1];
     for (std::size_t i = 1; i < dst_ptr.size(); ++i)
         dst_ptr[i] += dst_ptr[i - 1];
     std::vector<Idx> cursor(dst_ptr.begin(), dst_ptr.end() - 1);
     for (Idx s = 0; s < src_major; ++s) {
-        for (Idx k = src_ptr[static_cast<std::size_t>(s)];
-             k < src_ptr[static_cast<std::size_t>(s) + 1]; ++k) {
+        for (Idx k = src.ptr[static_cast<std::size_t>(s)];
+             k < src.ptr[static_cast<std::size_t>(s) + 1]; ++k) {
             const auto d = static_cast<std::size_t>(
-                src_idx[static_cast<std::size_t>(k)]);
+                src.idx[static_cast<std::size_t>(k)]);
             const auto at = static_cast<std::size_t>(cursor[d]++);
             dst.idx[at] = s;
-            dst.vals[at] = src_vals[static_cast<std::size_t>(k)];
+            if (src_vals)
+                (*dst_vals)[at] = (*src_vals)[static_cast<std::size_t>(k)];
         }
     }
     return dst;
@@ -77,24 +82,25 @@ transposeCompressed(Idx src_major, Idx dst_major,
 /**
  * Internal-consistency check shared by both forms: `major` + 1
  * monotone pointers, in-bounds and strictly ascending minor indices
- * below `minor`.
+ * below `minor`, one value per index.
  */
 bool
-validCompressed(const detail::CompressedArrays &a, Idx major, Idx minor)
+validCompressed(const SparsityPattern &p, const std::vector<Value> &vals,
+                Idx major, Idx minor)
 {
-    if (static_cast<Idx>(a.ptr.size()) != major + 1)
+    if (static_cast<Idx>(p.ptr.size()) != major + 1)
         return false;
-    if (a.ptr.front() != 0 ||
-        a.ptr.back() != static_cast<Idx>(a.vals.size()))
+    if (p.ptr.front() != 0 ||
+        p.ptr.back() != static_cast<Idx>(vals.size()))
         return false;
-    if (a.idx.size() != a.vals.size())
+    if (p.idx.size() != vals.size())
         return false;
     for (Idx m = 0; m < major; ++m) {
-        if (a.ptr[m] > a.ptr[m + 1])
+        if (p.ptr[m] > p.ptr[m + 1])
             return false;
         Idx prev = -1;
-        for (Idx k = a.ptr[m]; k < a.ptr[m + 1]; ++k) {
-            Idx i = a.idx[k];
+        for (Idx k = p.ptr[m]; k < p.ptr[m + 1]; ++k) {
+            Idx i = p.idx[k];
             if (i < 0 || i >= minor || i <= prev)
                 return false;
             prev = i;
@@ -103,22 +109,59 @@ validCompressed(const detail::CompressedArrays &a, Idx major, Idx minor)
     return true;
 }
 
-/** The arrays every default-constructed matrix shares. */
-const std::shared_ptr<const detail::CompressedArrays> &
-emptyArrays()
+/** Same coordinates: the same storage, or equal contents. */
+bool
+samePattern(const PatternPtr &a, const PatternPtr &b)
+{
+    return a == b || *a == *b;
+}
+
+/** Same values: the same storage, or equal contents. */
+bool
+sameValues(const std::shared_ptr<const std::vector<Value>> &a,
+           const std::shared_ptr<const std::vector<Value>> &b)
+{
+    return a == b || *a == *b;
+}
+
+/** The pattern every default-constructed matrix shares. */
+const PatternPtr &
+emptyPattern()
+{
+    static const auto empty = std::make_shared<const SparsityPattern>();
+    return empty;
+}
+
+/** The values every default-constructed matrix shares. */
+const std::shared_ptr<const std::vector<Value>> &
+emptyValues()
 {
     static const auto empty =
-        std::make_shared<const detail::CompressedArrays>();
+        std::make_shared<const std::vector<Value>>();
     return empty;
+}
+
+/** `pattern` when it holds current's coordinates, else `current`. */
+PatternPtr
+adoptPattern(const PatternPtr &current, PatternPtr pattern)
+{
+    return pattern && samePattern(current, pattern) ? std::move(pattern)
+                                                    : current;
 }
 
 } // anonymous namespace
 
-CsrMatrix::CsrMatrix() : a_(emptyArrays()) {}
+CsrMatrix::CsrMatrix() : p_(emptyPattern()), v_(emptyValues()) {}
 
-CsrMatrix::CsrMatrix(detail::CompressedArrays arrays)
-    : a_(std::make_shared<const detail::CompressedArrays>(
-          std::move(arrays)))
+CsrMatrix::CsrMatrix(PatternPtr pattern,
+                     std::shared_ptr<const std::vector<Value>> vals)
+    : p_(std::move(pattern)), v_(std::move(vals))
+{
+}
+
+CsrMatrix::CsrMatrix(SparsityPattern pattern, std::vector<Value> vals)
+    : p_(std::make_shared<const SparsityPattern>(std::move(pattern))),
+      v_(std::make_shared<const std::vector<Value>>(std::move(vals)))
 {
 }
 
@@ -126,34 +169,34 @@ CsrMatrix
 CsrMatrix::fromCoo(CooMatrix coo)
 {
     coo.canonicalize();
-    detail::CompressedArrays out;
-    out.rows = coo.rows();
-    out.cols = coo.cols();
+    SparsityPattern pattern;
+    std::vector<Value> vals;
+    pattern.rows = coo.rows();
+    pattern.cols = coo.cols();
     compress(coo.rows(), coo.entries(),
              [](const Triplet &t) { return t.row; },
              [](const Triplet &t) { return t.col; },
-             out.ptr, out.idx, out.vals);
-    return CsrMatrix(std::move(out));
+             pattern.ptr, pattern.idx, vals);
+    return CsrMatrix(std::move(pattern), std::move(vals));
 }
 
 CsrMatrix
 CsrMatrix::fromCsc(const CscMatrix &csc)
 {
-    detail::CompressedArrays out =
-        transposeCompressed(csc.cols(), csc.rows(), csc.colPtr(),
-                            csc.rowIdx(), csc.vals());
-    out.rows = csc.rows();
-    out.cols = csc.cols();
-    return CsrMatrix(std::move(out));
+    std::vector<Value> vals;
+    SparsityPattern pattern =
+        transposeCompressed(csc.cols(), csc.rows(), *csc.pattern(),
+                            &csc.vals(), &vals);
+    return CsrMatrix(std::move(pattern), std::move(vals));
 }
 
 CsrMatrix
 CsrMatrix::fromParts(Idx rows, Idx cols, std::vector<Idx> row_ptr,
                      std::vector<Idx> col_idx, std::vector<Value> vals)
 {
-    CsrMatrix out(detail::CompressedArrays{
-        rows, cols, std::move(row_ptr), std::move(col_idx),
-        std::move(vals)});
+    CsrMatrix out(SparsityPattern{rows, cols, std::move(row_ptr),
+                                  std::move(col_idx)},
+                  std::move(vals));
     if (!out.validate())
         sp_panic("CsrMatrix::fromParts: arrays do not form a "
                  "canonical %lld x %lld CSR matrix",
@@ -175,17 +218,35 @@ CsrMatrix::toCoo() const
     return out;
 }
 
+CsrMatrix
+CsrMatrix::withPattern(PatternPtr pattern) const
+{
+    return CsrMatrix(adoptPattern(p_, std::move(pattern)), v_);
+}
+
 bool
 CsrMatrix::validate() const
 {
-    return validCompressed(*a_, rows(), cols());
+    return validCompressed(*p_, *v_, rows(), cols());
 }
 
-CscMatrix::CscMatrix() : a_(emptyArrays()) {}
+bool
+CsrMatrix::operator==(const CsrMatrix &other) const
+{
+    return samePattern(p_, other.p_) && sameValues(v_, other.v_);
+}
 
-CscMatrix::CscMatrix(detail::CompressedArrays arrays)
-    : a_(std::make_shared<const detail::CompressedArrays>(
-          std::move(arrays)))
+CscMatrix::CscMatrix() : p_(emptyPattern()), v_(emptyValues()) {}
+
+CscMatrix::CscMatrix(PatternPtr pattern,
+                     std::shared_ptr<const std::vector<Value>> vals)
+    : p_(std::move(pattern)), v_(std::move(vals))
+{
+}
+
+CscMatrix::CscMatrix(SparsityPattern pattern, std::vector<Value> vals)
+    : p_(std::make_shared<const SparsityPattern>(std::move(pattern))),
+      v_(std::make_shared<const std::vector<Value>>(std::move(vals)))
 {
 }
 
@@ -196,13 +257,14 @@ CscMatrix::fromCoo(CooMatrix coo)
     // The entries are now row-major canonical; a stable counting
     // sort by column lands them in (col, row) order without the
     // comparison sort the old sortColMajor() path paid.
-    detail::CompressedArrays out;
+    SparsityPattern out;
+    std::vector<Value> vals;
     out.rows = coo.rows();
     out.cols = coo.cols();
     const auto &entries = coo.entries();
     out.ptr.assign(static_cast<std::size_t>(coo.cols()) + 1, 0);
     out.idx.resize(entries.size());
-    out.vals.resize(entries.size());
+    vals.resize(entries.size());
     for (const Triplet &t : entries)
         ++out.ptr[static_cast<std::size_t>(t.col) + 1];
     for (std::size_t i = 1; i < out.ptr.size(); ++i)
@@ -212,20 +274,58 @@ CscMatrix::fromCoo(CooMatrix coo)
         const auto at = static_cast<std::size_t>(
             cursor[static_cast<std::size_t>(t.col)]++);
         out.idx[at] = t.row;
-        out.vals[at] = t.val;
+        vals[at] = t.val;
     }
-    return CscMatrix(std::move(out));
+    return CscMatrix(std::move(out), std::move(vals));
 }
 
 CscMatrix
 CscMatrix::fromCsr(const CsrMatrix &csr)
 {
-    detail::CompressedArrays out =
-        transposeCompressed(csr.rows(), csr.cols(), csr.rowPtr(),
-                            csr.colIdx(), csr.vals());
-    out.rows = csr.rows();
-    out.cols = csr.cols();
-    return CscMatrix(std::move(out));
+    std::vector<Value> vals;
+    SparsityPattern pattern =
+        transposeCompressed(csr.rows(), csr.cols(), *csr.pattern(),
+                            &csr.vals(), &vals);
+    return CscMatrix(std::move(pattern), std::move(vals));
+}
+
+CscMatrix
+CscMatrix::fromCsr(const CsrMatrix &csr, PatternPtr twin)
+{
+    // Scatter the values into twin's slots, checking each slot's row
+    // as it is written.  Every write lands inside its column's run
+    // and the nnz writes hit distinct slots, so a run that passes
+    // every check has filled twin exactly: twin is csr's transpose.
+    const SparsityPattern &t = *twin;
+    if (t.rows != csr.rows() || t.cols != csr.cols() ||
+        static_cast<Idx>(t.idx.size()) != csr.nnz())
+        sp_panic("CscMatrix::fromCsr: the twin pattern is not the "
+                 "transpose of the matrix");
+    std::vector<Value> vals(t.idx.size());
+    std::vector<Idx> cursor(t.ptr.begin(), t.ptr.end() - 1);
+    for (Idx r = 0; r < csr.rows(); ++r) {
+        const auto row_cols = csr.rowCols(r);
+        const auto row_vals = csr.rowVals(r);
+        for (std::size_t k = 0; k < row_cols.size(); ++k) {
+            const auto c = static_cast<std::size_t>(row_cols[k]);
+            const Idx at = cursor[c]++;
+            if (at >= t.ptr[c + 1] ||
+                t.idx[static_cast<std::size_t>(at)] != r)
+                sp_panic("CscMatrix::fromCsr: the twin pattern is not "
+                         "the transpose of the matrix");
+            vals[static_cast<std::size_t>(at)] = row_vals[k];
+        }
+    }
+    return CscMatrix(std::move(twin),
+                     std::make_shared<const std::vector<Value>>(
+                         std::move(vals)));
+}
+
+PatternPtr
+CscMatrix::patternOf(const CsrMatrix &csr)
+{
+    return std::make_shared<const SparsityPattern>(transposeCompressed(
+        csr.rows(), csr.cols(), *csr.pattern(), nullptr, nullptr));
 }
 
 CooMatrix
@@ -242,10 +342,22 @@ CscMatrix::toCoo() const
     return out;
 }
 
+CscMatrix
+CscMatrix::withPattern(PatternPtr pattern) const
+{
+    return CscMatrix(adoptPattern(p_, std::move(pattern)), v_);
+}
+
 bool
 CscMatrix::validate() const
 {
-    return validCompressed(*a_, cols(), rows());
+    return validCompressed(*p_, *v_, cols(), rows());
+}
+
+bool
+CscMatrix::operator==(const CscMatrix &other) const
+{
+    return samePattern(p_, other.p_) && sameValues(v_, other.v_);
 }
 
 } // namespace sparsepipe

@@ -4,11 +4,15 @@
  * this is the access order the IS (input-stationary) stage of the OEI
  * dataflow demands (scatter a matrix row against one input element).
  *
- * Both compressed forms are immutable values whose arrays are shared
- * on copy: a copy costs a reference-count bump, so every holder of
+ * Both compressed forms are immutable values made of two shared
+ * parts: a SparsityPattern (shape, pointers, indices) and the value
+ * array.  A copy costs two reference-count bumps, so every holder of
  * one operand (a cached prepared case, each run's workspace) reads
  * the same arrays, and none of them can outlive the others' storage.
- * A move copies too, so a moved-from matrix keeps its contents.
+ * Matrices that store the same coordinates may also share one
+ * pattern while each keeps its own values (withPattern): the value
+ * kinds of one reordered matrix do so in api::Session.  A move copies
+ * too, so a moved-from matrix keeps its contents.
  */
 
 #ifndef SPARSEPIPE_SPARSE_CSR_HH
@@ -25,23 +29,25 @@ namespace sparsepipe {
 
 class CscMatrix;
 
-namespace detail {
-
-/** The arrays of one compressed matrix, never modified once built. */
-struct CompressedArrays
+/**
+ * The coordinates of one compressed form of a matrix, apart from its
+ * values.  Never modified once built; matrices that store the same
+ * coordinates in the same form may share one.
+ */
+struct SparsityPattern
 {
     Idx rows = 0;
     Idx cols = 0;
-    /** Offsets into idx / vals, one per major coordinate + 1. */
+    /** Offsets into idx, one per major coordinate + 1. */
     std::vector<Idx> ptr = {0};
     /** Minor coordinates, ascending inside each major run. */
     std::vector<Idx> idx;
-    std::vector<Value> vals;
 
-    bool operator==(const CompressedArrays &other) const = default;
+    bool operator==(const SparsityPattern &other) const = default;
 };
 
-} // namespace detail
+/** A shared, immutable pattern. */
+using PatternPtr = std::shared_ptr<const SparsityPattern>;
 
 /**
  * Compressed Sparse Row matrix with canonical (ascending column)
@@ -52,8 +58,8 @@ class CsrMatrix
   public:
     /** The empty 0 x 0 matrix. */
     CsrMatrix();
-    // Copies share the arrays.  No move members are declared, so a
-    // move is a copy as well.
+    // Copies share the pattern and the values.  No move members are
+    // declared, so a move is a copy as well.
     CsrMatrix(const CsrMatrix &) = default;
     CsrMatrix &operator=(const CsrMatrix &) = default;
 
@@ -76,30 +82,41 @@ class CsrMatrix
     /** @return the matrix as COO (row-major canonical order). */
     CooMatrix toCoo() const;
 
-    Idx rows() const { return a_->rows; }
-    Idx cols() const { return a_->cols; }
-    Idx nnz() const { return static_cast<Idx>(a_->vals.size()); }
+    Idx rows() const { return p_->rows; }
+    Idx cols() const { return p_->cols; }
+    Idx nnz() const { return static_cast<Idx>(v_->size()); }
 
     /** @return number of non-zeros in row r. */
-    Idx rowNnz(Idx r) const { return a_->ptr[r + 1] - a_->ptr[r]; }
+    Idx rowNnz(Idx r) const { return p_->ptr[r + 1] - p_->ptr[r]; }
 
     /** @return column indices of row r. */
     std::span<const Idx> rowCols(Idx r) const
     {
-        return {a_->idx.data() + a_->ptr[r],
+        return {p_->idx.data() + p_->ptr[r],
                 static_cast<std::size_t>(rowNnz(r))};
     }
 
     /** @return values of row r. */
     std::span<const Value> rowVals(Idx r) const
     {
-        return {a_->vals.data() + a_->ptr[r],
+        return {v_->data() + p_->ptr[r],
                 static_cast<std::size_t>(rowNnz(r))};
     }
 
-    const std::vector<Idx> &rowPtr() const { return a_->ptr; }
-    const std::vector<Idx> &colIdx() const { return a_->idx; }
-    const std::vector<Value> &vals() const { return a_->vals; }
+    const std::vector<Idx> &rowPtr() const { return p_->ptr; }
+    const std::vector<Idx> &colIdx() const { return p_->idx; }
+    const std::vector<Value> &vals() const { return *v_; }
+
+    /** The row-form pattern this matrix reads. */
+    const PatternPtr &pattern() const { return p_; }
+
+    /**
+     * This matrix's values on `pattern`'s arrays when `pattern` holds
+     * the same coordinates as pattern(), else this matrix unchanged.
+     * Either way the result compares equal to this matrix; its
+     * pattern() tells which arrays it reads.
+     */
+    CsrMatrix withPattern(PatternPtr pattern) const;
 
     /**
      * Internal-consistency check: monotone row pointers, in-bounds and
@@ -108,16 +125,16 @@ class CsrMatrix
     bool validate() const;
 
     /** Compares contents, not storage. */
-    bool operator==(const CsrMatrix &other) const
-    {
-        return *a_ == *other.a_;
-    }
+    bool operator==(const CsrMatrix &other) const;
 
   private:
-    explicit CsrMatrix(detail::CompressedArrays arrays);
+    CsrMatrix(PatternPtr pattern,
+              std::shared_ptr<const std::vector<Value>> vals);
+    CsrMatrix(SparsityPattern pattern, std::vector<Value> vals);
 
     /** Never null; shared by every copy. */
-    std::shared_ptr<const detail::CompressedArrays> a_;
+    PatternPtr p_;
+    std::shared_ptr<const std::vector<Value>> v_;
 };
 
 /**
@@ -130,7 +147,8 @@ class CscMatrix
   public:
     /** The empty 0 x 0 matrix. */
     CscMatrix();
-    // Copies (and moves) share the arrays, as for CsrMatrix.
+    // Copies (and moves) share the pattern and values, as for
+    // CsrMatrix.
     CscMatrix(const CscMatrix &) = default;
     CscMatrix &operator=(const CscMatrix &) = default;
 
@@ -140,48 +158,64 @@ class CscMatrix
     /** Build from a row-ordered CSR matrix. */
     static CscMatrix fromCsr(const CsrMatrix &csr);
 
+    /**
+     * The CSC twin of `csr` on `twin`, which must be the column-form
+     * pattern of csr's coordinates (fatal otherwise): only the values
+     * are transposed, and the result reads twin's arrays.
+     */
+    static CscMatrix fromCsr(const CsrMatrix &csr, PatternPtr twin);
+
+    /** The column-form pattern of `csr`'s coordinates. */
+    static PatternPtr patternOf(const CsrMatrix &csr);
+
     /** @return the matrix as COO (row-major canonical order). */
     CooMatrix toCoo() const;
 
-    Idx rows() const { return a_->rows; }
-    Idx cols() const { return a_->cols; }
-    Idx nnz() const { return static_cast<Idx>(a_->vals.size()); }
+    Idx rows() const { return p_->rows; }
+    Idx cols() const { return p_->cols; }
+    Idx nnz() const { return static_cast<Idx>(v_->size()); }
 
     /** @return number of non-zeros in column c. */
-    Idx colNnz(Idx c) const { return a_->ptr[c + 1] - a_->ptr[c]; }
+    Idx colNnz(Idx c) const { return p_->ptr[c + 1] - p_->ptr[c]; }
 
     /** @return row indices of column c. */
     std::span<const Idx> colRows(Idx c) const
     {
-        return {a_->idx.data() + a_->ptr[c],
+        return {p_->idx.data() + p_->ptr[c],
                 static_cast<std::size_t>(colNnz(c))};
     }
 
     /** @return values of column c. */
     std::span<const Value> colVals(Idx c) const
     {
-        return {a_->vals.data() + a_->ptr[c],
+        return {v_->data() + p_->ptr[c],
                 static_cast<std::size_t>(colNnz(c))};
     }
 
-    const std::vector<Idx> &colPtr() const { return a_->ptr; }
-    const std::vector<Idx> &rowIdx() const { return a_->idx; }
-    const std::vector<Value> &vals() const { return a_->vals; }
+    const std::vector<Idx> &colPtr() const { return p_->ptr; }
+    const std::vector<Idx> &rowIdx() const { return p_->idx; }
+    const std::vector<Value> &vals() const { return *v_; }
+
+    /** The column-form pattern this matrix reads. */
+    const PatternPtr &pattern() const { return p_; }
+
+    /** See CsrMatrix::withPattern. */
+    CscMatrix withPattern(PatternPtr pattern) const;
 
     /** Structural validity check (see CsrMatrix::validate). */
     bool validate() const;
 
     /** Compares contents, not storage. */
-    bool operator==(const CscMatrix &other) const
-    {
-        return *a_ == *other.a_;
-    }
+    bool operator==(const CscMatrix &other) const;
 
   private:
-    explicit CscMatrix(detail::CompressedArrays arrays);
+    CscMatrix(PatternPtr pattern,
+              std::shared_ptr<const std::vector<Value>> vals);
+    CscMatrix(SparsityPattern pattern, std::vector<Value> vals);
 
     /** Never null; shared by every copy. */
-    std::shared_ptr<const detail::CompressedArrays> a_;
+    PatternPtr p_;
+    std::shared_ptr<const std::vector<Value>> v_;
 };
 
 } // namespace sparsepipe

@@ -5,7 +5,9 @@
  * generated matrices.
  */
 
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -257,6 +259,122 @@ TEST(StepBuckets, BadSubTensorIsFatal)
     CooMatrix raw = testing::smallGraph(16, 50);
     CscMatrix csc = CscMatrix::fromCoo(raw);
     EXPECT_DEATH(StepBuckets::build(csc, 0), "positive");
+}
+
+TEST(StepBuckets, HeldBytesStayUnderTheBound)
+{
+    for (const Idx t : {4, 16, 64}) {
+        const CooMatrix raw = testing::smallRmat(200, 3000, 11);
+        const CsrMatrix csr = CsrMatrix::fromCoo(raw);
+        const CscMatrix csc = CscMatrix::fromCsr(csr);
+        const std::uint64_t bound =
+            StepBuckets::boundBytes(csr.rows(), csr.cols(), csr.nnz(), t);
+        EXPECT_LE(StepBuckets::build(csc, t).heldBytes(), bound) << t;
+        EXPECT_LE(StepBuckets::buildTransposed(csr, t).heldBytes(), bound)
+            << t;
+    }
+}
+
+/** A CSR / CSC pair and a counted memo of its pattern. */
+struct MemoFixture
+{
+    CsrMatrix csr = CsrMatrix::fromCoo(testing::smallRmat(120, 1500, 21));
+    CscMatrix csc = CscMatrix::fromCsr(csr);
+    std::shared_ptr<BucketMemoCounters> counters =
+        std::make_shared<BucketMemoCounters>();
+    BucketMemo memo{csr.pattern(), csc.pattern(), counters};
+};
+
+TEST(BucketMemo, HitsReturnTheBuiltBucketsOfEachOrientation)
+{
+    MemoFixture f;
+    const auto cols = f.memo.build(f.csc, 16);
+    const auto rows = f.memo.buildTransposed(f.csr, 16);
+    EXPECT_TRUE(*cols == StepBuckets::build(f.csc, 16));
+    EXPECT_TRUE(*rows == StepBuckets::buildTransposed(f.csr, 16));
+    EXPECT_EQ(f.memo.build(f.csc, 16), cols);
+    EXPECT_EQ(f.memo.buildTransposed(f.csr, 16), rows);
+    // Copies of the matrices read the same pattern arrays.
+    const CscMatrix csc_copy = f.csc;
+    EXPECT_EQ(f.memo.build(csc_copy, 16), cols);
+    EXPECT_EQ(f.counters->misses.load(), 2u);
+    EXPECT_EQ(f.counters->hits.load(), 3u);
+    EXPECT_EQ(f.memo.heldBytes(), cols->heldBytes() + rows->heldBytes());
+
+    // A copied memo serves the same pattern and starts empty.
+    BucketMemo copy(f.memo);
+    EXPECT_EQ(copy.heldBytes(), 0u);
+    EXPECT_NE(copy.build(f.csc, 16), cols);
+    EXPECT_EQ(f.counters->misses.load(), 3u);
+}
+
+TEST(BucketMemo, ServesOnlyItsOwnPatternArrays)
+{
+    // Equal coordinates in other arrays, and other coordinates of the
+    // same shape, both get buckets built for the call, uncounted.
+    MemoFixture f;
+    const CscMatrix rebuilt = CscMatrix::fromCoo(f.csr.toCoo());
+    ASSERT_EQ(rebuilt, f.csc);
+    ASSERT_NE(rebuilt.pattern(), f.csc.pattern());
+    const CscMatrix other =
+        CscMatrix::fromCoo(testing::smallRmat(120, 1500, 22));
+    const auto own = f.memo.build(f.csc, 8);
+    const auto same_coords = f.memo.build(rebuilt, 8);
+    EXPECT_NE(same_coords, own);
+    EXPECT_TRUE(*same_coords == *own);
+    EXPECT_TRUE(*f.memo.build(other, 8) == StepBuckets::build(other, 8));
+    EXPECT_TRUE(*f.memo.buildTransposed(CsrMatrix::fromCsc(other), 8) ==
+                StepBuckets::buildTransposed(CsrMatrix::fromCsc(other), 8));
+    EXPECT_EQ(f.counters->misses.load(), 1u);
+    EXPECT_EQ(f.counters->hits.load(), 0u);
+
+    // A memo of no pattern builds every time.
+    BucketMemo none;
+    EXPECT_NE(none.build(f.csc, 8), none.build(f.csc, 8));
+    EXPECT_EQ(none.heldBytes(), 0u);
+}
+
+TEST(BucketMemo, FullMemoDropsItsOldestEntry)
+{
+    MemoFixture f;
+    std::vector<std::shared_ptr<const StepBuckets>> built;
+    for (Idx t = 1; t <= static_cast<Idx>(BucketMemo::kCapacity) + 1; ++t)
+        built.push_back(f.memo.build(f.csc, 4 * t));
+    EXPECT_EQ(f.counters->evictions.load(), 1u);
+    // The newest widths are held; the oldest (t = 4) was dropped,
+    // while the holder of its buckets keeps them.
+    EXPECT_EQ(f.memo.build(f.csc, 4 * static_cast<Idx>(
+                                      BucketMemo::kCapacity + 1)),
+              built.back());
+    EXPECT_EQ(f.memo.build(f.csc, 8), built[1]);
+    EXPECT_TRUE(*built.front() == StepBuckets::build(f.csc, 4));
+    const auto rebuilt = f.memo.build(f.csc, 4);
+    EXPECT_NE(rebuilt, built.front());
+    EXPECT_TRUE(*rebuilt == *built.front());
+    EXPECT_EQ(f.counters->misses.load(), BucketMemo::kCapacity + 2);
+    EXPECT_EQ(f.counters->evictions.load(), 2u);
+}
+
+TEST(BucketMemo, ConcurrentLookupsBuildOnce)
+{
+    // Runs under the TSan CI job.
+    MemoFixture f;
+    constexpr int kThreads = 8;
+    std::vector<std::shared_ptr<const StepBuckets>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i)
+        threads.emplace_back([&f, &got, i] {
+            got[static_cast<std::size_t>(i)] =
+                i % 2 ? f.memo.build(f.csc, 8)
+                      : f.memo.buildTransposed(f.csr, 8);
+        });
+    for (std::thread &t : threads)
+        t.join();
+    for (int i = 2; i < kThreads; ++i)
+        EXPECT_EQ(got[static_cast<std::size_t>(i)],
+                  got[static_cast<std::size_t>(i % 2)]);
+    EXPECT_EQ(f.counters->misses.load(), 2u);
+    EXPECT_EQ(f.counters->hits.load(), kThreads - 2u);
 }
 
 } // namespace

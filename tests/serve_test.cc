@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/session.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "serve/admission.hh"
@@ -238,40 +239,50 @@ runOf(const char *app, const char *dataset)
     return req;
 }
 
-/** Bytes of a compressed matrix's three host arrays. */
+/** Bytes of the index arrays of a pattern's two forms. */
 std::uint64_t
-arrayBytes(const std::vector<Idx> &ptr, const std::vector<Idx> &idx,
-           const std::vector<Value> &vals)
+indexBytes(const api::PreparedPattern &pattern)
 {
-    return (ptr.size() + idx.size()) * sizeof(Idx) +
-           vals.size() * sizeof(Value);
+    return (pattern.csr->ptr.size() + pattern.csr->idx.size() +
+            pattern.csc->ptr.size() + pattern.csc->idx.size()) *
+           sizeof(Idx);
 }
 
 TEST(ServeAdmission, ResidentEstimateBracketsTheBytesHeld)
 {
-    // What concurrent runs hold: each distinct prepared CSR + CSC
-    // twin once (pr and label share one), and the dense tensors of
-    // every run's workspace (which shares the pair).  The estimate,
-    // sized from the dataset spec alone, must not undercount it and
-    // must stay within 2x.
-    api::Session session;
+    // What concurrent runs hold: each distinct pattern once (its
+    // index arrays and the timing buckets its runs built; the value
+    // kinds share one), each distinct operand's values once (pr and
+    // label share them), and the dense tensors of every run's
+    // workspace (which shares the operand).  The estimate, sized from
+    // the dataset spec alone, must not undercount it and must stay
+    // within 2x.
     const std::vector<std::vector<const char *>> groups = {
-        {"pr"}, {"bfs"}, {"sssp"}, {"gcn"}, {"cg"}, {"pr", "label"}};
+        {"pr"},          {"bfs"},          {"sssp"},
+        {"gcn"},         {"cg"},           {"pr", "label"},
+        {"pr", "bfs", "sssp", "gcn", "cg"}};
     for (const std::vector<const char *> &group : groups) {
+        api::Session session;
         std::uint64_t held = 0, estimate = 0;
         std::set<const Value *> operands;
-        std::set<std::string> keys;
+        std::set<const api::PreparedPattern *> patterns;
+        std::set<std::string> keys, pattern_keys;
         std::string label;
         for (const char *app : group) {
             label += std::string(app) + " ";
             const api::PreparedCase &pc =
                 session.prepared(app, "gy", ReorderKind::Vanilla);
+            // A run builds the buckets its pattern memoizes.
+            api::RunRequest req;
+            req.app = app;
+            req.dataset = "gy";
+            req.iters = 2;
+            ASSERT_TRUE(session.run(req).ok()) << label;
             const Workspace ws = api::Session::bindWorkspace(pc);
+            patterns.insert(pc.pattern.get());
             if (operands.insert(pc.csr.vals().data()).second)
-                held += arrayBytes(pc.csr.rowPtr(), pc.csr.colIdx(),
-                                   pc.csr.vals()) +
-                        arrayBytes(pc.csc.colPtr(), pc.csc.rowIdx(),
-                                   pc.csc.vals());
+                held += (pc.csr.vals().size() + pc.csc.vals().size()) *
+                        sizeof(Value);
             const auto &tensors = pc.app.program.tensors();
             for (std::size_t id = 0; id < tensors.size(); ++id) {
                 const auto tid = static_cast<TensorId>(id);
@@ -285,15 +296,26 @@ TEST(ServeAdmission, ResidentEstimateBracketsTheBytesHeld)
             estimate += charge.own_bytes;
             if (keys.insert(charge.shared_key).second)
                 estimate += charge.shared_bytes;
+            if (pattern_keys.insert(charge.pattern_key).second)
+                estimate += charge.pattern_bytes;
+        }
+        for (const api::PreparedPattern *pattern : patterns) {
+            ASSERT_NE(pattern, nullptr) << label;
+            EXPECT_GT(pattern->buckets.heldBytes(), 0u) << label;
+            held += indexBytes(*pattern) + pattern->buckets.heldBytes();
         }
         EXPECT_EQ(operands.size(), keys.size()) << label;
+        EXPECT_EQ(patterns.size(), pattern_keys.size()) << label;
         EXPECT_GE(estimate, held) << label;
         EXPECT_LE(estimate, 2 * held) << label;
     }
     for (const Request &unknown : {runOf("nope", "gy"), runOf("pr", "nope")}) {
         const serve::Charge charge = serve::estimateResidentBytes(unknown);
-        EXPECT_EQ(charge.own_bytes + charge.shared_bytes, 0u);
+        EXPECT_EQ(charge.own_bytes + charge.shared_bytes +
+                      charge.pattern_bytes,
+                  0u);
         EXPECT_TRUE(charge.shared_key.empty());
+        EXPECT_TRUE(charge.pattern_key.empty());
     }
 }
 
@@ -301,27 +323,35 @@ TEST(ServeAdmission, TicketsOfOneOperandChargeItOnce)
 {
     // pr and label prepare the same row-stochastic operand of gy, so
     // their tickets hold one operand plus two workspaces; bfs needs
-    // the boolean operand, another seed another matrix.
+    // the boolean operand on the same pattern, cg the SPD operand on
+    // a pattern of its own, another seed another matrix.
     const serve::Charge pr = serve::estimateResidentBytes(runOf("pr", "gy"));
     const serve::Charge label =
         serve::estimateResidentBytes(runOf("label", "gy"));
     const serve::Charge bfs =
         serve::estimateResidentBytes(runOf("bfs", "gy"));
+    const serve::Charge cg = serve::estimateResidentBytes(runOf("cg", "gy"));
     ASSERT_FALSE(pr.shared_key.empty());
+    ASSERT_FALSE(pr.pattern_key.empty());
     ASSERT_GT(pr.own_bytes, 0u);
+    ASSERT_GT(pr.pattern_bytes, 0u);
     EXPECT_EQ(pr.shared_key, label.shared_key);
     EXPECT_EQ(pr.shared_bytes, label.shared_bytes);
     EXPECT_NE(pr.shared_key, bfs.shared_key);
+    EXPECT_EQ(pr.pattern_key, bfs.pattern_key);
+    EXPECT_EQ(pr.pattern_bytes, bfs.pattern_bytes);
+    EXPECT_NE(pr.pattern_key, cg.pattern_key);
     Request reseeded = runOf("pr", "gy");
     reseeded.seed = 7;
-    EXPECT_NE(serve::estimateResidentBytes(reseeded).shared_key,
-              pr.shared_key);
+    const serve::Charge other = serve::estimateResidentBytes(reseeded);
+    EXPECT_NE(other.shared_key, pr.shared_key);
+    EXPECT_NE(other.pattern_key, pr.pattern_key);
 
-    // A budget that fits one operand and both workspaces admits the
-    // pair, and sheds a third run needing another operand.
+    // A budget that fits one pattern, one operand and both workspaces
+    // admits the pair, and sheds a third run needing another operand.
     AdmissionController::Config config;
     config.memory_budget_bytes =
-        pr.shared_bytes + pr.own_bytes + label.own_bytes;
+        pr.pattern_bytes + pr.shared_bytes + pr.own_bytes + label.own_bytes;
     AdmissionController adm(config);
     StatusOr<Ticket> t_pr = adm.tryAdmit(pr);
     StatusOr<Ticket> t_label = adm.tryAdmit(label);
@@ -331,21 +361,40 @@ TEST(ServeAdmission, TicketsOfOneOperandChargeItOnce)
     ASSERT_FALSE(t_bfs.ok());
     EXPECT_EQ(t_bfs.status().code(), StatusCode::ResourceExhausted);
 
-    // The operand stays charged while any ticket holds it, and a
-    // moved ticket carries its share.
+    // The operand and its pattern stay charged while any ticket holds
+    // them, and a moved ticket carries its shares.
     t_pr->release();
     EXPECT_EQ(adm.stats().in_flight_bytes,
-              label.shared_bytes + label.own_bytes);
+              label.pattern_bytes + label.shared_bytes + label.own_bytes);
     Ticket moved = std::move(t_label).value();
     moved.release();
     EXPECT_EQ(adm.stats().in_flight, 0u);
     EXPECT_EQ(adm.stats().in_flight_bytes, 0u);
 
-    // Released, the key charges again.
+    // Released, the keys charge again.
     StatusOr<Ticket> again = adm.tryAdmit(label);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(adm.stats().in_flight_bytes,
-              label.shared_bytes + label.own_bytes);
+              label.pattern_bytes + label.shared_bytes + label.own_bytes);
+    again->release();
+
+    // pr and bfs: two kinds, two operands, one pattern charged once.
+    AdmissionController::Config wide;
+    wide.memory_budget_bytes = pr.pattern_bytes + pr.shared_bytes +
+                               pr.own_bytes + bfs.shared_bytes +
+                               bfs.own_bytes;
+    AdmissionController both(wide);
+    StatusOr<Ticket> w_pr = both.tryAdmit(pr);
+    StatusOr<Ticket> w_bfs = both.tryAdmit(bfs);
+    ASSERT_TRUE(w_pr.ok() && w_bfs.ok());
+    EXPECT_EQ(both.stats().in_flight_bytes, wide.memory_budget_bytes);
+    // cg's SPD operand reads another pattern: it does not fit.
+    EXPECT_FALSE(both.tryAdmit(cg).ok());
+    w_pr->release();
+    EXPECT_EQ(both.stats().in_flight_bytes,
+              bfs.pattern_bytes + bfs.shared_bytes + bfs.own_bytes);
+    w_bfs->release();
+    EXPECT_EQ(both.stats().in_flight_bytes, 0u);
 }
 
 TEST(ServeAdmission, TicketMovesCarryTheSlot)
@@ -670,17 +719,24 @@ TEST(ServeServer, AppsOfOneKindShareOneOperand)
     ASSERT_TRUE(client.ok());
 
     // pr and label prepare the same operand of ca: two per-app
-    // cases, one operand.
-    for (const char *app : {"pr", "label"}) {
+    // cases, one operand.  bfs prepares another kind on the same
+    // pattern, so all three runs time on one bucket set.
+    for (const char *app : {"pr", "label", "bfs"}) {
         Request req = runOf(app, "ca");
         req.iters = 2;
         StatusOr<Response> resp = client->call(req);
         ASSERT_TRUE(resp.ok() && resp->status.ok()) << app;
     }
-    EXPECT_EQ(counter(server, "cache.prepared.misses"), 2.0);
-    EXPECT_EQ(counter(server, "cache.operand.misses"), 1.0);
+    EXPECT_EQ(counter(server, "cache.prepared.misses"), 3.0);
+    EXPECT_EQ(counter(server, "cache.operand.misses"), 2.0);
     EXPECT_EQ(counter(server, "cache.operand.hits"), 1.0);
     EXPECT_EQ(counter(server, "cache.operand.evictions"), 0.0);
+    EXPECT_EQ(counter(server, "cache.pattern.misses"), 1.0);
+    EXPECT_EQ(counter(server, "cache.pattern.hits"), 1.0);
+    EXPECT_EQ(counter(server, "cache.pattern.evictions"), 0.0);
+    EXPECT_EQ(counter(server, "cache.buckets.misses"), 1.0);
+    EXPECT_EQ(counter(server, "cache.buckets.hits"), 2.0);
+    EXPECT_EQ(counter(server, "cache.buckets.evictions"), 0.0);
 }
 
 TEST(ServeServer, ConcurrentIdenticalRequestsRunOneSimulation)

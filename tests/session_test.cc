@@ -17,6 +17,7 @@
 
 #include "api/session.hh"
 #include "apps/apps.hh"
+#include "core/buckets.hh"
 #include "obs/metrics.hh"
 #include "prep/blocked.hh"
 #include "ref/executor.hh"
@@ -662,20 +663,44 @@ TEST(Session, AppsOfOneKindShareOneOperand)
             continue;
         EXPECT_EQ(pc.csr.vals().data(), first->second->csr.vals().data())
             << info.name;
-        EXPECT_EQ(pc.csc.rowIdx().data(),
-                  first->second->csc.rowIdx().data())
+        EXPECT_EQ(pc.csc.vals().data(), first->second->csc.vals().data())
             << info.name;
+        EXPECT_EQ(pc.pattern, first->second->pattern) << info.name;
     }
     ASSERT_EQ(first_of_kind.size(), 4u);
+    // The three value kinds share one pattern's index arrays and keep
+    // their own values; SPD's A + A^T shares neither.
+    const auto spd = [](PrepareKind kind) {
+        return kind == PrepareKind::Spd;
+    };
     for (const auto &[kind_a, a] : first_of_kind) {
         for (const auto &[kind_b, b] : first_of_kind) {
             if (kind_a == kind_b)
                 continue;
+            const bool one_pattern = !spd(kind_a) && !spd(kind_b);
             EXPECT_NE(a->csr.vals().data(), b->csr.vals().data());
-            EXPECT_NE(a->csc.rowIdx().data(), b->csc.rowIdx().data());
+            EXPECT_NE(a->csc.vals().data(), b->csc.vals().data());
+            EXPECT_EQ(a->csr.colIdx().data() == b->csr.colIdx().data(),
+                      one_pattern);
+            EXPECT_EQ(a->csr.rowPtr().data() == b->csr.rowPtr().data(),
+                      one_pattern);
+            EXPECT_EQ(a->csc.rowIdx().data() == b->csc.rowIdx().data(),
+                      one_pattern);
+            EXPECT_EQ(a->csc.colPtr().data() == b->csc.colPtr().data(),
+                      one_pattern);
+            EXPECT_EQ(a->pattern == b->pattern, one_pattern);
         }
     }
+    for (const auto &[kind, pc] : first_of_kind) {
+        ASSERT_NE(pc->pattern, nullptr);
+        EXPECT_EQ(pc->csr.pattern(), pc->pattern->csr);
+        EXPECT_EQ(pc->csc.pattern(), pc->pattern->csc);
+        EXPECT_EQ(pc->blocked_bytes_per_nz,
+                  pc->pattern->blocked_bytes_per_nz);
+    }
     const api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_EQ(stats.pattern.misses, 1u);
+    EXPECT_EQ(stats.pattern.hits, 2u);
     EXPECT_EQ(stats.operand.misses, 4u);
     EXPECT_EQ(stats.operand.hits, 7u);
     EXPECT_EQ(stats.prepared.misses, 11u);
@@ -695,6 +720,32 @@ TEST(Session, AppsOfOneKindShareOneOperand)
         EXPECT_NE(other.csr.vals().data(), pr->csr.vals().data());
     }
     EXPECT_EQ(session.cacheStats().operand.misses, 6u);
+}
+
+TEST(Session, SpdOperandKeepsAPatternOfItsOwn)
+{
+    // cg's SPD operand stores other coordinates than the matrix, so
+    // it builds its own pattern without touching the pattern layer;
+    // the value kinds prepared after it share the layer's, which is
+    // the boolean prepare's.
+    api::Session session;
+    const api::PreparedCase &cg =
+        session.prepared("cg", "ca", ReorderKind::Vanilla);
+    const api::PreparedCase &pr =
+        session.prepared("pr", "ca", ReorderKind::Vanilla);
+    const api::PreparedCase &bfs =
+        session.prepared("bfs", "ca", ReorderKind::Vanilla);
+    EXPECT_NE(cg.pattern, pr.pattern);
+    EXPECT_EQ(pr.pattern, bfs.pattern);
+    EXPECT_EQ(session.cacheStats().pattern.misses, 1u);
+    EXPECT_EQ(session.cacheStats().pattern.hits, 1u);
+    const CooMatrix &reordered =
+        session.reordered("ca", ReorderKind::Vanilla);
+    EXPECT_EQ(*pr.pattern->csr,
+              *Prepare{PrepareKind::Boolean}(reordered).pattern());
+    expectSameOperand(pr, api::prepareCase("pr", reordered), "pr");
+    expectSameOperand(bfs, api::prepareCase("bfs", reordered), "bfs");
+    expectSameOperand(cg, api::prepareCase("cg", reordered), "cg");
 }
 
 TEST(Session, ResidentOperandNeedsNoReorderedMatrix)
@@ -774,6 +825,244 @@ TEST(Session, EvictedOperandLeavesItsCasesArraysIntact)
     EXPECT_EQ(stats.operand.misses, 3u);
     EXPECT_NE(label->csr.vals().data(), pr->csr.vals().data());
     expectSameOperand(*label, *pr, "label");
+}
+
+TEST(Session, EvictedOperandLeavesItsCasesPatternAndBucketsAlive)
+{
+    // Runs under the ASan CI job: pr's run fills its pattern's bucket
+    // memo; preparing cg and then bfs on another dataset evicts pr's
+    // case, its operand and the pattern layer's entry.  The case pr's
+    // caller pins must keep the pattern, and a rerun must read the
+    // memoized buckets it holds.
+    api::Session session;
+    session.setCacheCapacities(1, 1, 1);
+    const std::shared_ptr<const api::PreparedCase> pr =
+        session.preparedShared("pr", "gy", ReorderKind::Vanilla);
+    const std::weak_ptr<const api::PreparedPattern> pattern = pr->pattern;
+    api::RunRequest req;
+    req.app = "pr";
+    req.dataset = "gy";
+    req.iters = 4;
+    const SimStats first = session.run(req, *pr).value().stats;
+    session.preparedShared("cg", "gy", ReorderKind::Vanilla);
+    session.preparedShared("bfs", "ca", ReorderKind::Vanilla);
+    api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_GE(stats.pattern.evictions, 1u);
+    EXPECT_GE(stats.operand.evictions, 2u);
+    EXPECT_EQ(stats.buckets.misses, 1u);
+
+    ASSERT_FALSE(pattern.expired());
+    EXPECT_GT(pr->pattern->buckets.heldBytes(), 0u);
+    req.iters = 6; // a functional miss, then timing on the memo
+    testing::expectSameSimStats(
+        session.run(req, *pr).value().stats,
+        twoStageRun(req, api::prepareCase(
+                             "pr", session.reordered(
+                                       "gy", ReorderKind::Vanilla))),
+        "pr");
+    req.iters = 4;
+    testing::expectSameSimStats(session.run(req, *pr).value().stats,
+                                first, "pr again");
+    stats = session.cacheStats();
+    EXPECT_EQ(stats.buckets.misses, 1u);
+    EXPECT_EQ(stats.buckets.hits, 2u);
+}
+
+/** True when the program's leading sparse op is an SpMM (gcn). */
+bool
+usesSpmm(const Program &program)
+{
+    for (const OpNode &op : program.ops())
+        if (op.kind == OpKind::Spmm)
+            return true;
+    return false;
+}
+
+/** The memo's buckets of a prepared case at the default width. */
+std::shared_ptr<const StepBuckets>
+memoBuckets(const api::PreparedCase &pc)
+{
+    const Idx t = SparsepipeConfig::isoGpu().resolveSubTensor(
+        pc.csc.cols(), pc.csc.nnz());
+    return usesSpmm(pc.app.program)
+               ? pc.pattern->buckets.buildTransposed(pc.csr, t)
+               : pc.pattern->buckets.build(pc.csc, t);
+}
+
+TEST(BucketMemo, EveryAppOnEveryStandInMatchesAFreshBuild)
+{
+    // The paper grid at two iterations: every case's memoized buckets
+    // equal a fresh build, and every Session run equals the two-stage
+    // run on a bound workspace, which builds its buckets per call.
+    // Each dataset's eleven apps build three bucket sets: the value
+    // kinds' pattern in CSC order and transposed (gcn), and SPD's.
+    api::Session session;
+    std::size_t datasets = 0;
+    for (const DatasetSpec &spec : datasetSpecs()) {
+        ++datasets;
+        for (const AppInfo &info : appInfos()) {
+            const std::string label = info.name + "-" + spec.name;
+            api::RunRequest req;
+            req.app = info.name;
+            req.dataset = spec.name;
+            req.iters = 2;
+            const api::RunReport report = session.run(req).value();
+            const api::PreparedCase &pc = session.prepared(
+                info.name, spec.name, ReorderKind::Vanilla);
+            ASSERT_NE(pc.pattern, nullptr) << label;
+            const Idx t = SparsepipeConfig::isoGpu().resolveSubTensor(
+                pc.csc.cols(), pc.csc.nnz());
+            const StepBuckets fresh =
+                usesSpmm(pc.app.program)
+                    ? StepBuckets::buildTransposed(pc.csr, t)
+                    : StepBuckets::build(pc.csc, t);
+            EXPECT_TRUE(*memoBuckets(pc) == fresh) << label;
+            testing::expectSameSimStats(report.stats,
+                                        twoStageRun(req, pc), label);
+        }
+    }
+    const api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_EQ(stats.buckets.misses, 3 * datasets);
+    EXPECT_EQ(stats.buckets.evictions, 0u);
+    EXPECT_EQ(stats.pattern.misses, datasets);
+    EXPECT_EQ(stats.pattern.hits, 2 * datasets);
+}
+
+TEST(BucketMemo, ElevenAppsOfADatasetBuildThreeSets)
+{
+    api::Session session;
+    api::RunRequest req;
+    req.dataset = "gy";
+    req.iters = 2;
+    for (const AppInfo &info : appInfos()) {
+        req.app = info.name;
+        ASSERT_TRUE(session.run(req).ok()) << info.name;
+    }
+    // A second round reads every set from the memos.
+    for (const AppInfo &info : appInfos()) {
+        req.app = info.name;
+        req.sp.buffer_bytes = 256 << 10;
+        ASSERT_TRUE(session.run(req).ok()) << info.name;
+    }
+    const api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_EQ(stats.buckets.misses, 3u);
+    EXPECT_EQ(stats.buckets.hits, 2 * appInfos().size() - 3);
+    EXPECT_EQ(stats.buckets.evictions, 0u);
+}
+
+TEST(BucketMemo, ReplacedOperandGetsFreshBuckets)
+{
+    // A copied case keeps its pattern's memo, but once its operand is
+    // replaced by another pattern (the same dataset at another seed:
+    // same shape, other coordinates) the memo must not serve it.
+    api::Session session;
+    for (const char *app : {"pr", "gcn"}) {
+        api::RunRequest req;
+        req.app = app;
+        req.dataset = "gy";
+        req.iters = 3;
+        ASSERT_TRUE(session.run(req).ok()) << app;
+        api::PreparedCase copy =
+            session.prepared(app, "gy", ReorderKind::Vanilla);
+        const api::PreparedCase &other =
+            session.prepared(app, "gy", ReorderKind::Vanilla, 7);
+        ASSERT_FALSE(copy.csr == other.csr);
+        copy.csr = other.csr;
+        copy.csc = other.csc;
+        copy.blocked_bytes_per_nz = other.blocked_bytes_per_nz;
+        copy.nnz = other.nnz;
+        ASSERT_NE(copy.pattern, other.pattern);
+        const api::Session::CacheStatsSnapshot before =
+            session.cacheStats();
+        const SimStats replaced = session.run(req, copy).value().stats;
+        const api::Session::CacheStatsSnapshot after =
+            session.cacheStats();
+        EXPECT_EQ(after.buckets.hits, before.buckets.hits) << app;
+        EXPECT_EQ(after.buckets.misses, before.buckets.misses) << app;
+        testing::expectSameSimStats(replaced, twoStageRun(req, other),
+                                    app);
+    }
+}
+
+TEST(BucketMemo, WidthsBeyondCapacityDropTheOldest)
+{
+    // pr on gy at more sub-tensor widths than the memo holds: each
+    // width's first run builds, the oldest widths go, and every run
+    // equals the two-stage run.
+    api::Session session;
+    api::RunRequest req;
+    req.app = "pr";
+    req.dataset = "gy";
+    req.iters = 3;
+    const std::vector<Idx> widths = {64, 128, 256, 512, 1024, 2048};
+    ASSERT_GT(widths.size(), BucketMemo::kCapacity);
+    const api::PreparedCase &pc =
+        session.prepared("pr", "gy", ReorderKind::Vanilla);
+    for (const Idx t : widths) {
+        req.sp.sub_tensor_cols = t;
+        testing::expectSameSimStats(session.run(req).value().stats,
+                                    twoStageRun(req, pc),
+                                    "t=" + std::to_string(t));
+    }
+    const std::uint64_t dropped = widths.size() - BucketMemo::kCapacity;
+    api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_EQ(stats.buckets.misses, widths.size());
+    EXPECT_EQ(stats.buckets.evictions, dropped);
+
+    // The newest width is still held; the oldest was dropped.
+    req.sp.sub_tensor_cols = widths.back();
+    ASSERT_TRUE(session.run(req).ok());
+    EXPECT_EQ(session.cacheStats().buckets.hits, 1u);
+    req.sp.sub_tensor_cols = widths.front();
+    testing::expectSameSimStats(session.run(req).value().stats,
+                                twoStageRun(req, pc), "t=64 again");
+    stats = session.cacheStats();
+    EXPECT_EQ(stats.buckets.misses, widths.size() + 1);
+    EXPECT_EQ(stats.buckets.evictions, dropped + 1);
+}
+
+TEST(BucketMemo, ConcurrentRunsOnOnePatternAgree)
+{
+    // Runs under the TSan CI job: threads running every value kind of
+    // gy at once share one pattern, build its buckets once, and each
+    // equals its two-stage run.
+    api::Session session;
+    const std::vector<const char *> apps = {"pr", "label", "bfs",
+                                            "sssp", "kpp", "kcore"};
+    const int threads_per_app = 2;
+    std::vector<std::thread> threads;
+    std::vector<StatusOr<api::RunReport>> reports(
+        apps.size() * threads_per_app,
+        Status(StatusCode::Internal, "unset"));
+    std::barrier start(static_cast<std::ptrdiff_t>(reports.size()));
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        threads.emplace_back([&, i] {
+            api::RunRequest req;
+            req.app = apps[i % apps.size()];
+            req.dataset = "gy";
+            req.iters = 3;
+            start.arrive_and_wait();
+            reports[i] = session.run(req);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const char *app = apps[i % apps.size()];
+        ASSERT_TRUE(reports[i].ok()) << reports[i].status().toString();
+        api::RunRequest req;
+        req.app = app;
+        req.dataset = "gy";
+        req.iters = 3;
+        testing::expectSameSimStats(
+            reports[i]->stats,
+            twoStageRun(req, session.prepared(app, "gy",
+                                              ReorderKind::Vanilla)),
+            app);
+    }
+    const api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_EQ(stats.buckets.misses, 1u);
+    EXPECT_EQ(stats.buckets.hits, reports.size() - 1);
 }
 
 } // anonymous namespace

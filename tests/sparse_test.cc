@@ -159,6 +159,59 @@ TEST(CompressedMatrix, CopiesShareArraysAndCompareByContent)
     EXPECT_EQ(empty_csr, CsrMatrix::fromCoo(CooMatrix(0, 0)));
 }
 
+TEST(CompressedMatrix, AdoptedPatternKeepsContentsAndValues)
+{
+    // B has A's coordinates in arrays of its own and other values.
+    // Adopting A's pattern leaves B equal by content, reading A's
+    // index arrays and its own values.
+    const CsrMatrix a = CsrMatrix::fromCoo(testing::smallGraph(32, 200));
+    const CsrMatrix b = testing::perturbValues(a);
+    ASSERT_NE(b.colIdx().data(), a.colIdx().data());
+    const CsrMatrix adopted = b.withPattern(a.pattern());
+    EXPECT_EQ(adopted, b);
+    EXPECT_FALSE(adopted == a);
+    EXPECT_EQ(adopted.pattern(), a.pattern());
+    EXPECT_EQ(adopted.colIdx().data(), a.colIdx().data());
+    EXPECT_EQ(adopted.rowPtr().data(), a.rowPtr().data());
+    EXPECT_EQ(adopted.vals().data(), b.vals().data());
+    EXPECT_TRUE(adopted.validate());
+
+    // The CSC twin on A's column pattern: the transpose of B's values
+    // in A's CSC index arrays.
+    const CscMatrix a_csc = CscMatrix::fromCsr(a);
+    const CscMatrix twin = CscMatrix::fromCsr(adopted, a_csc.pattern());
+    EXPECT_EQ(twin, CscMatrix::fromCsr(b));
+    EXPECT_EQ(twin.rowIdx().data(), a_csc.rowIdx().data());
+    EXPECT_EQ(twin.colPtr().data(), a_csc.colPtr().data());
+    EXPECT_NE(twin.vals().data(), a_csc.vals().data());
+    EXPECT_EQ(*CscMatrix::patternOf(b), *a_csc.pattern());
+    EXPECT_EQ(CsrMatrix::fromCsc(twin), b);
+}
+
+TEST(CompressedMatrix, ForeignPatternIsNotAdopted)
+{
+    const CsrMatrix a = CsrMatrix::fromCoo(testing::smallGraph(32, 200));
+    const CsrMatrix other =
+        CsrMatrix::fromCoo(testing::smallGraph(32, 200, 7));
+    ASSERT_FALSE(*a.pattern() == *other.pattern());
+    EXPECT_EQ(a.withPattern(other.pattern()).pattern(), a.pattern());
+    EXPECT_EQ(a.withPattern(nullptr).pattern(), a.pattern());
+    const CscMatrix a_csc = CscMatrix::fromCsr(a);
+    EXPECT_EQ(a_csc.withPattern(CscMatrix::patternOf(other)).pattern(),
+              a_csc.pattern());
+}
+
+TEST(CompressedMatrixDeathTest, TwinOfOtherCoordinatesIsFatal)
+{
+    // A twin that is not the transpose of the matrix's coordinates.
+    const CsrMatrix a = CsrMatrix::fromCoo(testing::smallGraph(32, 200));
+    const CsrMatrix other =
+        CsrMatrix::fromCoo(testing::smallGraph(32, 200, 7));
+    EXPECT_DEATH(CscMatrix::fromCsr(a, CscMatrix::patternOf(other)),
+                 "not the transpose");
+    EXPECT_DEATH(CscMatrix::fromCsr(a, other.pattern()), "not the");
+}
+
 class FormatRoundTrip : public ::testing::TestWithParam<std::uint64_t>
 {
 };

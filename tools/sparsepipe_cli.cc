@@ -139,8 +139,8 @@ usage()
         "  --iters N           loop iterations (default: app "
         "default)\n"
         "  --buffer-kb N       on-chip buffer size\n"
-        "  --lanes N           packed-SIMD lane width (0 = widest "
-        "backend,\n"
+        "  --lanes N           packed-SIMD lane width (0 = preferred "
+        "width, 4;\n"
         "                      1 = scalar element path; "
         "bit-identical)\n"
         "  --band-threads N    threads stepping column bands of one "
