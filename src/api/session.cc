@@ -318,18 +318,23 @@ Session::run(const RunRequest &req, const PreparedCase &pc)
             engine->attachTrace(req.trace);
         engine->setCancelToken(req.cancel);
 
-        // Values once per (max_iters, semantics): a memo hit replays
-        // only the timing stage and binds no workspace.
+        // Values never for a program without a convergence test, and
+        // once per (max_iters, semantics) for the others: a known
+        // outcome replays only the timing stage and binds no
+        // workspace.
         const Idx max_iters =
             req.iters > 0 ? req.iters : pc.app.default_iters;
         const backend::ValueSemantics semantics =
             engine->valueSemantics();
-        const std::optional<RunResult> memo =
-            pc.functional.find(max_iters, semantics);
-        (memo ? functional_hits_ : functional_misses_)
-            .fetch_add(1, std::memory_order_relaxed);
+        std::optional<RunResult> known =
+            valueFreeOutcome(pc.app.program, max_iters);
+        if (!known) {
+            known = pc.functional.find(max_iters, semantics);
+            (known ? functional_hits_ : functional_misses_)
+                .fetch_add(1, std::memory_order_relaxed);
+        }
         std::optional<Workspace> ws;
-        if (!memo)
+        if (!known)
             ws.emplace(bindWorkspace(pc));
 
         RunReport report;
@@ -339,7 +344,7 @@ Session::run(const RunRequest &req, const PreparedCase &pc)
         report.nnz = pc.nnz;
         const auto t0 = std::chrono::steady_clock::now();
         const RunResult outcome =
-            memo ? *memo : engine->runFunctional(*ws, max_iters);
+            known ? *known : engine->runFunctional(*ws, max_iters);
         report.stats = engine->runTiming(
             pc.app.program,
             OperandPatterns(pc.app.matrix, pc.csr, pc.csc,
@@ -349,7 +354,7 @@ Session::run(const RunRequest &req, const PreparedCase &pc)
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - t0)
                 .count();
-        if (!memo && pc.functional.publish(max_iters, semantics, outcome))
+        if (!known && pc.functional.publish(max_iters, semantics, outcome))
             functional_evictions_.fetch_add(1, std::memory_order_relaxed);
         return report;
     } catch (...) {

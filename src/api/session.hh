@@ -65,18 +65,22 @@
  * Functional memo.  A run has a functional stage (values, which
  * decide only the iteration a convergent app stops at) and a timing
  * stage (cycles, from the operand pattern and the hardware
- * configuration; see backend::CycleEngine).  Each PreparedCase
- * memoizes the functional outcome {iterations, converged} per
- * (max_iters, value semantics): Sparsepipe's fused kernels and
- * gamma's reference interpreter are the two semantics.  The first
- * run of a key binds a workspace and runs both stages; every later
- * run of it, whatever its buffer, bandwidth, memory system or lane
- * settings, is timing-only and binds nothing.  The stats are bit
- * for bit those of the two-stage run.  Two threads that miss on one
- * key both compute (a miss never waits on another thread) and
- * publish the same outcome; a run that fails or is cancelled
- * publishes nothing.  cacheStats().functional counts hits and
- * misses.
+ * configuration; see backend::CycleEngine).  A program without a
+ * convergence test (kpp, knn, gcn, gmres) runs every iteration
+ * whatever its values, so its runs take their outcome from
+ * valueFreeOutcome(): they bind no workspace, run the timing stage
+ * alone, and neither look up nor publish anything.  For the others,
+ * each PreparedCase memoizes the functional outcome {iterations,
+ * converged} per (max_iters, value semantics): Sparsepipe's fused
+ * kernels and gamma's reference interpreter are the two semantics.
+ * The first run of a key binds a workspace and runs both stages;
+ * every later run of it, whatever its buffer, bandwidth, memory
+ * system or lane settings, is timing-only and binds nothing.  Either
+ * way the stats are bit for bit those of the two-stage run.  Two
+ * threads that miss on one key both compute (a miss never waits on
+ * another thread) and publish the same outcome; a run that fails or
+ * is cancelled publishes nothing.  cacheStats().functional counts
+ * the hits and misses of the programs with a convergence test.
  *
  * Thread safety: a Session may be shared by concurrent callers.  The
  * caches serialize construction per key (KeyedCache), every run gets
@@ -255,7 +259,8 @@ struct RunReport
     SimStats stats;
     /**
      * Host wall-clock spent inside the engine: the timing stage,
-     * plus the functional stage on a memo miss (binding and
+     * plus the functional stage when the run computes values (a memo
+     * miss of a program with a convergence test; binding and
      * preprocessing excluded).  Machine-dependent — never part of a
      * byte-compared artifact; the explore dataset records it so the
      * cost of producing each row is queryable.
@@ -331,9 +336,10 @@ class Session
      * `pattern` the pattern layer, looked up once per `operand` miss
      * whose operand stores every entry of its matrix; `prepared`
      * counts the per-app layer.  `functional` counts run() lookups
-     * in the cases' functional memos, and as evictions the entries a
-     * full memo dropped (entries also go, uncounted, with their
-     * case).
+     * in the cases' functional memos (runs of a program with a
+     * convergence test only: the others make none), and as evictions
+     * the entries a full memo dropped (entries also go, uncounted,
+     * with their case).
      * `buckets` counts the timing stage's lookups in the bucket memos
      * of the patterns this Session built: a miss is a bucket build.
      */

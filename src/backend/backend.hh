@@ -26,9 +26,11 @@
  *  - a CycleEngine in two stages: runFunctional() leaves the
  *    workspace in a state value-identical to RefExecutor (the
  *    differential fuzzer diffs every registered backend against ref
- *    on every case) and returns {iterations, converged};
- *    runTiming() is a pure function of (program, config, operand
- *    patterns, that outcome, max_iters);
+ *    on every case) and returns {iterations, converged}, which for
+ *    a program without a convergence test must equal
+ *    valueFreeOutcome() (api::Session times such programs without
+ *    calling it); runTiming() is a pure function of (program,
+ *    config, operand patterns, that outcome, max_iters);
  *  - SimStats whose attribution phases tile [0, cycles] and whose
  *    bucket totals reconcile exactly with the cycle count (use the
  *    src/obs ActivityLog / PhaseWindow machinery and the DramModel
@@ -93,9 +95,11 @@ enum class ValueSemantics
  * executes the workspace (value-equivalent to RefExecutor) and
  * returns {iterations, converged}; runTiming() times that outcome
  * from the operand patterns alone.  run() composes them and is the
- * one path of every caller that binds its own workspace.  Trace and
- * cancellation follow the SparsepipeSim contract; only runTiming()
- * emits trace events.
+ * one path of every caller that binds its own workspace and reads
+ * it afterwards.  A caller that needs only the stats of a program
+ * without a convergence test calls runTiming() on
+ * valueFreeOutcome() instead.  Trace and cancellation follow the
+ * SparsepipeSim contract; only runTiming() emits trace events.
  */
 class CycleEngine
 {

@@ -1,6 +1,7 @@
 #include "core/autotune.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/logging.hh"
 
@@ -39,13 +40,18 @@ autotuneSubTensor(const AppInstance &app, const CsrMatrix &prepared,
     }
 
     // The probes differ only in sub_tensor_cols, which moves no
-    // value: compute the pilot's outcome once and time it per
-    // candidate.
-    Workspace ws(app.program);
-    ws.bindMatrix(app.matrix, prepared, csc);
-    app.init(ws);
-    const RunResult pilot =
-        SparsepipeSim(config).runFunctional(ws, pilot_iters);
+    // value: take the pilot's outcome once (computing values only
+    // when a convergence test can stop the program early) and time
+    // it per candidate.
+    const RunResult pilot = [&] {
+        if (const std::optional<RunResult> known =
+                valueFreeOutcome(app.program, pilot_iters))
+            return *known;
+        Workspace ws(app.program);
+        ws.bindMatrix(app.matrix, prepared, csc);
+        app.init(ws);
+        return SparsepipeSim(config).runFunctional(ws, pilot_iters);
+    }();
     const OperandPatterns operands(app.matrix, prepared, csc);
 
     AutotuneResult result;

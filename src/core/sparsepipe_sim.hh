@@ -148,8 +148,10 @@ class OperandPatterns
  *    outcome, max_iters).
  *
  * run() composes the two.  A caller that already knows a case's
- * outcome (api::Session's memo, the autotuner's probes) calls
- * runTiming() alone.
+ * outcome calls runTiming() alone: api::Session from its memo, the
+ * autotuner for every probe after the pilot, and both, for a program
+ * without a convergence test, from valueFreeOutcome() without
+ * computing any value.
  */
 class SparsepipeSim
 {

@@ -1,5 +1,6 @@
 #include "ref/executor.hh"
 
+#include <algorithm>
 #include <limits>
 
 #include "util/logging.hh"
@@ -275,6 +276,14 @@ RefExecutor::applyCarries(Workspace &ws) const
             break;
         }
     }
+}
+
+std::optional<RunResult>
+valueFreeOutcome(const Program &program, Idx max_iters)
+{
+    if (program.hasConvergence())
+        return std::nullopt;
+    return RunResult{std::max<Idx>(max_iters, 0), false};
 }
 
 RunResult

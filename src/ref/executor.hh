@@ -14,6 +14,8 @@
 #ifndef SPARSEPIPE_REF_EXECUTOR_HH
 #define SPARSEPIPE_REF_EXECUTOR_HH
 
+#include <optional>
+
 #include "lang/workspace.hh"
 #include "util/status.hh"
 
@@ -27,6 +29,19 @@ struct RunResult
     /** True when the convergence condition stopped the loop. */
     bool converged = false;
 };
+
+/**
+ * The outcome of running `program` for up to max_iters iterations,
+ * when its values cannot decide it.  A program without a convergence
+ * test runs every iteration, so every engine's functional stage (and
+ * RefExecutor::run) returns {max(max_iters, 0), false} for it
+ * whatever its operands hold; a caller that needs only the outcome
+ * (a timing-only run) can skip computing the values.  nullopt for a
+ * program with a convergence test: its values pick the iteration it
+ * stops at.
+ */
+std::optional<RunResult> valueFreeOutcome(const Program &program,
+                                          Idx max_iters);
 
 /**
  * Operator-at-a-time interpreter.

@@ -143,11 +143,16 @@ class Coalescer
         return j;
     }
 
-    /** Fulfill the flight and remove it from the table. */
+    /**
+     * Remove the flight from the table, then fulfill it.  In that
+     * order, a waiter that wakes and asks for the key again leads a
+     * fresh flight instead of joining the finished one.
+     */
     void
     complete(const std::string &key, const FlightPtr &flight,
              Result result)
     {
+        eraseFlight(key, flight);
         {
             std::lock_guard<std::mutex> lock(flight->mutex_);
             flight->result_ =
@@ -155,21 +160,20 @@ class Coalescer
             flight->done_ = true;
         }
         flight->cv_.notify_all();
-        eraseFlight(key, flight);
     }
 
-    /** Fulfill the flight with an exception (wait() rethrows it). */
+    /** complete(), with an exception (wait() rethrows it). */
     void
     completeError(const std::string &key, const FlightPtr &flight,
                   std::exception_ptr error)
     {
+        eraseFlight(key, flight);
         {
             std::lock_guard<std::mutex> lock(flight->mutex_);
             flight->error_ = std::move(error);
             flight->done_ = true;
         }
         flight->cv_.notify_all();
-        eraseFlight(key, flight);
     }
 
     /**

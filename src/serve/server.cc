@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "apps/apps.hh"
+#include "ref/executor.hh"
 #include "sparse/datasets.hh"
 #include "util/logging.hh"
 
@@ -72,7 +73,10 @@ estimateResidentBytes(const Request &req)
     charge.shared_key =
         matrix + "/" + std::to_string(static_cast<int>(kind));
     charge.shared_bytes = 2 * entries * sizeof(Value);
-    // The run's own workspace: the dense tensors.
+    // The run's own workspace, the dense tensors, unless Session::run
+    // times it without values and binds none.
+    if (valueFreeOutcome(instance.program, static_cast<Idx>(req.iters)))
+        return charge;
     for (const TensorInfo &t : instance.program.tensors()) {
         if (t.kind == TensorKind::Vector)
             charge.own_bytes +=

@@ -220,8 +220,10 @@ class Server
  * seed, PrepareKind).  So concurrent runs of every app of one kind
  * charge the values once and of every value kind the pattern once.
  * Own: the dense tensors of the run's workspace, sized from the app's
- * Program.  Sized from the dataset spec, never from the data, so it
- * errs high, not low.  Unknown names estimate an empty charge.
+ * Program, or nothing when the program has no convergence test
+ * (Session::run times it from valueFreeOutcome and binds no
+ * workspace).  Sized from the dataset spec, never from the data, so
+ * it errs high, not low.  Unknown names estimate an empty charge.
  */
 Charge estimateResidentBytes(const Request &req);
 

@@ -9,6 +9,9 @@
  */
 
 #include <cstring>
+#include <optional>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -248,6 +251,47 @@ TEST(CycleEngines, TimingIgnoresValues)
             testing::expectSameSimStats(full, replay, label);
             EXPECT_EQ(replay.iterations, full.iterations) << label;
             EXPECT_EQ(replay.converged, full.converged) << label;
+        }
+    }
+}
+
+TEST(CycleEngines, FunctionalStageOfAValueFreeProgramIsValueFreeOutcome)
+{
+    // api::Session and the autotuner time a program without a
+    // convergence test from valueFreeOutcome() instead of running its
+    // functional stage, so every backend's stage must return exactly
+    // that.  The four apps below are the registry's programs without
+    // a convergence test; one that gains a test fails here.
+    const std::set<std::string> value_free = {"gcn", "gmres", "knn",
+                                              "kpp"};
+    const Idx n = 200;
+    const CooMatrix raw = smallRmat(n, 3000, 3);
+    for (const AppInfo &info : appInfos()) {
+        const AppInstance app = makeApp(info.name, n);
+        if (!value_free.count(info.name)) {
+            EXPECT_FALSE(valueFreeOutcome(app.program, app.default_iters))
+                << info.name;
+            continue;
+        }
+        const CsrMatrix csr = app.prepare(raw);
+        const CscMatrix csc = CscMatrix::fromCsr(csr);
+        for (backend::BackendKind kind : backend::registeredBackends()) {
+            for (Idx iters : {Idx{0}, Idx{1}, Idx{2}, app.default_iters}) {
+                const std::string label =
+                    std::string(backend::backendName(kind)) + "/" +
+                    info.name + " iters " + std::to_string(iters);
+                const std::optional<RunResult> expected =
+                    valueFreeOutcome(app.program, iters);
+                ASSERT_TRUE(expected.has_value()) << label;
+                Workspace ws(app.program);
+                ws.bindMatrix(app.matrix, csr, csc);
+                app.init(ws);
+                const RunResult got =
+                    backend::makeEngine(kind, SparsepipeConfig::isoGpu())
+                        ->runFunctional(ws, iters);
+                EXPECT_EQ(got.iterations, expected->iterations) << label;
+                EXPECT_EQ(got.converged, expected->converged) << label;
+            }
         }
     }
 }

@@ -186,6 +186,29 @@ TEST(Autotune, RespectsExplicitCandidatesAndValidatesPilot)
                  ">= 2 iterations");
 }
 
+TEST(Autotune, ValueFreePilotTimesLikeAFullRunPerCandidate)
+{
+    // knn and gcn have no convergence test, so the tuner times their
+    // pilot without computing its values.  Each probe must still
+    // read the cycles of a full run at its width.
+    const Idx n = 1024;
+    const CooMatrix raw = smallRmat(n, 12000, 47);
+    const SparsepipeConfig cfg = SparsepipeConfig::isoGpu();
+    for (const char *name : {"knn", "gcn"}) {
+        const AppInstance app = makeApp(name, n);
+        ASSERT_TRUE(valueFreeOutcome(app.program, 4)) << name;
+        const AutotuneResult tuned = autotuneSubTensor(app, raw, cfg);
+        ASSERT_GT(tuned.probes.size(), 1u) << name;
+        for (const TunePoint &probe : tuned.probes) {
+            SparsepipeConfig at = cfg;
+            at.sub_tensor_cols = probe.sub_tensor_cols;
+            EXPECT_EQ(probe.cycles,
+                      SparsepipeSim(at).simulateApp(app, raw, 4).cycles)
+                << name << " t=" << probe.sub_tensor_cols;
+        }
+    }
+}
+
 TEST(FailureInjection, SimulatingUnboundMatrixIsFatal)
 {
     AppInstance app = makePageRank(32);

@@ -253,10 +253,11 @@ TEST(ServeAdmission, ResidentEstimateBracketsTheBytesHeld)
     // What concurrent runs hold: each distinct pattern once (its
     // index arrays and the timing buckets its runs built; the value
     // kinds share one), each distinct operand's values once (pr and
-    // label share them), and the dense tensors of every run's
-    // workspace (which shares the operand).  The estimate, sized from
-    // the dataset spec alone, must not undercount it and must stay
-    // within 2x.
+    // label share them), and the dense tensors of every run that
+    // binds a workspace (which shares the operand): gcn's program has
+    // no convergence test, so its run binds none.  The estimate,
+    // sized from the dataset spec alone, must not undercount it and
+    // must stay within 2x.
     const std::vector<std::vector<const char *>> groups = {
         {"pr"},          {"bfs"},          {"sssp"},
         {"gcn"},         {"cg"},           {"pr", "label"},
@@ -278,18 +279,21 @@ TEST(ServeAdmission, ResidentEstimateBracketsTheBytesHeld)
             req.dataset = "gy";
             req.iters = 2;
             ASSERT_TRUE(session.run(req).ok()) << label;
-            const Workspace ws = api::Session::bindWorkspace(pc);
             patterns.insert(pc.pattern.get());
             if (operands.insert(pc.csr.vals().data()).second)
                 held += (pc.csr.vals().size() + pc.csc.vals().size()) *
                         sizeof(Value);
-            const auto &tensors = pc.app.program.tensors();
-            for (std::size_t id = 0; id < tensors.size(); ++id) {
-                const auto tid = static_cast<TensorId>(id);
-                if (tensors[id].kind == TensorKind::Vector)
-                    held += ws.vec(tid).size() * sizeof(Value);
-                else if (tensors[id].kind == TensorKind::DenseMatrix)
-                    held += ws.den(tid).data().size() * sizeof(Value);
+            if (!valueFreeOutcome(pc.app.program, req.iters)) {
+                const Workspace ws = api::Session::bindWorkspace(pc);
+                const auto &tensors = pc.app.program.tensors();
+                for (std::size_t id = 0; id < tensors.size(); ++id) {
+                    const auto tid = static_cast<TensorId>(id);
+                    if (tensors[id].kind == TensorKind::Vector)
+                        held += ws.vec(tid).size() * sizeof(Value);
+                    else if (tensors[id].kind == TensorKind::DenseMatrix)
+                        held +=
+                            ws.den(tid).data().size() * sizeof(Value);
+                }
             }
             const serve::Charge charge =
                 serve::estimateResidentBytes(runOf(app, "gy"));
@@ -317,6 +321,27 @@ TEST(ServeAdmission, ResidentEstimateBracketsTheBytesHeld)
         EXPECT_TRUE(charge.shared_key.empty());
         EXPECT_TRUE(charge.pattern_key.empty());
     }
+}
+
+TEST(ServeAdmission, ValueFreeRunsChargeNoWorkspace)
+{
+    // Session::run binds no workspace for a program without a
+    // convergence test (knn, gcn), so their runs own no bytes; pr's
+    // run owns its dense vectors.
+    for (const char *app : {"knn", "gcn"}) {
+        const serve::Charge charge =
+            serve::estimateResidentBytes(runOf(app, "gy"));
+        EXPECT_EQ(charge.own_bytes, 0u) << app;
+        EXPECT_GT(charge.shared_bytes, 0u) << app;
+        EXPECT_GT(charge.pattern_bytes, 0u) << app;
+    }
+    const AppInstance pr = makeApp("pr", datasetSpec("gy").rows);
+    std::uint64_t vectors = 0;
+    for (const TensorInfo &t : pr.program.tensors())
+        if (t.kind == TensorKind::Vector)
+            vectors += static_cast<std::uint64_t>(t.dim0) * sizeof(Value);
+    EXPECT_EQ(serve::estimateResidentBytes(runOf("pr", "gy")).own_bytes,
+              vectors);
 }
 
 TEST(ServeAdmission, TicketsOfOneOperandChargeItOnce)
@@ -470,6 +495,47 @@ TEST(ServeCoalesce, FlightEndsWithTheLeaderSoNothingGoesStale)
     EXPECT_TRUE(second.leader);
     EXPECT_EQ(coalescer.stats().leaders, 2u);
     EXPECT_EQ(coalescer.stats().followers, 0u);
+}
+
+TEST(ServeCoalesce, WaiterThatAsksAgainLeadsAFreshFlight)
+{
+    // A waiter that sees a flight's outcome and at once asks for the
+    // key again must lead a fresh flight: the finished one leaves the
+    // table before it publishes.  The waiter polls (a zero deadline
+    // detaches it from the unfinished flight, whose leader still
+    // waits, and it joins again), so it can ask again a few
+    // instructions after the outcome appears; many rounds make that
+    // window show.
+    constexpr int kRounds = 2000;
+    Coalescer<int> coalescer;
+    int stale = 0;
+    for (int round = 0; round < kRounds; ++round) {
+        const Coalescer<int>::Join first = coalescer.begin("k");
+        ASSERT_TRUE(first.leader);
+        std::thread completer(
+            [&] { coalescer.complete("k", first.flight, round); });
+        Coalescer<int>::Join join;
+        std::shared_ptr<const int> seen;
+        do {
+            join = coalescer.begin("k");
+            if (join.leader)
+                break; // the finished flight had left the table
+            seen = coalescer.wait(join.flight,
+                                  std::chrono::steady_clock::now());
+        } while (!seen);
+        if (seen) {
+            EXPECT_EQ(*seen, round);
+            join = coalescer.begin("k");
+            stale += !join.leader;
+        }
+        completer.join();
+        if (join.leader)
+            coalescer.complete("k", join.flight, -1);
+        coalescer.wait(join.flight);
+        coalescer.wait(first.flight);
+        ASSERT_EQ(coalescer.inFlight(), 0u);
+    }
+    EXPECT_EQ(stale, 0) << "of " << kRounds << " rounds";
 }
 
 TEST(ServeCoalesce, LeaderExceptionReachesEveryFollower)
@@ -802,6 +868,29 @@ TEST(ServeServer, ConcurrentIdenticalRequestsRunOneSimulation)
     EXPECT_TRUE(coalesced_all)
         << "no attempt fully coalesced " << kClients
         << " identical concurrent requests into one simulation";
+}
+
+TEST(ServeServer, SequentialIdenticalRequestsEachRunASimulation)
+{
+    // Coalescing serves concurrent requests only: a client's next
+    // identical request arrives after the flight finished, so it
+    // starts a fresh run instead of reading the finished flight.
+    ServerConfig config;
+    Server server(config);
+    ASSERT_TRUE(server.start().ok());
+    StatusOr<Client> client = Client::connect(loopback(server.port()));
+    ASSERT_TRUE(client.ok());
+    Request req;
+    req.app = "pr";
+    req.dataset = "gy";
+    req.iters = 2;
+    for (int i = 0; i < 3; ++i) {
+        StatusOr<Response> resp = client->call(req);
+        ASSERT_TRUE(resp.ok() && resp->status.ok()) << "request " << i;
+        EXPECT_FALSE(resp->coalesced) << "request " << i;
+    }
+    EXPECT_EQ(counter(server, "serve.sim_runs"), 3.0);
+    EXPECT_EQ(counter(server, "serve.coalesced_total"), 0.0);
 }
 
 TEST(ServeServer, ShedsWithRetryAfterWhenAtCapacity)

@@ -409,7 +409,8 @@ TEST(FunctionalMemo, HitEqualsTheTwoStageRunAcrossSweepAxes)
     // system for sparsepipe, the buffer sizes for gamma.  The first
     // run of each (case, backend) misses; every other one replays the
     // memoized outcome and must equal a full two-stage run bit for
-    // bit.  bfs converges before its default iteration count.
+    // bit.  bfs converges before its default iteration count.  gcn
+    // has no convergence test, so its runs make no lookup at all.
     struct Point
     {
         bool iso_cpu;
@@ -424,7 +425,7 @@ TEST(FunctionalMemo, HitEqualsTheTwoStageRunAcrossSweepAxes)
     }
 
     api::Session session;
-    std::uint64_t runs = 0, keys = 0;
+    std::uint64_t lookups = 0, keys = 0;
     const struct
     {
         const char *app;
@@ -435,8 +436,9 @@ TEST(FunctionalMemo, HitEqualsTheTwoStageRunAcrossSweepAxes)
     for (const auto &c : kCases) {
         const api::PreparedCase &pc =
             session.prepared(c.app, c.dataset, ReorderKind::Vanilla);
+        const bool memoized = pc.app.program.hasConvergence();
         for (backend::BackendKind kind : backend::registeredBackends()) {
-            ++keys;
+            keys += memoized;
             for (const Point &pt : points) {
                 if (kind == backend::BackendKind::Gamma &&
                     (pt.iso_cpu || pt.bandwidth_gb_s != 504.0))
@@ -457,7 +459,7 @@ TEST(FunctionalMemo, HitEqualsTheTwoStageRunAcrossSweepAxes)
                     std::to_string(pt.bandwidth_gb_s) + " GB/s " +
                     std::to_string(pt.buffer_kb) + " KiB";
                 const api::RunReport report = session.run(req).value();
-                ++runs;
+                lookups += memoized;
                 testing::expectSameSimStats(report.stats,
                                             twoStageRun(req, pc), label);
             }
@@ -465,7 +467,51 @@ TEST(FunctionalMemo, HitEqualsTheTwoStageRunAcrossSweepAxes)
     }
     const api::Session::CacheStatsSnapshot stats = session.cacheStats();
     EXPECT_EQ(stats.functional.misses, keys);
-    EXPECT_EQ(stats.functional.hits, runs - keys);
+    EXPECT_EQ(stats.functional.hits, lookups - keys);
+    EXPECT_EQ(stats.functional.evictions, 0u);
+}
+
+TEST(FunctionalMemo, ValueFreeProgramsMakeNoLookup)
+{
+    // kpp, knn, gcn and gmres have no convergence test, so every run
+    // of them ends in valueFreeOutcome: Session::run times it without
+    // binding a workspace, looking up or publishing, and still equals
+    // the two-stage run bit for bit.
+    api::Session session;
+    for (const char *app : {"kpp", "knn", "gcn", "gmres"}) {
+        for (const char *dataset : {"gy", "ca"}) {
+            const api::PreparedCase &pc =
+                session.prepared(app, dataset, ReorderKind::Vanilla);
+            ASSERT_TRUE(
+                valueFreeOutcome(pc.app.program, pc.app.default_iters))
+                << app;
+            for (backend::BackendKind kind :
+                 backend::registeredBackends()) {
+                api::RunRequest req;
+                req.app = app;
+                req.dataset = dataset;
+                req.backend = kind;
+                const std::string label = std::string(app) + "-" +
+                                          dataset + " " +
+                                          backend::backendName(kind);
+                const api::RunReport report = session.run(req).value();
+                EXPECT_EQ(report.stats.iterations, pc.app.default_iters)
+                    << label;
+                EXPECT_FALSE(report.stats.converged) << label;
+                testing::expectSameSimStats(report.stats,
+                                            twoStageRun(req, pc), label);
+            }
+            for (backend::ValueSemantics semantics :
+                 {backend::ValueSemantics::FusedOei,
+                  backend::ValueSemantics::Reference})
+                EXPECT_FALSE(
+                    pc.functional.find(pc.app.default_iters, semantics))
+                    << app << "-" << dataset;
+        }
+    }
+    const api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_EQ(stats.functional.hits, 0u);
+    EXPECT_EQ(stats.functional.misses, 0u);
     EXPECT_EQ(stats.functional.evictions, 0u);
 }
 
@@ -608,15 +654,18 @@ TEST(FunctionalMemo, ConcurrentRunsOfOneKeyAgree)
 
 TEST(FunctionalMemo, CancelledRunPublishesNothing)
 {
+    // pr's program, stopping once its residual (a sum of absolute
+    // differences) drops below 0: a convergence test its values never
+    // meet, so the run goes on until the deadline and the functional
+    // stage's per-iteration poll unwinds it mid-way.
     api::Session session;
-    const api::PreparedCase &pc =
-        session.prepared("knn", "gy", ReorderKind::Vanilla);
+    api::PreparedCase pc =
+        session.prepared("pr", "gy", ReorderKind::Vanilla);
+    pc.app.program.setConvergence(pc.app.program.convergenceScalar(),
+                                  0.0);
     api::RunRequest req;
-    req.app = "knn";
+    req.app = "pr";
     req.dataset = "gy";
-    // knn has no convergence test, so it runs far more iterations
-    // than the deadline allows: the functional stage's per-iteration
-    // poll unwinds the run mid-way.
     req.iters = 1000000;
     CancelToken token;
     req.cancel = &token;
@@ -627,6 +676,21 @@ TEST(FunctionalMemo, CancelledRunPublishesNothing)
     EXPECT_EQ(session.cacheStats().functional.misses, 1u);
     EXPECT_FALSE(pc.functional.find(req.iters,
                                     backend::ValueSemantics::FusedOei));
+
+    // knn has no convergence test: its run is timing-only, and the
+    // pass engine's polls unwind it.
+    const api::PreparedCase &knn =
+        session.prepared("knn", "gy", ReorderKind::Vanilla);
+    req.app = "knn";
+    CancelToken knn_token;
+    req.cancel = &knn_token;
+    knn_token.setDeadlineAfterMs(100);
+    run = session.run(req, knn);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::DeadlineExceeded);
+    EXPECT_EQ(session.cacheStats().functional.misses, 1u);
+    EXPECT_FALSE(knn.functional.find(req.iters,
+                                     backend::ValueSemantics::FusedOei));
 }
 
 // ---------------------------------------------------------------
