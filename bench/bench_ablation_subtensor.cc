@@ -62,11 +62,10 @@ main(int argc, char **argv)
         for (const std::string &dataset : sets) {
             RunConfig cfg;
             applyArgOverrides(args, cfg);
-            const CooMatrix &raw =
-                preparedDataset(dataset, cfg.reorder);
-            AppInstance app = makeApp("pr", raw.rows());
+            const api::PreparedCase &pc = api::Session::process().prepared(
+                "pr", dataset, cfg.reorder, cfg.seed);
             AutotuneResult tuned =
-                autotuneSubTensor(app, raw, cfg.sp);
+                autotuneSubTensor(pc.app, pc.csr, pc.csc, cfg.sp);
             cfg.sp.sub_tensor_cols = tuned.best;
             CaseResult r = runCase("pr", dataset, cfg);
             row.push_back(std::to_string(r.sp.cycles) + " (T=" +

@@ -32,11 +32,10 @@ main(int argc, char **argv)
                   "blocked+reorder %", "bytes/nnz"});
     std::vector<double> ratios;
     for (const std::string &name : allDatasets()) {
-        CsrMatrix plain =
-            CsrMatrix::fromCoo(preparedDataset(name,
-                                               ReorderKind::None));
-        CsrMatrix reord = CsrMatrix::fromCoo(
-            preparedDataset(name, ReorderKind::Vanilla));
+        const CsrMatrix &plain =
+            preparedDataset(name, ReorderKind::None);
+        const CsrMatrix &reord =
+            preparedDataset(name, ReorderKind::Vanilla);
 
         Idx dual = dualStorageBytes(plain.nnz(), plain.rows(),
                                     plain.cols());

@@ -18,11 +18,11 @@ rawDataset(const std::string &name, std::uint64_t seed)
     return api::Session::process().raw(name, seed);
 }
 
-const CooMatrix &
+const CsrMatrix &
 preparedDataset(const std::string &name, ReorderKind reorder,
                 std::uint64_t seed)
 {
-    return api::Session::process().reordered(name, reorder, seed);
+    return api::Session::process().reordered(name, reorder, seed).csr;
 }
 
 StatusOr<CaseResult>

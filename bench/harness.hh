@@ -94,10 +94,10 @@ const CooMatrix &rawDataset(const std::string &name,
                             std::uint64_t seed = kDefaultSeed);
 
 /**
- * Dataset after symmetric row reordering (cached per
+ * Dataset after symmetric row reordering, in CSR form (cached per
  * (name, reorder, seed); thread-safe like rawDataset()).
  */
-const CooMatrix &preparedDataset(const std::string &name,
+const CsrMatrix &preparedDataset(const std::string &name,
                                  ReorderKind reorder,
                                  std::uint64_t seed = kDefaultSeed);
 

@@ -44,65 +44,48 @@ FunctionalMemo::publish(Idx max_iters, backend::ValueSemantics semantics,
 namespace {
 
 /**
- * The pattern of `csr`: its row form, the column form, the blocked
- * sizing and a bucket memo adding to `counters`.
+ * The pattern of `csr` and `csc`, the two forms of one matrix: the
+ * blocked sizing and a bucket memo adding to `counters`.
  */
 PreparedPattern
-makePattern(const CsrMatrix &csr,
+makePattern(const CsrMatrix &csr, const CscMatrix &csc,
             std::shared_ptr<BucketMemoCounters> counters)
 {
-    const PatternPtr csc = CscMatrix::patternOf(csr);
     // The default block size is always legal, so value() cannot trip.
     return PreparedPattern{
-        csr.pattern(), csc,
+        csr.pattern(), csc.pattern(),
         buildBlockedLayout(csr).value().bytesPerNonzero(),
-        BucketMemo(csr.pattern(), csc, std::move(counters))};
+        BucketMemo(csr.pattern(), csc.pattern(), std::move(counters))};
 }
 
-/**
- * True when `csr` stores exactly the coordinates of `coo`'s entries,
- * in their order (`csr` is canonical, so `coo` is then sorted and
- * duplicate-free).  Every such operand of one matrix has one pattern.
- */
-bool
-storesEveryEntryOf(const CsrMatrix &csr, const CooMatrix &coo)
-{
-    if (csr.rows() != coo.rows() || csr.cols() != coo.cols() ||
-        csr.nnz() != coo.nnz())
-        return false;
-    auto entry = coo.entries().begin();
-    for (Idx r = 0; r < csr.rows(); ++r) {
-        for (Idx c : csr.rowCols(r)) {
-            if (entry->row != r || entry->col != c)
-                return false;
-            ++entry;
-        }
-    }
-    return true;
-}
-
-/**
- * Finish a prepared CSR into an operand: on `shared` when its
- * coordinates equal that pattern's, keeping only its own values,
- * else on a pattern of its own.  Then the CSC twin's values and the
- * blocked sizing come from the pattern.
- */
+/** The operand of both forms, which read `pattern`'s arrays. */
 PreparedOperand
-prepareOperand(CsrMatrix csr, std::shared_ptr<const PreparedPattern> shared,
-               std::shared_ptr<BucketMemoCounters> counters)
+makeOperand(std::pair<CsrMatrix, CscMatrix> forms,
+            std::shared_ptr<const PreparedPattern> pattern)
 {
-    if (shared)
-        csr = csr.withPattern(shared->csr);
-    if (!shared || csr.pattern() != shared->csr)
-        shared = std::make_shared<const PreparedPattern>(
-            makePattern(csr, std::move(counters)));
     PreparedOperand op;
-    op.csr = std::move(csr);
-    op.csc = CscMatrix::fromCsr(op.csr, shared->csc);
-    op.blocked_bytes_per_nz = shared->blocked_bytes_per_nz;
+    op.csr = std::move(forms.first);
+    op.csc = std::move(forms.second);
+    op.blocked_bytes_per_nz = pattern->blocked_bytes_per_nz;
     op.nnz = op.csr.nnz();
-    op.pattern = std::move(shared);
+    op.pattern = std::move(pattern);
     return op;
+}
+
+/**
+ * The reordered layer's entry: `raw` compressed, relabelled by `kind`
+ * row to row, and transposed once.
+ */
+ReorderedMatrix
+compressReordered(const CooMatrix &raw, ReorderKind kind)
+{
+    CsrMatrix csr = CsrMatrix::fromCoo(raw);
+    // makeReorder emits a bijection over a square matrix by
+    // construction, so value() cannot trip.
+    if (kind != ReorderKind::None)
+        csr = permuteSymmetric(csr, makeReorder(kind, csr)).value();
+    CscMatrix csc = CscMatrix::fromCsr(csr);
+    return ReorderedMatrix{std::move(csr), std::move(csc)};
 }
 
 } // anonymous namespace
@@ -112,8 +95,12 @@ prepareCase(const std::string &app_name, const CooMatrix &reordered)
 {
     PreparedCase pc;
     pc.app = makeApp(app_name, reordered.rows());
+    CsrMatrix csr = pc.app.prepare(reordered);
+    CscMatrix csc = CscMatrix::fromCsr(csr);
+    auto pattern = std::make_shared<const PreparedPattern>(
+        makePattern(csr, csc, nullptr));
     static_cast<PreparedOperand &>(pc) =
-        prepareOperand(pc.app.prepare(reordered), nullptr, nullptr);
+        makeOperand({std::move(csr), std::move(csc)}, std::move(pattern));
     return pc;
 }
 
@@ -122,11 +109,7 @@ reorderMatrix(CooMatrix raw, ReorderKind kind)
 {
     if (kind == ReorderKind::None)
         return raw;
-    CsrMatrix csr = CsrMatrix::fromCoo(raw);
-    // makeReorder emits a bijection over a square matrix by
-    // construction, so value() cannot trip.
-    return applySymmetricPermutation(raw, makeReorder(kind, csr))
-        .value();
+    return compressReordered(raw, kind).csr.toCoo();
 }
 
 Session &
@@ -144,18 +127,16 @@ Session::rawShared(const std::string &dataset, std::uint64_t seed)
     });
 }
 
-std::shared_ptr<const CooMatrix>
+std::shared_ptr<const ReorderedMatrix>
 Session::reorderedShared(const std::string &dataset,
                          ReorderKind kind, std::uint64_t seed)
 {
-    if (kind == ReorderKind::None)
-        return rawShared(dataset, seed);
     return reordered_.getShared(
         std::make_tuple(dataset, kind, seed), [&] {
             // The pin keeps LRU eviction of the raw layer from
             // freeing the matrix mid-permutation.
             auto pinned = rawShared(dataset, seed);
-            return reorderMatrix(*pinned, kind);
+            return compressReordered(*pinned, kind);
         });
 }
 
@@ -165,7 +146,7 @@ Session::raw(const std::string &dataset, std::uint64_t seed)
     return *rawShared(dataset, seed);
 }
 
-const CooMatrix &
+const ReorderedMatrix &
 Session::reordered(const std::string &dataset, ReorderKind kind,
                    std::uint64_t seed)
 {
@@ -199,18 +180,25 @@ Session::preparedShared(const std::string &app,
                     // The pin keeps LRU eviction of the reordered
                     // layer from freeing the matrix mid-prepare.
                     auto pinned = reorderedShared(dataset, kind, seed);
-                    CsrMatrix csr = Prepare{prepare}(*pinned);
-                    // The first operand that stores every entry of
-                    // the matrix supplies the layer's pattern; the
-                    // others adopt it.
-                    std::shared_ptr<const PreparedPattern> shared;
-                    if (storesEveryEntryOf(csr, *pinned))
-                        shared = patterns_.getShared(
+                    auto forms = Prepare{prepare}(pinned->csr, pinned->csc);
+                    // The value kinds read the reordered matrix's
+                    // patterns, which the pattern layer holds; SPD's
+                    // operand has a pattern of its own.
+                    std::shared_ptr<const PreparedPattern> pattern;
+                    if (prepare != PrepareKind::Spd)
+                        pattern = patterns_.getShared(
                             std::make_tuple(dataset, kind, seed), [&] {
-                                return makePattern(csr, bucket_counters_);
+                                return makePattern(pinned->csr, pinned->csc,
+                                                   bucket_counters_);
                             });
-                    return prepareOperand(std::move(csr), std::move(shared),
-                                          bucket_counters_);
+                    // A layer entry built before the reordered layer
+                    // evicted and rebuilt the matrix holds equal but
+                    // other arrays: the operand then gets its own.
+                    if (!pattern || pattern->csr != forms.first.pattern())
+                        pattern = std::make_shared<const PreparedPattern>(
+                            makePattern(forms.first, forms.second,
+                                        bucket_counters_));
+                    return makeOperand(std::move(forms), std::move(pattern));
                 });
             return pc;
         });

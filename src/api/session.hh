@@ -9,11 +9,13 @@
  * layout and once more inside simulateApp's bind.  A Session owns
  * thread-safe keyed caches for the expensive artifacts —
  *
- *   raw        generated stand-in matrix       (dataset, seed)
- *   reordered  symmetric row permutation       (dataset, reorder,
- *                                               seed)
- *   pattern    CSR + CSC index arrays +        (dataset, reorder,
- *              blocked bytes/nz + bucket memo   seed)
+ *   raw        generated stand-in matrix (COO) (dataset, seed)
+ *   reordered  the raw matrix compressed and   (dataset, reorder,
+ *              symmetrically permuted: CSR +    seed)
+ *              CSC, each with values
+ *   pattern    the reordered matrix's CSR +    (dataset, reorder,
+ *              CSC patterns + blocked bytes/nz  seed)
+ *              + bucket memo
  *   operand    CSR + CSC values on a pattern   (dataset, reorder,
  *              + blocked bytes/nz + nnz         seed, PrepareKind)
  *   prepared   AppInstance + functional memo   (app, dataset,
@@ -30,17 +32,23 @@
  * bitwise-transparent: every simulated counter is identical to the
  * uncached pipeline.
  *
- * Pattern layer.  The boolean, row-stochastic and weighted kinds
- * change values, not coordinates, so their operands of one reordered
- * matrix store one pattern.  The pattern layer holds, per (dataset,
- * reorder, seed), the pattern of the operands that store every entry
- * of the reordered matrix (checked by content against its entries):
- * the first of them supplies it, and each later one adopts its CSR
- * and CSC index arrays and its blocked bytes/nz and keeps only its
- * own values.  An operand of other coordinates (SPD's A + A^T, or a
- * kind that drops entries) builds a pattern of its own outside the
- * layer.  Either way PreparedOperand::pattern names the pattern its
- * arrays read.  Each pattern memoizes its timing StepBuckets per
+ * Reordered and pattern layers.  Each (dataset, reorder, seed) is
+ * compressed, permuted and transposed once: the reordered layer holds
+ * that matrix as CSR and CSC with values, and every prepare kind is
+ * derived from the two forms in linear passes (Prepare's two-form
+ * call).  The boolean, row-stochastic and weighted kinds change
+ * values, not coordinates: their operands apply one value function
+ * to the reordered CSR and CSC values and read the reordered
+ * matrix's two patterns, which the pattern layer holds with their
+ * blocked bytes/nz.  They share that pattern by construction; no
+ * content check is left.  SPD's (A + A^T) / 2 has coordinates of its
+ * own: it merges the two reordered forms, and since it is symmetric
+ * bit for bit, its CSC form reads its CSR's own pattern and value
+ * arrays (CscMatrix::fromSymmetric), on a pattern built outside the
+ * layer, as is a value-kind operand whose reordered matrix was
+ * evicted and rebuilt while the pattern layer kept the entry of its
+ * old arrays.  Either way PreparedOperand::pattern names the pattern
+ * its arrays read.  Each pattern memoizes its timing StepBuckets per
  * (sub-tensor width, orientation) (BucketMemo), so the timing stage
  * of a prepared case builds them once per pattern instead of once
  * per run: one dataset's eleven apps build three sets (the shared
@@ -268,17 +276,27 @@ struct RunReport
     double host_ms = 0.0;
 };
 
+/** A reordered matrix in both compressed forms, with its values. */
+struct ReorderedMatrix
+{
+    CsrMatrix csr;
+    CscMatrix csc;
+};
+
 /**
- * Preprocess an app operand from an already-reordered matrix:
- * makeApp + prepare + CSC twin + blocked layout sizing, on a pattern
- * of its own (whose bucket memo counts in no Session).  The uncached
- * core of Session::prepared(), exposed for external matrices
- * (MatrixMarket / synthetic inputs).
+ * Preprocess an app operand from an already-reordered matrix in any
+ * order: makeApp + Prepare on the COO + CSC twin + blocked layout
+ * sizing, on a pattern of its own (whose bucket memo counts in no
+ * Session).  For external matrices (MatrixMarket / synthetic
+ * inputs); on a canonical matrix its operand equals the Session's.
  */
 PreparedCase prepareCase(const std::string &app_name,
                          const CooMatrix &reordered);
 
-/** Apply a symmetric row reorder (None returns the input). */
+/**
+ * Apply a symmetric row reorder (None returns the input): the COO
+ * form of the Session's reordered layer.
+ */
 CooMatrix reorderMatrix(CooMatrix raw, ReorderKind kind);
 
 class Session
@@ -295,10 +313,13 @@ class Session
     const CooMatrix &raw(const std::string &dataset,
                          std::uint64_t seed = kDefaultSeed);
 
-    /** Reordered matrix, cached per (dataset, kind, seed). */
-    const CooMatrix &reordered(const std::string &dataset,
-                               ReorderKind kind,
-                               std::uint64_t seed = kDefaultSeed);
+    /**
+     * Reordered matrix in both forms, cached per (dataset, kind,
+     * seed); ReorderKind::None compresses the raw matrix as is.
+     */
+    const ReorderedMatrix &reordered(const std::string &dataset,
+                                     ReorderKind kind,
+                                     std::uint64_t seed = kDefaultSeed);
 
     /**
      * Preprocessed case, cached per (app, dataset, kind, seed); its
@@ -334,7 +355,7 @@ class Session
      * Per-layer hit / miss / eviction counters.  `operand` counts
      * the operand layer, looked up once per `prepared` miss, and
      * `pattern` the pattern layer, looked up once per `operand` miss
-     * whose operand stores every entry of its matrix; `prepared`
+     * of a kind other than SPD; `prepared`
      * counts the per-app layer.  `functional` counts run() lookups
      * in the cases' functional memos (runs of a program with a
      * convergence test only: the others make none), and as evictions
@@ -391,7 +412,7 @@ class Session
      *  cache cannot evict it mid-build. */
     std::shared_ptr<const CooMatrix>
     rawShared(const std::string &dataset, std::uint64_t seed);
-    std::shared_ptr<const CooMatrix>
+    std::shared_ptr<const ReorderedMatrix>
     reorderedShared(const std::string &dataset, ReorderKind kind,
                     std::uint64_t seed);
 
@@ -400,7 +421,7 @@ class Session
         raw_;
     runner::KeyedCache<
         std::tuple<std::string, ReorderKind, std::uint64_t>,
-        CooMatrix>
+        ReorderedMatrix>
         reordered_;
     runner::KeyedCache<
         std::tuple<std::string, ReorderKind, std::uint64_t>,

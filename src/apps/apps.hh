@@ -28,6 +28,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lang/builder.hh"
@@ -55,6 +56,17 @@ struct Prepare
 
     /** @return the prepare helper of `kind` applied to `m`. */
     CsrMatrix operator()(CooMatrix m) const;
+
+    /**
+     * The operand of a canonical matrix `a`, given with its CSC twin
+     * `a_cols`, in both compressed forms: bit for bit operator()(a
+     * as COO) and its CscMatrix::fromCsr twin.  The value kinds
+     * (Boolean, Stochastic, Weighted) map a's and a_cols's values
+     * and read their patterns; SPD's operand is symmetric, so its
+     * CSC form reads its CSR's arrays.
+     */
+    std::pair<CsrMatrix, CscMatrix>
+    operator()(const CsrMatrix &a, const CscMatrix &a_cols) const;
 };
 
 /** Everything needed to instantiate and run one application. */
@@ -127,16 +139,23 @@ AppInstance makeCg(Idx n);
 AppInstance makeBgs(Idx n);
 
 /**
- * Dataset preparation helpers shared by the factories.
+ * Dataset preparation helpers shared by the factories: Prepare on a
+ * COO matrix in any order.
  */
 
-/** All stored values become 1.0 (boolean adjacency). */
+/**
+ * All stored values become 1.0 (boolean adjacency), before
+ * duplicates merge: k copies of an entry store k.
+ */
 CsrMatrix prepareBoolean(CooMatrix m);
 
 /** Row-stochastic transition matrix (PageRank / label prop). */
 CsrMatrix prepareStochastic(CooMatrix m);
 
-/** Positive weights kept as generated (sssp / kpp distances). */
+/**
+ * Positive weights kept as generated (sssp / kpp distances); a
+ * weight <= 0 becomes 0.1 before duplicates merge.
+ */
 CsrMatrix prepareWeighted(CooMatrix m);
 
 /**
@@ -144,6 +163,14 @@ CsrMatrix prepareWeighted(CooMatrix m);
  * used by the cg / bgs / gmres solver benchmarks.
  */
 CsrMatrix prepareSpd(CooMatrix m);
+
+/**
+ * prepareSpd of a canonical square matrix `a` given with its CSC
+ * twin `a_cols`: row r of (A + A^T) / 2 merges row r of `a` with
+ * column r of `a_cols`.  The result equals its transpose bit for
+ * bit.
+ */
+CsrMatrix prepareSpd(const CsrMatrix &a, const CscMatrix &a_cols);
 
 } // namespace sparsepipe
 

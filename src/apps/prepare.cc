@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sparse/generate.hh"
 #include "util/logging.hh"
 
 namespace sparsepipe {
@@ -23,52 +22,115 @@ resolveSource(const CsrMatrix &matrix, Idx source)
     return best;
 }
 
+namespace {
+
+/**
+ * The value an operand of a value kind (Boolean, Stochastic,
+ * Weighted) stores for an entry `val` of a row of `row_nnz` entries.
+ */
+Value
+kindValue(PrepareKind kind, Value val, Idx row_nnz)
+{
+    switch (kind) {
+      case PrepareKind::Boolean:    return 1.0;
+      case PrepareKind::Stochastic: return 1.0 / static_cast<Value>(row_nnz);
+      case PrepareKind::Weighted:   return val <= 0.0 ? 0.1 : val;
+      case PrepareKind::Spd:        break;
+    }
+    sp_panic("Prepare: kind %d changes coordinates, not only values",
+             static_cast<int>(kind));
+    __builtin_unreachable();
+}
+
+/** kindValue of each entry of canonical `a`, in its row order. */
+std::vector<Value>
+rowValues(PrepareKind kind, const CsrMatrix &a)
+{
+    std::vector<Value> out(a.vals().size());
+    const std::vector<Idx> &ptr = a.rowPtr();
+    for (Idx r = 0; r < a.rows(); ++r) {
+        const Idx row_nnz = a.rowNnz(r);
+        for (Idx k = ptr[r]; k < ptr[r + 1]; ++k)
+            out[k] = kindValue(kind, a.vals()[k], row_nnz);
+    }
+    return out;
+}
+
+/** The same values in the column order of `a_cols`, a's CSC twin. */
+std::vector<Value>
+colValues(PrepareKind kind, const CsrMatrix &a, const CscMatrix &a_cols)
+{
+    std::vector<Value> out(a_cols.vals().size());
+    const std::vector<Idx> &rows = a_cols.rowIdx();
+    for (std::size_t k = 0; k < out.size(); ++k)
+        out[k] = kindValue(kind, a_cols.vals()[k], a.rowNnz(rows[k]));
+    return out;
+}
+
+} // anonymous namespace
+
 CsrMatrix
 Prepare::operator()(CooMatrix m) const
 {
-    switch (kind) {
-      case PrepareKind::Boolean:    return prepareBoolean(std::move(m));
-      case PrepareKind::Stochastic: return prepareStochastic(std::move(m));
-      case PrepareKind::Weighted:   return prepareWeighted(std::move(m));
-      case PrepareKind::Spd:        return prepareSpd(std::move(m));
+    if (kind == PrepareKind::Spd)
+        return prepareSpd(std::move(m));
+    // Boolean and Weighted map each triplet before fromCoo merges
+    // duplicates and drops zeros; Stochastic counts each row after.
+    // On a canonical matrix both orders give operator()(a, a_cols).
+    if (kind != PrepareKind::Stochastic)
+        for (Triplet &t : m.entries())
+            t.val = kindValue(kind, t.val, 0);
+    CsrMatrix a = CsrMatrix::fromCoo(m);
+    if (kind == PrepareKind::Stochastic)
+        return a.withValues(rowValues(kind, a));
+    return a;
+}
+
+std::pair<CsrMatrix, CscMatrix>
+Prepare::operator()(const CsrMatrix &a, const CscMatrix &a_cols) const
+{
+    if (kind == PrepareKind::Spd) {
+        CsrMatrix spd = prepareSpd(a, a_cols);
+        CscMatrix twin = CscMatrix::fromSymmetric(spd);
+        return {std::move(spd), std::move(twin)};
     }
-    sp_panic("Prepare: bad kind %d", static_cast<int>(kind));
-    __builtin_unreachable();
+    return {a.withValues(rowValues(kind, a)),
+            a_cols.withValues(colValues(kind, a, a_cols))};
 }
 
 CsrMatrix
 prepareBoolean(CooMatrix m)
 {
-    for (Triplet &t : m.entries())
-        t.val = 1.0;
-    return CsrMatrix::fromCoo(std::move(m));
+    return Prepare{PrepareKind::Boolean}(std::move(m));
 }
 
 CsrMatrix
 prepareStochastic(CooMatrix m)
 {
-    return CsrMatrix::fromCoo(rowStochastic(std::move(m)));
+    return Prepare{PrepareKind::Stochastic}(std::move(m));
 }
 
 CsrMatrix
 prepareWeighted(CooMatrix m)
 {
-    for (Triplet &t : m.entries()) {
-        if (t.val <= 0.0)
-            t.val = 0.1;
-    }
-    return CsrMatrix::fromCoo(std::move(m));
+    return Prepare{PrepareKind::Weighted}(std::move(m));
 }
 
 CsrMatrix
 prepareSpd(CooMatrix m)
 {
-    if (m.rows() != m.cols())
+    const CsrMatrix a = CsrMatrix::fromCoo(m);
+    return prepareSpd(a, CscMatrix::fromCsr(a));
+}
+
+CsrMatrix
+prepareSpd(const CsrMatrix &a, const CscMatrix &a_cols)
+{
+    if (a.rows() != a.cols())
         sp_panic("prepareSpd: matrix must be square");
-    // Generators, reorders and the MatrixMarket reader all hand over
-    // canonical matrices, so fromCoo is one scan plus the compress.
-    const CsrMatrix a = CsrMatrix::fromCoo(std::move(m));
-    const CscMatrix a_cols = CscMatrix::fromCsr(a);
+    if (a_cols.rows() != a.rows() || a_cols.cols() != a.cols() ||
+        a_cols.nnz() != a.nnz())
+        sp_panic("prepareSpd: the CSC form is not the CSR's twin");
     const Idx n = a.rows();
 
     // Row r of B = (A + A^T) / 2 merges row r of A with column r of

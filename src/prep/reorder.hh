@@ -19,6 +19,12 @@
  * Both return a permutation `perm` with perm[old] = new, applied
  * symmetrically (rows and columns) so the renumbered graph is
  * isomorphic to the original.
+ *
+ * Cost on an n x n matrix of nnz entries: vanillaReorder is
+ * O((n + nnz) log n) with an indexed heap of n vertices (one
+ * decrease-key per entry), localityReorder O(n log n + nnz log d)
+ * for row degree d, and permuteSymmetric one pass over the rows
+ * plus a sort of each relabelled row, O(n + nnz log d).
  */
 
 #ifndef SPARSEPIPE_PREP_REORDER_HH
@@ -40,8 +46,11 @@ const char *reorderKindName(ReorderKind kind);
 
 /**
  * Greedy approximate topological order: repeatedly emit the vertex
- * with the fewest unplaced in-neighbours.  Edges then run mostly
- * from low to high label, i.e. above the diagonal.
+ * with the fewest unplaced in-neighbours, the lower id on a tie.
+ * Edges then run mostly from low to high label, i.e. above the
+ * diagonal.  The reorders below relabel rows and columns alike, so a
+ * non-square matrix is fatal for each of them; this one also takes
+ * at most 2^32 - 1 vertices.
  */
 std::vector<Idx> vanillaReorder(const CsrMatrix &matrix);
 
@@ -55,15 +64,24 @@ std::vector<Idx> localityReorder(const CsrMatrix &matrix);
 /** Identity permutation of length n. */
 std::vector<Idx> identityOrder(Idx n);
 
-/** Dispatch on ReorderKind. */
+/** Dispatch on ReorderKind (identity for None). */
 std::vector<Idx> makeReorder(ReorderKind kind, const CsrMatrix &matrix);
 
 /**
- * Apply a symmetric renumbering: entry (r, c) moves to
- * (perm[r], perm[c]).  @return the renumbered matrix, or
- * InvalidInput when the matrix is not square or `perm` is not a
- * bijection on its rows (permutations can arrive from external
- * tooling, not only makeReorder).
+ * Apply a symmetric renumbering to a canonical CSR matrix: entry
+ * (r, c) moves to (perm[r], perm[c]), and the result is canonical
+ * CSR.  @return the renumbered matrix, or InvalidInput when the
+ * matrix is not square or `perm` is not a bijection on its rows
+ * (permutations can arrive from external tooling, not only
+ * makeReorder).
+ */
+StatusOr<CsrMatrix> permuteSymmetric(const CsrMatrix &matrix,
+                                     const std::vector<Idx> &perm);
+
+/**
+ * permuteSymmetric for a COO matrix in any order: the entries are
+ * merged and zero-free like CooMatrix::canonicalize leaves them, in
+ * row-major order.
  */
 StatusOr<CooMatrix>
 applySymmetricPermutation(const CooMatrix &matrix,

@@ -52,27 +52,30 @@ estimateResidentBytes(const Request &req)
     const std::string matrix = req.dataset + "/" +
                                reorderKindName(req.reorder) + "/" +
                                std::to_string(req.seed);
+    // The CSR and CSC forms hold separate arrays, except SPD's
+    // symmetric operand, whose CSC form reads its CSR's.
+    const std::uint64_t forms = kind == PrepareKind::Spd ? 1 : 2;
     Charge charge;
     // The pattern the Session's pattern layer shares among the value
     // kinds of this (dataset, reorder, seed); SPD's A + A^T has one of
-    // its own.  CSR + CSC index arrays at host widths, an Idx per
-    // entry and per pointer of the square operand in each form, plus
-    // the bucket memo's bound here: requests cannot set the sub-tensor
-    // width, so a pattern's memo holds at most one set per orientation
-    // (CSC, and transposed for SpMM) at the width the operand resolves.
+    // its own.  Index arrays at host widths, an Idx per entry and per
+    // pointer of the square operand in each form, plus the bucket
+    // memo's bound here: requests cannot set the sub-tensor width, so
+    // a pattern's memo holds at most one set per orientation (CSC,
+    // and transposed for SpMM) at the width the operand resolves.
     charge.pattern_key =
         kind == PrepareKind::Spd ? matrix + "/spd" : matrix;
     const Idx t_cols = SparsepipeConfig{}.resolveSubTensor(
         spec->rows, static_cast<Idx>(entries));
     charge.pattern_bytes =
-        2 * (entries + rows + 1) * sizeof(Idx) +
+        forms * (entries + rows + 1) * sizeof(Idx) +
         2 * StepBuckets::boundBytes(spec->rows, spec->rows,
                                     static_cast<Idx>(entries), t_cols);
     // The operand the Session's operand layer shares among every run
-    // of this (dataset, reorder, seed, kind): its CSR and CSC values.
+    // of this (dataset, reorder, seed, kind): its values in each form.
     charge.shared_key =
         matrix + "/" + std::to_string(static_cast<int>(kind));
-    charge.shared_bytes = 2 * entries * sizeof(Value);
+    charge.shared_bytes = forms * entries * sizeof(Value);
     // The run's own workspace, the dense tensors, unless Session::run
     // times it without values and binds none.
     if (valueFreeOutcome(instance.program, static_cast<Idx>(req.iters)))

@@ -214,11 +214,12 @@ class Server
  * the bound of the bucket sets its memo can hold here (one per
  * orientation at the one width serve runs at), keyed by (dataset,
  * reorder, seed), which the value kinds share, or for the solvers'
- * SPD operand by its own key and sized at its 2 nnz + rows entry
- * bound.  Operand: the CSR
- * and CSC values (8 B per entry each), keyed by (dataset, reorder,
- * seed, PrepareKind).  So concurrent runs of every app of one kind
- * charge the values once and of every value kind the pattern once.
+ * SPD operand by its own key, sized at its 2 nnz + rows entry bound
+ * and in one form, since its CSC form reads its CSR's arrays.
+ * Operand: the CSR and CSC values (8 B per entry each; SPD's once),
+ * keyed by (dataset, reorder, seed, PrepareKind).  So concurrent
+ * runs of every app of one kind charge the values once and of every
+ * value kind the pattern once.
  * Own: the dense tensors of the run's workspace, sized from the app's
  * Program, or nothing when the program has no convergence test
  * (Session::run times it from valueFreeOutcome and binds no

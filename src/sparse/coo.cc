@@ -94,20 +94,7 @@ CooMatrix::canonicalize()
     // Fast path: generators and format round-trips usually hand us
     // entries that are already sorted, duplicate-free, and zero-free;
     // one linear scan then replaces the O(n log n) sort.
-    bool clean = true;
-    for (std::size_t i = 0; i < entries_.size() && clean; ++i) {
-        if (entries_[i].val == 0.0) {
-            clean = false;
-            break;
-        }
-        if (i > 0) {
-            const Triplet &a = entries_[i - 1];
-            const Triplet &b = entries_[i];
-            if (a.row > b.row || (a.row == b.row && a.col >= b.col))
-                clean = false;
-        }
-    }
-    if (clean)
+    if (isCanonical())
         return;
     sortRowMajor();
     std::vector<Triplet> merged;
@@ -148,7 +135,11 @@ CooMatrix::topLeft(Idx rows, Idx cols) const
 bool
 CooMatrix::isCanonical() const
 {
-    for (std::size_t i = 1; i < entries_.size(); ++i) {
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        if (entries_[i].val == 0.0)
+            return false;
+        if (i == 0)
+            continue;
         const Triplet &a = entries_[i - 1];
         const Triplet &b = entries_[i];
         if (a.row > b.row || (a.row == b.row && a.col >= b.col))

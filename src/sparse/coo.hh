@@ -81,7 +81,10 @@ class CooMatrix
     const std::vector<Triplet> &entries() const { return entries_; }
     std::vector<Triplet> &entries() { return entries_; }
 
-    /** @return true if the entries are sorted row-major with no dups. */
+    /**
+     * @return true if canonicalize() would change nothing: entries
+     * sorted row-major with no duplicates and no explicit zeros.
+     */
     bool isCanonical() const;
 
   private:

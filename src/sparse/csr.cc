@@ -37,6 +37,20 @@ compress(Idx major, const std::vector<Triplet> &entries,
 }
 
 /**
+ * `coo` when it is canonical, as generators and reorders hand it
+ * over; else `copy`, assigned a canonicalized copy of it.
+ */
+const CooMatrix &
+canonicalOf(const CooMatrix &coo, CooMatrix &copy)
+{
+    if (coo.isCanonical())
+        return coo;
+    copy = coo;
+    copy.canonicalize();
+    return copy;
+}
+
+/**
  * Stable counting-sort transpose between the compressed layouts, of
  * the pattern and, when `src_vals` is given, of the values into
  * `dst_vals`.  Walking the source majors in order keeps the
@@ -141,12 +155,15 @@ emptyValues()
     return empty;
 }
 
-/** `pattern` when it holds current's coordinates, else `current`. */
-PatternPtr
-adoptPattern(const PatternPtr &current, PatternPtr pattern)
+/** `vals` as a value array for `pattern` (fatal on a count mismatch). */
+std::shared_ptr<const std::vector<Value>>
+valuesFor(const SparsityPattern &pattern, std::vector<Value> vals,
+          const char *who)
 {
-    return pattern && samePattern(current, pattern) ? std::move(pattern)
-                                                    : current;
+    if (vals.size() != pattern.idx.size())
+        sp_panic("%s: %zu values for %zu stored entries", who,
+                 vals.size(), pattern.idx.size());
+    return std::make_shared<const std::vector<Value>>(std::move(vals));
 }
 
 } // anonymous namespace
@@ -166,9 +183,10 @@ CsrMatrix::CsrMatrix(SparsityPattern pattern, std::vector<Value> vals)
 }
 
 CsrMatrix
-CsrMatrix::fromCoo(CooMatrix coo)
+CsrMatrix::fromCoo(const CooMatrix &input)
 {
-    coo.canonicalize();
+    CooMatrix copy;
+    const CooMatrix &coo = canonicalOf(input, copy);
     SparsityPattern pattern;
     std::vector<Value> vals;
     pattern.rows = coo.rows();
@@ -219,9 +237,10 @@ CsrMatrix::toCoo() const
 }
 
 CsrMatrix
-CsrMatrix::withPattern(PatternPtr pattern) const
+CsrMatrix::withValues(std::vector<Value> vals) const
 {
-    return CsrMatrix(adoptPattern(p_, std::move(pattern)), v_);
+    return CsrMatrix(p_, valuesFor(*p_, std::move(vals),
+                                   "CsrMatrix::withValues"));
 }
 
 bool
@@ -251,10 +270,11 @@ CscMatrix::CscMatrix(SparsityPattern pattern, std::vector<Value> vals)
 }
 
 CscMatrix
-CscMatrix::fromCoo(CooMatrix coo)
+CscMatrix::fromCoo(const CooMatrix &input)
 {
-    coo.canonicalize();
-    // The entries are now row-major canonical; a stable counting
+    CooMatrix copy;
+    const CooMatrix &coo = canonicalOf(input, copy);
+    // The entries are row-major canonical; a stable counting
     // sort by column lands them in (col, row) order without the
     // comparison sort the old sortColMajor() path paid.
     SparsityPattern out;
@@ -290,42 +310,13 @@ CscMatrix::fromCsr(const CsrMatrix &csr)
 }
 
 CscMatrix
-CscMatrix::fromCsr(const CsrMatrix &csr, PatternPtr twin)
+CscMatrix::fromSymmetric(const CsrMatrix &csr)
 {
-    // Scatter the values into twin's slots, checking each slot's row
-    // as it is written.  Every write lands inside its column's run
-    // and the nnz writes hit distinct slots, so a run that passes
-    // every check has filled twin exactly: twin is csr's transpose.
-    const SparsityPattern &t = *twin;
-    if (t.rows != csr.rows() || t.cols != csr.cols() ||
-        static_cast<Idx>(t.idx.size()) != csr.nnz())
-        sp_panic("CscMatrix::fromCsr: the twin pattern is not the "
-                 "transpose of the matrix");
-    std::vector<Value> vals(t.idx.size());
-    std::vector<Idx> cursor(t.ptr.begin(), t.ptr.end() - 1);
-    for (Idx r = 0; r < csr.rows(); ++r) {
-        const auto row_cols = csr.rowCols(r);
-        const auto row_vals = csr.rowVals(r);
-        for (std::size_t k = 0; k < row_cols.size(); ++k) {
-            const auto c = static_cast<std::size_t>(row_cols[k]);
-            const Idx at = cursor[c]++;
-            if (at >= t.ptr[c + 1] ||
-                t.idx[static_cast<std::size_t>(at)] != r)
-                sp_panic("CscMatrix::fromCsr: the twin pattern is not "
-                         "the transpose of the matrix");
-            vals[static_cast<std::size_t>(at)] = row_vals[k];
-        }
-    }
-    return CscMatrix(std::move(twin),
-                     std::make_shared<const std::vector<Value>>(
-                         std::move(vals)));
-}
-
-PatternPtr
-CscMatrix::patternOf(const CsrMatrix &csr)
-{
-    return std::make_shared<const SparsityPattern>(transposeCompressed(
-        csr.rows(), csr.cols(), *csr.pattern(), nullptr, nullptr));
+    if (csr.rows() != csr.cols())
+        sp_panic("CscMatrix::fromSymmetric: %lld x %lld is not square",
+                 static_cast<long long>(csr.rows()),
+                 static_cast<long long>(csr.cols()));
+    return CscMatrix(csr.p_, csr.v_);
 }
 
 CooMatrix
@@ -343,9 +334,10 @@ CscMatrix::toCoo() const
 }
 
 CscMatrix
-CscMatrix::withPattern(PatternPtr pattern) const
+CscMatrix::withValues(std::vector<Value> vals) const
 {
-    return CscMatrix(adoptPattern(p_, std::move(pattern)), v_);
+    return CscMatrix(p_, valuesFor(*p_, std::move(vals),
+                                   "CscMatrix::withValues"));
 }
 
 bool

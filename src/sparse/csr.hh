@@ -10,7 +10,7 @@
  * one operand (a cached prepared case, each run's workspace) reads
  * the same arrays, and none of them can outlive the others' storage.
  * Matrices that store the same coordinates may also share one
- * pattern while each keeps its own values (withPattern): the value
+ * pattern while each keeps its own values (withValues): the value
  * kinds of one reordered matrix do so in api::Session.  A move copies
  * too, so a moved-from matrix keeps its contents.
  */
@@ -63,8 +63,11 @@ class CsrMatrix
     CsrMatrix(const CsrMatrix &) = default;
     CsrMatrix &operator=(const CsrMatrix &) = default;
 
-    /** Build from a COO matrix (canonicalized internally). */
-    static CsrMatrix fromCoo(CooMatrix coo);
+    /**
+     * Build from a COO matrix, read as canonicalize() would leave it
+     * (a copy is canonicalized only when `coo` is not already).
+     */
+    static CsrMatrix fromCoo(const CooMatrix &coo);
 
     /** Build from a column-ordered CSC matrix. */
     static CsrMatrix fromCsc(const CscMatrix &csc);
@@ -111,12 +114,11 @@ class CsrMatrix
     const PatternPtr &pattern() const { return p_; }
 
     /**
-     * This matrix's values on `pattern`'s arrays when `pattern` holds
-     * the same coordinates as pattern(), else this matrix unchanged.
-     * Either way the result compares equal to this matrix; its
-     * pattern() tells which arrays it reads.
+     * `vals`, one per stored entry in this matrix's order, on this
+     * matrix's pattern: the result reads the same index arrays.  A
+     * count other than nnz() is a programming error (fatal).
      */
-    CsrMatrix withPattern(PatternPtr pattern) const;
+    CsrMatrix withValues(std::vector<Value> vals) const;
 
     /**
      * Internal-consistency check: monotone row pointers, in-bounds and
@@ -128,6 +130,9 @@ class CsrMatrix
     bool operator==(const CsrMatrix &other) const;
 
   private:
+    // fromSymmetric reads a CSR matrix's arrays as its CSC form.
+    friend class CscMatrix;
+
     CsrMatrix(PatternPtr pattern,
               std::shared_ptr<const std::vector<Value>> vals);
     CsrMatrix(SparsityPattern pattern, std::vector<Value> vals);
@@ -152,21 +157,20 @@ class CscMatrix
     CscMatrix(const CscMatrix &) = default;
     CscMatrix &operator=(const CscMatrix &) = default;
 
-    /** Build from a COO matrix (canonicalized internally). */
-    static CscMatrix fromCoo(CooMatrix coo);
+    /** Build from a COO matrix, as CsrMatrix::fromCoo. */
+    static CscMatrix fromCoo(const CooMatrix &coo);
 
     /** Build from a row-ordered CSR matrix. */
     static CscMatrix fromCsr(const CsrMatrix &csr);
 
     /**
-     * The CSC twin of `csr` on `twin`, which must be the column-form
-     * pattern of csr's coordinates (fatal otherwise): only the values
-     * are transposed, and the result reads twin's arrays.
+     * The CSC form of a matrix equal to its own transpose, read from
+     * `csr`'s pattern and value arrays: column c of such a matrix is
+     * its row c.  A non-square `csr` is fatal; symmetry is the
+     * caller's guarantee and is not checked, since checking it would
+     * cost the transpose this saves.
      */
-    static CscMatrix fromCsr(const CsrMatrix &csr, PatternPtr twin);
-
-    /** The column-form pattern of `csr`'s coordinates. */
-    static PatternPtr patternOf(const CsrMatrix &csr);
+    static CscMatrix fromSymmetric(const CsrMatrix &csr);
 
     /** @return the matrix as COO (row-major canonical order). */
     CooMatrix toCoo() const;
@@ -199,8 +203,8 @@ class CscMatrix
     /** The column-form pattern this matrix reads. */
     const PatternPtr &pattern() const { return p_; }
 
-    /** See CsrMatrix::withPattern. */
-    CscMatrix withPattern(PatternPtr pattern) const;
+    /** See CsrMatrix::withValues. */
+    CscMatrix withValues(std::vector<Value> vals) const;
 
     /** Structural validity check (see CsrMatrix::validate). */
     bool validate() const;

@@ -6,6 +6,7 @@
  * k-core, CG residual reduction, ...).
  */
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <queue>
@@ -518,6 +519,96 @@ TEST(Prepare, SpdCarriesInfinitiesAndNaNs)
     EXPECT_TRUE(std::isnan(rowOf(a, 3).at(3)));
     EXPECT_EQ(rowOf(a, 4).at(5), -inf_v);
     EXPECT_EQ(rowOf(a, 4).at(4), inf_v);
+}
+
+/**
+ * The value kinds' COO bodies from before they shared one value
+ * function with the two-form Prepare, kept as the reference: Boolean
+ * and Weighted map each triplet before fromCoo merges duplicates and
+ * drops zeros, Stochastic counts each row after.
+ */
+CsrMatrix
+referenceValueKind(PrepareKind kind, CooMatrix m)
+{
+    if (kind == PrepareKind::Stochastic)
+        return CsrMatrix::fromCoo(rowStochastic(std::move(m)));
+    for (Triplet &t : m.entries())
+        t.val = kind == PrepareKind::Boolean ? 1.0
+                : t.val <= 0.0               ? 0.1
+                                             : t.val;
+    return CsrMatrix::fromCoo(std::move(m));
+}
+
+/** Unsorted entries with duplicates, explicit zeros and negatives. */
+CooMatrix
+messyCoo()
+{
+    Rng rng(17);
+    CooMatrix m(30, 30);
+    for (int k = 0; k < 400; ++k) {
+        const auto r = static_cast<Idx>(rng.nextBelow(30));
+        const auto c = static_cast<Idx>(rng.nextBelow(30));
+        const Value v = k % 6 == 0 ? 0.0 : rng.nextDouble() * 4.0 - 1.0;
+        m.add(r, c, v);
+        if (k % 7 == 0)
+            m.add(r, c, -v); // cancels once merged
+    }
+    return m;
+}
+
+TEST(Prepare, CooHelpersMapBeforeMergingAsBefore)
+{
+    const CooMatrix messy = messyCoo();
+    ASSERT_FALSE(messy.isCanonical());
+    const std::vector<std::pair<PrepareKind, CsrMatrix (*)(CooMatrix)>>
+        helpers = {{PrepareKind::Boolean, prepareBoolean},
+                   {PrepareKind::Stochastic, prepareStochastic},
+                   {PrepareKind::Weighted, prepareWeighted}};
+    for (const auto &[kind, helper] : helpers) {
+        const CsrMatrix want = referenceValueKind(kind, messy);
+        EXPECT_TRUE(testing::sameArrays(helper(messy), want))
+            << static_cast<int>(kind);
+        EXPECT_TRUE(testing::sameArrays(Prepare{kind}(messy), want))
+            << static_cast<int>(kind);
+    }
+    // A duplicate stores 2 in the boolean operand, and a cancelled
+    // pair or an explicit zero stays an entry of the boolean and
+    // weighted operands, which the stochastic one drops.
+    const CsrMatrix boolean = prepareBoolean(messy);
+    const CsrMatrix stochastic = prepareStochastic(messy);
+    EXPECT_GT(boolean.nnz(), stochastic.nnz());
+    EXPECT_NE(std::find(boolean.vals().begin(), boolean.vals().end(), 2.0),
+              boolean.vals().end());
+    EXPECT_EQ(prepareWeighted(messy).nnz(), boolean.nnz());
+
+    // SPD merges the canonical matrix, as its COO assembly did.
+    CooMatrix canonical = messy;
+    canonical.canonicalize();
+    EXPECT_TRUE(testing::sameArrays(prepareSpd(messy),
+                                    referenceSpd(canonical)));
+    EXPECT_TRUE(testing::sameArrays(Prepare{PrepareKind::Spd}(messy),
+                                    referenceSpd(canonical)));
+}
+
+TEST(Prepare, TwoFormCallMatchesTheCooCallOnACanonicalMatrix)
+{
+    CooMatrix m = messyCoo();
+    m.canonicalize();
+    const CsrMatrix a = CsrMatrix::fromCoo(m);
+    const CscMatrix a_cols = CscMatrix::fromCsr(a);
+    for (PrepareKind kind : {PrepareKind::Boolean, PrepareKind::Stochastic,
+                             PrepareKind::Weighted, PrepareKind::Spd}) {
+        const auto [csr, csc] = Prepare{kind}(a, a_cols);
+        const CsrMatrix want = Prepare{kind}(m);
+        EXPECT_TRUE(testing::sameArrays(csr, want)) << static_cast<int>(kind);
+        EXPECT_TRUE(testing::sameArrays(csc, CscMatrix::fromCsr(want)))
+            << static_cast<int>(kind);
+        // The value kinds keep a's patterns; SPD's CSC reads its CSR.
+        const bool spd = kind == PrepareKind::Spd;
+        EXPECT_EQ(csr.pattern() == a.pattern(), !spd);
+        EXPECT_EQ(csc.pattern() == a_cols.pattern(), !spd);
+        EXPECT_EQ(csc.vals().data() == csr.vals().data(), spd);
+    }
 }
 
 TEST(Registry, AllAppsInstantiate)

@@ -239,25 +239,28 @@ runOf(const char *app, const char *dataset)
     return req;
 }
 
-/** Bytes of the index arrays of a pattern's two forms. */
+/** Bytes of the index arrays of a pattern's forms, each form once
+ *  (SPD's two forms are one). */
 std::uint64_t
 indexBytes(const api::PreparedPattern &pattern)
 {
-    return (pattern.csr->ptr.size() + pattern.csr->idx.size() +
-            pattern.csc->ptr.size() + pattern.csc->idx.size()) *
-           sizeof(Idx);
+    std::uint64_t bytes = 0;
+    for (const SparsityPattern *form : std::set<const SparsityPattern *>{
+             pattern.csr.get(), pattern.csc.get()})
+        bytes += (form->ptr.size() + form->idx.size()) * sizeof(Idx);
+    return bytes;
 }
 
 TEST(ServeAdmission, ResidentEstimateBracketsTheBytesHeld)
 {
     // What concurrent runs hold: each distinct pattern once (its
     // index arrays and the timing buckets its runs built; the value
-    // kinds share one), each distinct operand's values once (pr and
-    // label share them), and the dense tensors of every run that
-    // binds a workspace (which shares the operand): gcn's program has
-    // no convergence test, so its run binds none.  The estimate,
-    // sized from the dataset spec alone, must not undercount it and
-    // must stay within 2x.
+    // kinds share one), each distinct value array once (pr and label
+    // share theirs, and cg's CSC form reads its CSR's), and the dense
+    // tensors of every run that binds a workspace (which shares the
+    // operand): gcn's program has no convergence test, so its run
+    // binds none.  The estimate, sized from the dataset spec alone,
+    // must not undercount it and must stay within 2x.
     const std::vector<std::vector<const char *>> groups = {
         {"pr"},          {"bfs"},          {"sssp"},
         {"gcn"},         {"cg"},           {"pr", "label"},
@@ -265,7 +268,7 @@ TEST(ServeAdmission, ResidentEstimateBracketsTheBytesHeld)
     for (const std::vector<const char *> &group : groups) {
         api::Session session;
         std::uint64_t held = 0, estimate = 0;
-        std::set<const Value *> operands;
+        std::set<const Value *> operands, value_arrays;
         std::set<const api::PreparedPattern *> patterns;
         std::set<std::string> keys, pattern_keys;
         std::string label;
@@ -280,9 +283,11 @@ TEST(ServeAdmission, ResidentEstimateBracketsTheBytesHeld)
             req.iters = 2;
             ASSERT_TRUE(session.run(req).ok()) << label;
             patterns.insert(pc.pattern.get());
-            if (operands.insert(pc.csr.vals().data()).second)
-                held += (pc.csr.vals().size() + pc.csc.vals().size()) *
-                        sizeof(Value);
+            operands.insert(pc.csr.vals().data());
+            for (const std::vector<Value> *vals :
+                 {&pc.csr.vals(), &pc.csc.vals()})
+                if (value_arrays.insert(vals->data()).second)
+                    held += vals->size() * sizeof(Value);
             if (!valueFreeOutcome(pc.app.program, req.iters)) {
                 const Workspace ws = api::Session::bindWorkspace(pc);
                 const auto &tensors = pc.app.program.tensors();

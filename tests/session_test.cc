@@ -713,8 +713,8 @@ TEST(Session, AppsOfOneKindShareOneOperand)
     // The 11 apps use 4 prepare kinds: 4 operands, each built once
     // and shared (same arrays) by the apps of its kind.
     api::Session session;
-    const CooMatrix &reordered =
-        session.reordered("gy", ReorderKind::Vanilla);
+    const CooMatrix reordered =
+        session.reordered("gy", ReorderKind::Vanilla).csr.toCoo();
     std::map<PrepareKind, const api::PreparedCase *> first_of_kind;
     for (const AppInfo &info : appInfos()) {
         const api::PreparedCase &pc =
@@ -779,7 +779,8 @@ TEST(Session, AppsOfOneKindShareOneOperand)
             session.prepared("label", "gy", reorder, seed);
         expectSameOperand(
             other,
-            api::prepareCase("label", session.reordered("gy", reorder, seed)),
+            api::prepareCase(
+                "label", session.reordered("gy", reorder, seed).csr.toCoo()),
             "label");
         EXPECT_NE(other.csr.vals().data(), pr->csr.vals().data());
     }
@@ -789,9 +790,10 @@ TEST(Session, AppsOfOneKindShareOneOperand)
 TEST(Session, SpdOperandKeepsAPatternOfItsOwn)
 {
     // cg's SPD operand stores other coordinates than the matrix, so
-    // it builds its own pattern without touching the pattern layer;
-    // the value kinds prepared after it share the layer's, which is
-    // the boolean prepare's.
+    // it builds its own pattern without touching the pattern layer,
+    // and its CSC form reads its CSR's arrays.  The value kinds
+    // prepared after it share the layer's, which reads the reordered
+    // matrix's arrays.
     api::Session session;
     const api::PreparedCase &cg =
         session.prepared("cg", "ca", ReorderKind::Vanilla);
@@ -803,13 +805,85 @@ TEST(Session, SpdOperandKeepsAPatternOfItsOwn)
     EXPECT_EQ(pr.pattern, bfs.pattern);
     EXPECT_EQ(session.cacheStats().pattern.misses, 1u);
     EXPECT_EQ(session.cacheStats().pattern.hits, 1u);
-    const CooMatrix &reordered =
+    EXPECT_EQ(cg.csc.pattern(), cg.csr.pattern());
+    EXPECT_EQ(cg.csc.vals().data(), cg.csr.vals().data());
+    const api::ReorderedMatrix &matrix =
         session.reordered("ca", ReorderKind::Vanilla);
+    EXPECT_EQ(pr.pattern->csr, matrix.csr.pattern());
+    EXPECT_EQ(pr.pattern->csc, matrix.csc.pattern());
+    const CooMatrix reordered = matrix.csr.toCoo();
     EXPECT_EQ(*pr.pattern->csr,
               *Prepare{PrepareKind::Boolean}(reordered).pattern());
     expectSameOperand(pr, api::prepareCase("pr", reordered), "pr");
     expectSameOperand(bfs, api::prepareCase("bfs", reordered), "bfs");
     expectSameOperand(cg, api::prepareCase("cg", reordered), "cg");
+}
+
+TEST(Session, OperandsMatchTheCooPrepareOnEveryStandIn)
+{
+    // Every app's operand, derived from the reordered layer's two
+    // forms, against the COO path: the reordered COO, the app's
+    // Prepare on it, and a full transpose.  One Session per matrix
+    // keeps the resident set to one stand-in's.
+    for (const DatasetSpec &spec : datasetSpecs()) {
+        for (ReorderKind reorder : {ReorderKind::None, ReorderKind::Vanilla,
+                                    ReorderKind::Locality}) {
+            api::Session session;
+            const CooMatrix coo =
+                api::reorderMatrix(session.raw(spec.name), reorder);
+            std::map<PrepareKind, std::pair<CsrMatrix, CscMatrix>> want;
+            for (const AppInfo &info : appInfos()) {
+                const std::string label = info.name + "-" + spec.name + "-" +
+                                          reorderKindName(reorder);
+                const api::PreparedCase &pc =
+                    session.prepared(info.name, spec.name, reorder);
+                const PrepareKind kind = pc.app.prepare.kind;
+                auto it = want.find(kind);
+                if (it == want.end()) {
+                    CsrMatrix csr = Prepare{kind}(coo);
+                    CscMatrix csc = CscMatrix::fromCsr(csr);
+                    it = want.emplace(kind, std::pair{std::move(csr),
+                                                      std::move(csc)})
+                             .first;
+                }
+                EXPECT_TRUE(testing::sameArrays(pc.csr, it->second.first))
+                    << label;
+                EXPECT_TRUE(testing::sameArrays(pc.csc, it->second.second))
+                    << label;
+                EXPECT_EQ(pc.nnz, pc.csr.nnz()) << label;
+                if (kind == PrepareKind::Spd) {
+                    EXPECT_EQ(pc.csc.pattern(), pc.csr.pattern()) << label;
+                    EXPECT_EQ(pc.csc.vals().data(), pc.csr.vals().data())
+                        << label;
+                }
+            }
+        }
+    }
+}
+
+TEST(Session, PrepareCaseOnMessyCooUsesTheCooPrepare)
+{
+    // prepareCase takes any COO: duplicates, explicit zeros, any
+    // order.  Its operand is the COO Prepare, its CSC the full
+    // transpose and its blocked sizing that of the prepared CSR.
+    Rng rng(5);
+    CooMatrix messy(40, 40);
+    for (int k = 0; k < 500; ++k)
+        messy.add(static_cast<Idx>(rng.nextBelow(40)),
+                  static_cast<Idx>(rng.nextBelow(40)),
+                  k % 5 == 0 ? 0.0 : rng.nextDouble() - 0.25);
+    ASSERT_FALSE(messy.isCanonical());
+    for (const char *app : {"bfs", "pr", "sssp", "cg"}) {
+        const api::PreparedCase pc = api::prepareCase(app, messy);
+        const CsrMatrix want = pc.app.prepare(messy);
+        EXPECT_TRUE(testing::sameArrays(pc.csr, want)) << app;
+        EXPECT_TRUE(testing::sameArrays(pc.csc, CscMatrix::fromCsr(want)))
+            << app;
+        EXPECT_EQ(pc.blocked_bytes_per_nz,
+                  buildBlockedLayout(want).value().bytesPerNonzero())
+            << app;
+        EXPECT_EQ(pc.nnz, want.nnz()) << app;
+    }
 }
 
 TEST(Session, ResidentOperandNeedsNoReorderedMatrix)
@@ -826,6 +900,34 @@ TEST(Session, ResidentOperandNeedsNoReorderedMatrix)
     EXPECT_EQ(stats.operand.hits, 1u);
     EXPECT_EQ(stats.reordered.misses, 2u);
     EXPECT_EQ(stats.raw.misses, 2u);
+}
+
+TEST(Session, RebuiltReorderedMatrixLeavesEveryOperandOnItsOwnArrays)
+{
+    // One reordered entry: preparing ca evicts gy's reordered matrix
+    // while the pattern layer keeps gy's pattern.  bfs on gy then
+    // rebuilds the matrix, whose arrays are not the layer's: its
+    // operand must name the pattern its arrays read, and still equal
+    // the COO path.
+    api::Session session;
+    session.setCacheCapacities(1, 1, 8);
+    const api::PreparedCase &pr =
+        session.prepared("pr", "gy", ReorderKind::Vanilla);
+    session.prepared("pr", "ca", ReorderKind::Vanilla);
+    const api::PreparedCase &bfs =
+        session.prepared("bfs", "gy", ReorderKind::Vanilla);
+    const api::Session::CacheStatsSnapshot stats = session.cacheStats();
+    EXPECT_EQ(stats.reordered.misses, 3u);
+    EXPECT_EQ(stats.pattern.hits, 1u);
+    for (const api::PreparedCase *pc : {&pr, &bfs}) {
+        EXPECT_EQ(pc->csr.pattern(), pc->pattern->csr);
+        EXPECT_EQ(pc->csc.pattern(), pc->pattern->csc);
+    }
+    EXPECT_NE(bfs.pattern, pr.pattern);
+    const CooMatrix reordered =
+        session.reordered("gy", ReorderKind::Vanilla).csr.toCoo();
+    expectSameOperand(bfs, api::prepareCase("bfs", reordered), "bfs");
+    expectSameOperand(pr, api::prepareCase("pr", reordered), "pr");
 }
 
 TEST(FunctionalMemo, AppsSharingAnOperandKeepTheirOwnMemos)
@@ -870,8 +972,8 @@ TEST(Session, EvictedOperandLeavesItsCasesArraysIntact)
     EXPECT_EQ(stats.operand.evictions, 1u);
     EXPECT_EQ(stats.prepared.evictions, 1u);
 
-    const CooMatrix &reordered =
-        session.reordered("gy", ReorderKind::Vanilla);
+    const CooMatrix reordered =
+        session.reordered("gy", ReorderKind::Vanilla).csr.toCoo();
     const api::PreparedCase fresh = api::prepareCase("pr", reordered);
     expectSameOperand(*pr, fresh, "pr");
     expectSameOperand(*bfs, api::prepareCase("bfs", reordered), "bfs");
@@ -921,8 +1023,8 @@ TEST(Session, EvictedOperandLeavesItsCasesPatternAndBucketsAlive)
     testing::expectSameSimStats(
         session.run(req, *pr).value().stats,
         twoStageRun(req, api::prepareCase(
-                             "pr", session.reordered(
-                                       "gy", ReorderKind::Vanilla))),
+                             "pr", session.reordered("gy", ReorderKind::Vanilla)
+                                       .csr.toCoo())),
         "pr");
     req.iters = 4;
     testing::expectSameSimStats(session.run(req, *pr).value().stats,

@@ -159,57 +159,54 @@ TEST(CompressedMatrix, CopiesShareArraysAndCompareByContent)
     EXPECT_EQ(empty_csr, CsrMatrix::fromCoo(CooMatrix(0, 0)));
 }
 
-TEST(CompressedMatrix, AdoptedPatternKeepsContentsAndValues)
+TEST(CompressedMatrix, WithValuesSharesThePattern)
 {
-    // B has A's coordinates in arrays of its own and other values.
-    // Adopting A's pattern leaves B equal by content, reading A's
-    // index arrays and its own values.
+    // B is A's coordinates with other values: built by withValues it
+    // reads A's index arrays in both forms and keeps its own values.
     const CsrMatrix a = CsrMatrix::fromCoo(testing::smallGraph(32, 200));
-    const CsrMatrix b = testing::perturbValues(a);
-    ASSERT_NE(b.colIdx().data(), a.colIdx().data());
-    const CsrMatrix adopted = b.withPattern(a.pattern());
-    EXPECT_EQ(adopted, b);
-    EXPECT_FALSE(adopted == a);
-    EXPECT_EQ(adopted.pattern(), a.pattern());
-    EXPECT_EQ(adopted.colIdx().data(), a.colIdx().data());
-    EXPECT_EQ(adopted.rowPtr().data(), a.rowPtr().data());
-    EXPECT_EQ(adopted.vals().data(), b.vals().data());
-    EXPECT_TRUE(adopted.validate());
-
-    // The CSC twin on A's column pattern: the transpose of B's values
-    // in A's CSC index arrays.
     const CscMatrix a_csc = CscMatrix::fromCsr(a);
-    const CscMatrix twin = CscMatrix::fromCsr(adopted, a_csc.pattern());
-    EXPECT_EQ(twin, CscMatrix::fromCsr(b));
-    EXPECT_EQ(twin.rowIdx().data(), a_csc.rowIdx().data());
-    EXPECT_EQ(twin.colPtr().data(), a_csc.colPtr().data());
-    EXPECT_NE(twin.vals().data(), a_csc.vals().data());
-    EXPECT_EQ(*CscMatrix::patternOf(b), *a_csc.pattern());
-    EXPECT_EQ(CsrMatrix::fromCsc(twin), b);
+    const CsrMatrix perturbed = testing::perturbValues(a);
+    const CsrMatrix b = a.withValues(perturbed.vals());
+    EXPECT_EQ(b, perturbed);
+    EXPECT_FALSE(b == a);
+    EXPECT_EQ(b.pattern(), a.pattern());
+    EXPECT_NE(b.vals().data(), a.vals().data());
+    EXPECT_TRUE(b.validate());
+
+    // The CSC form of B on A's column pattern.
+    const CscMatrix b_csc =
+        a_csc.withValues(CscMatrix::fromCsr(perturbed).vals());
+    EXPECT_EQ(b_csc, CscMatrix::fromCsr(b));
+    EXPECT_EQ(b_csc.pattern(), a_csc.pattern());
+    EXPECT_NE(b_csc.vals().data(), a_csc.vals().data());
+    EXPECT_EQ(CsrMatrix::fromCsc(b_csc), b);
 }
 
-TEST(CompressedMatrix, ForeignPatternIsNotAdopted)
+TEST(CompressedMatrix, SymmetricCscReadsTheCsrArrays)
 {
-    const CsrMatrix a = CsrMatrix::fromCoo(testing::smallGraph(32, 200));
-    const CsrMatrix other =
-        CsrMatrix::fromCoo(testing::smallGraph(32, 200, 7));
-    ASSERT_FALSE(*a.pattern() == *other.pattern());
-    EXPECT_EQ(a.withPattern(other.pattern()).pattern(), a.pattern());
-    EXPECT_EQ(a.withPattern(nullptr).pattern(), a.pattern());
-    const CscMatrix a_csc = CscMatrix::fromCsr(a);
-    EXPECT_EQ(a_csc.withPattern(CscMatrix::patternOf(other)).pattern(),
-              a_csc.pattern());
+    // A + A^T stores the same arrays in either form.
+    CooMatrix coo = testing::smallGraph(32, 200);
+    const CooMatrix transposed = coo.transposed();
+    coo.entries().insert(coo.entries().end(),
+                         transposed.entries().begin(),
+                         transposed.entries().end());
+    const CsrMatrix sym = CsrMatrix::fromCoo(std::move(coo));
+    const CscMatrix csc = CscMatrix::fromSymmetric(sym);
+    EXPECT_EQ(csc, CscMatrix::fromCsr(sym));
+    EXPECT_TRUE(csc.validate());
+    EXPECT_EQ(csc.pattern(), sym.pattern());
+    EXPECT_EQ(csc.vals().data(), sym.vals().data());
 }
 
-TEST(CompressedMatrixDeathTest, TwinOfOtherCoordinatesIsFatal)
+TEST(CompressedMatrixDeathTest, ValuesOfAnotherCountAreFatal)
 {
-    // A twin that is not the transpose of the matrix's coordinates.
     const CsrMatrix a = CsrMatrix::fromCoo(testing::smallGraph(32, 200));
-    const CsrMatrix other =
-        CsrMatrix::fromCoo(testing::smallGraph(32, 200, 7));
-    EXPECT_DEATH(CscMatrix::fromCsr(a, CscMatrix::patternOf(other)),
-                 "not the transpose");
-    EXPECT_DEATH(CscMatrix::fromCsr(a, other.pattern()), "not the");
+    std::vector<Value> short_vals(a.vals().begin(), a.vals().end() - 1);
+    EXPECT_DEATH(a.withValues(short_vals), "values for");
+    EXPECT_DEATH(CscMatrix::fromCsr(a).withValues({}), "values for");
+    EXPECT_DEATH(CscMatrix::fromSymmetric(
+                     CsrMatrix::fromCoo(CooMatrix(2, 3))),
+                 "not square");
 }
 
 class FormatRoundTrip : public ::testing::TestWithParam<std::uint64_t>

@@ -52,6 +52,24 @@ sameBits(double a, double b)
     return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/**
+ * Two matrices of one compressed form store the same shape, pointers
+ * and indices, and values that match by sameBits.
+ */
+template <typename Matrix>
+::testing::AssertionResult
+sameArrays(const Matrix &a, const Matrix &b)
+{
+    if (!(*a.pattern() == *b.pattern()))
+        return ::testing::AssertionFailure() << "patterns differ";
+    for (std::size_t i = 0; i < a.vals().size(); ++i)
+        if (!sameBits(a.vals()[i], b.vals()[i]))
+            return ::testing::AssertionFailure()
+                   << "value " << i << ": " << a.vals()[i] << " vs "
+                   << b.vals()[i];
+    return ::testing::AssertionSuccess();
+}
+
 /** Max |a-b| over two equal-length vectors, inf-aware. */
 inline double
 vecError(const std::vector<double> &a, const std::vector<double> &b)
