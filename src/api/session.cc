@@ -17,27 +17,26 @@ FunctionalMemo::operator=(const FunctionalMemo &)
 }
 
 std::optional<RunResult>
-FunctionalMemo::find(Idx max_iters, backend::ValueSemantics semantics)
+FunctionalMemo::find(Idx max_iters)
 {
     std::lock_guard<std::mutex> lock(mu_);
     for (const Entry &e : entries_)
-        if (e.max_iters == max_iters && e.semantics == semantics)
+        if (e.max_iters == max_iters)
             return e.outcome;
     return std::nullopt;
 }
 
 bool
-FunctionalMemo::publish(Idx max_iters, backend::ValueSemantics semantics,
-                        const RunResult &outcome)
+FunctionalMemo::publish(Idx max_iters, const RunResult &outcome)
 {
     std::lock_guard<std::mutex> lock(mu_);
     for (const Entry &e : entries_)
-        if (e.max_iters == max_iters && e.semantics == semantics)
+        if (e.max_iters == max_iters)
             return false; // a racing miss published the same outcome
     const bool full = entries_.size() == kCapacity;
     if (full)
         entries_.erase(entries_.begin());
-    entries_.push_back({max_iters, semantics, outcome});
+    entries_.push_back({max_iters, outcome});
     return full;
 }
 
@@ -307,17 +306,15 @@ Session::run(const RunRequest &req, const PreparedCase &pc)
         engine->setCancelToken(req.cancel);
 
         // Values never for a program without a convergence test, and
-        // once per (max_iters, semantics) for the others: a known
-        // outcome replays only the timing stage and binds no
+        // once per max_iters for the others, whatever the backend: a
+        // known outcome replays only the timing stage and binds no
         // workspace.
         const Idx max_iters =
             req.iters > 0 ? req.iters : pc.app.default_iters;
-        const backend::ValueSemantics semantics =
-            engine->valueSemantics();
         std::optional<RunResult> known =
             valueFreeOutcome(pc.app.program, max_iters);
         if (!known) {
-            known = pc.functional.find(max_iters, semantics);
+            known = pc.functional.find(max_iters);
             (known ? functional_hits_ : functional_misses_)
                 .fetch_add(1, std::memory_order_relaxed);
         }
@@ -342,7 +339,7 @@ Session::run(const RunRequest &req, const PreparedCase &pc)
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - t0)
                 .count();
-        if (!known && pc.functional.publish(max_iters, semantics, outcome))
+        if (!known && pc.functional.publish(max_iters, outcome))
             functional_evictions_.fetch_add(1, std::memory_order_relaxed);
         return report;
     } catch (...) {

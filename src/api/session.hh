@@ -79,16 +79,17 @@
  * valueFreeOutcome(): they bind no workspace, run the timing stage
  * alone, and neither look up nor publish anything.  For the others,
  * each PreparedCase memoizes the functional outcome {iterations,
- * converged} per (max_iters, value semantics): Sparsepipe's fused
- * kernels and gamma's reference interpreter are the two semantics.
- * The first run of a key binds a workspace and runs both stages;
- * every later run of it, whatever its buffer, bandwidth, memory
- * system or lane settings, is timing-only and binds nothing.  Either
- * way the stats are bit for bit those of the two-stage run.  Two
- * threads that miss on one key both compute (a miss never waits on
- * another thread) and publish the same outcome; a run that fails or
- * is cancelled publishes nothing.  cacheStats().functional counts
- * the hits and misses of the programs with a convergence test.
+ * converged} per max_iters.  Every backend runs the same functional
+ * stage, so the key names no backend: the first run of a max_iters,
+ * under whichever backend asks first, binds a workspace and runs
+ * both stages; every later run of it, whatever its backend, buffer,
+ * bandwidth, memory system or lane settings, is timing-only and
+ * binds nothing.  Either way the stats are bit for bit those of the
+ * two-stage run.  Two threads that miss on one key both compute (a
+ * miss never waits on another thread) and publish the same outcome;
+ * a run that fails or is cancelled publishes nothing.
+ * cacheStats().functional counts the hits and misses of the programs
+ * with a convergence test, across backends.
  *
  * Thread safety: a Session may be shared by concurrent callers.  The
  * caches serialize construction per key (KeyedCache), every run gets
@@ -175,7 +176,7 @@ struct RunRequest
 
 /**
  * Thread-safe memo of one prepared case's functional outcomes, keyed
- * by (max_iters, value semantics).  It holds up to kCapacity
+ * by max_iters, whatever the backend.  It holds up to kCapacity
  * entries; the oldest goes once it is full.  A copied or assigned
  * memo starts empty: entries describe the operand they were computed
  * on, and a copied case may be edited.
@@ -189,17 +190,14 @@ class FunctionalMemo
     FunctionalMemo(const FunctionalMemo &) {}
     FunctionalMemo &operator=(const FunctionalMemo &);
 
-    std::optional<RunResult> find(Idx max_iters,
-                                  backend::ValueSemantics semantics);
+    std::optional<RunResult> find(Idx max_iters);
     /** @return true when the oldest entry made room for this one. */
-    bool publish(Idx max_iters, backend::ValueSemantics semantics,
-                 const RunResult &outcome);
+    bool publish(Idx max_iters, const RunResult &outcome);
 
   private:
     struct Entry
     {
         Idx max_iters;
-        backend::ValueSemantics semantics;
         RunResult outcome;
     };
 

@@ -4,40 +4,36 @@
 
 namespace sparsepipe::backend {
 
+SparsepipeSim
+CycleEngine::sparsepipeSim() const
+{
+    SparsepipeSim sim(config_);
+    sim.attachTrace(trace_);
+    sim.setCancelToken(cancel_);
+    return sim;
+}
+
+RunResult
+CycleEngine::runFunctional(Workspace &ws, Idx max_iters) const
+{
+    return sparsepipeSim().runFunctional(ws, max_iters);
+}
+
 namespace {
 
-/** CycleEngine facade over the existing Sparsepipe simulator. */
+/** CycleEngine facade over the Sparsepipe simulator's timing stage. */
 class SparsepipeEngine final : public CycleEngine
 {
   public:
-    explicit SparsepipeEngine(SparsepipeConfig config)
-        : sim_(std::move(config)) {}
+    using CycleEngine::CycleEngine;
 
-    ValueSemantics valueSemantics() const override
-    {
-        return ValueSemantics::FusedOei;
-    }
-    RunResult runFunctional(Workspace &ws, Idx max_iters) override
-    {
-        return sim_.runFunctional(ws, max_iters);
-    }
     SimStats runTiming(const Program &program,
                        const OperandPatterns &operands,
                        const RunResult &outcome, Idx max_iters) override
     {
-        return sim_.runTiming(program, operands, outcome, max_iters);
+        return sparsepipeSim().runTiming(program, operands, outcome,
+                                         max_iters);
     }
-    void attachTrace(obs::TraceSink *sink) override
-    {
-        sim_.attachTrace(sink);
-    }
-    void setCancelToken(const CancelToken *token) override
-    {
-        sim_.setCancelToken(token);
-    }
-
-  private:
-    SparsepipeSim sim_;
 };
 
 } // anonymous namespace

@@ -5,14 +5,13 @@
  * PR 4 unified the three execution paths (ref / oei / sim) behind
  * one Executor vtable; this layer does the same one level down, for
  * the *cycle-level* engines themselves.  A backend is a timing model
- * that also executes the program functionally (value-equivalent to
- * RefExecutor) and reports SimStats with an exact per-phase cycle
- * attribution.  Backends are constructed through a small named
- * factory so every entry point — the Session API, the CLI, the
- * benches, the serve protocol, the explore axis registry, the
- * differential fuzzer — selects an engine by the same canonical
- * name and rejects unknown names with the same InvalidInput listing
- * the registry.
+ * over the one shared functional stage, and reports SimStats with an
+ * exact per-phase cycle attribution.  Backends are constructed
+ * through a small named factory so every entry point — the Session
+ * API, the CLI, the benches, the serve protocol, the explore axis
+ * registry, the differential fuzzer — selects an engine by the same
+ * canonical name and rejects unknown names with the same
+ * InvalidInput listing the registry.
  *
  * Registered backends:
  *
@@ -23,19 +22,20 @@
  *
  * What a backend must provide (see DESIGN.md section 12):
  *
- *  - a CycleEngine in two stages: runFunctional() leaves the
- *    workspace in a state value-identical to RefExecutor (the
- *    differential fuzzer diffs every registered backend against ref
- *    on every case) and returns {iterations, converged}, which for
- *    a program without a convergence test must equal
- *    valueFreeOutcome() (api::Session times such programs without
- *    calling it); runTiming() is a pure function of (program,
- *    config, operand patterns, that outcome, max_iters);
+ *  - a CycleEngine timing stage: runTiming() is a pure function of
+ *    (program, config, operand patterns, outcome, max_iters).  The
+ *    functional stage is not a backend's to provide: every engine
+ *    runs SparsepipeSim's (CycleEngine::runFunctional), whose values
+ *    are bit-identical to RefExecutor (the differential fuzzer diffs
+ *    every registered backend against ref on every case), so one
+ *    case's outcome serves every backend;
  *  - SimStats whose attribution phases tile [0, cycles] and whose
  *    bucket totals reconcile exactly with the cycle count (use the
  *    src/obs ActivityLog / PhaseWindow machinery and the DramModel
  *    access hook, which make the partition exact by construction);
- *  - trace + cancellation plumbing (attachTrace / setCancelToken).
+ *  - trace events and cancellation polls from the timing stage,
+ *    through the sink and token the base class holds (attachTrace /
+ *    setCancelToken).
  */
 
 #ifndef SPARSEPIPE_BACKEND_BACKEND_HH
@@ -76,34 +76,26 @@ const std::vector<BackendKind> &registeredBackends();
 std::string registeredBackendList();
 
 /**
- * Which kernels compute a backend's values.  Runs of one prepared
- * case under the same semantics and max_iters end in the same
- * outcome whatever the hardware configuration, so the pair keys
- * api::Session's functional memo.  The two kinds may round
- * differently, which is why the tag is part of the key.
- */
-enum class ValueSemantics
-{
-    FusedOei,  ///< Sparsepipe's fused-pair and packed-lane kernels
-    Reference, ///< RefExecutor, operator at a time
-};
-
-/**
  * One cycle-level engine instance: the common surface of
  * SparsepipeSim and every alternate model behind the registry.  A
  * run has two stages (see core/sparsepipe_sim.hh): runFunctional()
- * executes the workspace (value-equivalent to RefExecutor) and
- * returns {iterations, converged}; runTiming() times that outcome
- * from the operand patterns alone.  run() composes them and is the
- * one path of every caller that binds its own workspace and reads
- * it afterwards.  A caller that needs only the stats of a program
- * without a convergence test calls runTiming() on
- * valueFreeOutcome() instead.  Trace and cancellation follow the
- * SparsepipeSim contract; only runTiming() emits trace events.
+ * executes the workspace and returns {iterations, converged};
+ * runTiming() times that outcome from the operand patterns alone.
+ * Backends differ only in timing: the functional stage is the same
+ * for all of them.  run() composes the two and is the one path of
+ * every caller that binds its own workspace and reads it afterwards.
+ * A caller that needs only the stats of a program without a
+ * convergence test calls runTiming() on valueFreeOutcome() instead.
+ * Trace and cancellation follow the SparsepipeSim contract; only
+ * runTiming() emits trace events.
  */
 class CycleEngine
 {
   public:
+    explicit CycleEngine(SparsepipeConfig config)
+        : config_(std::move(config)) {}
+    CycleEngine(const CycleEngine &) = delete;
+    CycleEngine &operator=(const CycleEngine &) = delete;
     virtual ~CycleEngine() = default;
 
     /** Both stages: runFunctional(), then runTiming(). */
@@ -115,14 +107,32 @@ class CycleEngine
                          max_iters);
     }
 
-    virtual ValueSemantics valueSemantics() const = 0;
-    virtual RunResult runFunctional(Workspace &ws, Idx max_iters) = 0;
+    /**
+     * Functional stage of every backend: SparsepipeSim's fused-pair
+     * and packed-lane kernels under this engine's config and
+     * cancellation token.  The workspace ends bit-identical to a
+     * RefExecutor run.
+     */
+    RunResult runFunctional(Workspace &ws, Idx max_iters) const;
+
+    /** Timing stage: this backend's cycle model of `outcome`. */
     virtual SimStats runTiming(const Program &program,
                                const OperandPatterns &operands,
                                const RunResult &outcome,
                                Idx max_iters) = 0;
-    virtual void attachTrace(obs::TraceSink *sink) = 0;
-    virtual void setCancelToken(const CancelToken *token) = 0;
+
+    /** Trace sink of later timing stages (null detaches). */
+    void attachTrace(obs::TraceSink *sink) { trace_ = sink; }
+    /** Cancellation token of later runs (null detaches). */
+    void setCancelToken(const CancelToken *token) { cancel_ = token; }
+
+  protected:
+    /** A SparsepipeSim with this engine's config, sink and token. */
+    SparsepipeSim sparsepipeSim() const;
+
+    SparsepipeConfig config_;
+    obs::TraceSink *trace_ = nullptr;
+    const CancelToken *cancel_ = nullptr;
 };
 
 /** Construct a backend's engine over a hardware configuration. */

@@ -1,14 +1,15 @@
 #include "backend/gamma.hh"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <limits>
 #include <map>
+#include <numeric>
 
 #include "graph/analysis.hh"
 #include "mem/dram.hh"
 #include "obs/attribution.hh"
 #include "obs/trace.hh"
-#include "ref/executor.hh"
 #include "util/logging.hh"
 
 namespace sparsepipe::backend {
@@ -23,6 +24,18 @@ FiberCache::FiberCache(Idx capacity_bytes, Idx ways, Idx line_bytes)
     lines_.assign(static_cast<std::size_t>(sets_ * ways_), Line{});
 }
 
+bool
+FiberCache::firstMiss(Idx addr)
+{
+    const std::size_t word = static_cast<std::size_t>(addr) / 64;
+    if (word >= seen_.size())
+        seen_.resize(std::max(word + 1, 2 * seen_.size()));
+    const std::uint64_t bit = std::uint64_t{1} << (addr % 64);
+    const bool first = (seen_[word] & bit) == 0;
+    seen_[word] |= bit;
+    return first;
+}
+
 FiberCache::Access
 FiberCache::access(Idx byte_begin, Idx byte_end)
 {
@@ -31,10 +44,19 @@ FiberCache::access(Idx byte_begin, Idx byte_end)
         return out;
     const Idx first = byte_begin / line_bytes_;
     const Idx last = (byte_end - 1) / line_bytes_;
+    // Line addr maps to set addr % sets_, so consecutive lines walk
+    // the sets in order.
+    Idx set_index = first % sets_;
     for (Idx addr = first; addr <= last; ++addr) {
         ++clock_;
-        Line *set =
-            lines_.data() + (addr % sets_) * ways_;
+        Line *set = lines_.data() + set_index * ways_;
+        if (++set_index == sets_)
+            set_index = 0;
+        if (Line &mru = lines_[mru_]; mru.tag == addr) {
+            mru.last_use = clock_;
+            ++out.hit_lines;
+            continue;
+        }
         Line *hit = nullptr;
         Line *victim = set;
         for (Idx w = 0; w < ways_; ++w) {
@@ -50,20 +72,58 @@ FiberCache::access(Idx byte_begin, Idx byte_end)
         if (hit) {
             hit->last_use = clock_;
             ++out.hit_lines;
+            mru_ = static_cast<std::size_t>(hit - lines_.data());
             continue;
         }
         ++out.miss_lines;
-        if (seen_.insert(addr).second)
+        if (firstMiss(addr))
             ++out.cold_lines;
         if (victim->tag >= 0)
             ++stats_.evictions;
         victim->tag = addr;
         victim->last_use = clock_;
+        mru_ = static_cast<std::size_t>(victim - lines_.data());
     }
     stats_.hit_lines += out.hit_lines;
     stats_.miss_lines += out.miss_lines;
     stats_.cold_lines += out.cold_lines;
     return out;
+}
+
+PeGroupTree::PeGroupTree(Idx groups, Tick start)
+    : groups_(static_cast<std::size_t>(std::max<Idx>(1, groups))),
+      leaves_(std::bit_ceil(groups_)),
+      free_(leaves_, std::numeric_limits<Tick>::max()),
+      winner_(2 * leaves_)
+{
+    std::iota(winner_.begin() + static_cast<std::ptrdiff_t>(leaves_),
+              winner_.end(), std::size_t{0});
+    reset(start);
+}
+
+void
+PeGroupTree::reset(Tick start)
+{
+    std::fill_n(free_.begin(), groups_, start);
+    for (std::size_t node = leaves_ - 1; node >= 1; --node)
+        play(node);
+}
+
+void
+PeGroupTree::assign(Idx group, Tick tick)
+{
+    const std::size_t leaf = static_cast<std::size_t>(group);
+    free_[leaf] = tick;
+    for (std::size_t node = (leaves_ + leaf) / 2; node >= 1; node /= 2)
+        play(node);
+}
+
+Tick
+PeGroupTree::latest() const
+{
+    return *std::max_element(
+        free_.begin(),
+        free_.begin() + static_cast<std::ptrdiff_t>(groups_));
 }
 
 namespace {
@@ -78,12 +138,6 @@ struct RowPass
 };
 
 } // anonymous namespace
-
-RunResult
-GammaSim::runFunctional(Workspace &ws, Idx max_iters)
-{
-    return RefExecutor().run(ws, max_iters, cancel_);
-}
 
 SimStats
 GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
@@ -218,11 +272,11 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
     FiberCache cache(config_.buffer_bytes);
     const Idx line_bytes = cache.lineBytes();
 
-    // PE manager: 32 PEs per group, rows go to the least-loaded group.
+    // PE manager: 32 PEs per group, rows go to the group that frees
+    // first.
     const Idx group_pes = std::max<Idx>(
         1, std::min<Idx>(32, config_.pe_per_core));
-    const Idx groups =
-        std::max<Idx>(1, config_.pe_per_core / group_pes);
+    PeGroupTree groups(config_.pe_per_core / group_pes, 0);
     const double v = static_cast<double>(passes.size());
 
     // Cycle-budget cancellation poll for the row loop: row dispatch
@@ -247,21 +301,17 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
                 rbytes > 0 ? dram.access(t0, rbytes, false) : t0;
 
             const CsrMatrix &m = operands.csr(rp.matrix);
-            const double os_mult = rp.spmm
-                ? static_cast<double>(
-                      std::max<Idx>(1, an.traffic.spmm_cols))
-                : 1.0;
-            std::vector<Tick> free(
-                static_cast<std::size_t>(groups), t_vec);
+            // Multiplies per nonzero: one per output column for SpMM.
+            const Idx row_mults = rp.spmm
+                ? std::max<Idx>(1, an.traffic.spmm_cols)
+                : 1;
+            groups.reset(t_vec);
             for (Idx r = 0; r < m.rows(); ++r) {
                 const Idx nnz = m.rowNnz(r);
                 if (nnz == 0)
                     continue;
-                std::size_t g = 0;
-                for (std::size_t k = 1; k < free.size(); ++k)
-                    if (free[k] < free[g])
-                        g = k;
-                const Tick start = free[g];
+                const Idx g = groups.earliest();
+                const Tick start = groups.freeAt(g);
                 if (cancel_ && start >= next_poll) {
                     ++stats.counters.cancel_polls;
                     throwIfError(cancel_->pollNow());
@@ -283,18 +333,15 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
                         (acc.miss_lines - acc.cold_lines) *
                         line_bytes;
                 }
-                const Tick mults = static_cast<Tick>(std::ceil(
-                    static_cast<double>(nnz) * os_mult /
-                    static_cast<double>(group_pes)));
+                const Tick mults = static_cast<Tick>(
+                    (nnz * row_mults + group_pes - 1) / group_pes);
                 const Tick end =
                     ready + mults + kOsTreeLatency;
                 alog.record(obs::Activity::Compute, ready, end);
-                free[g] = end;
+                groups.assign(g, end);
                 stats.os_elems += nnz;
             }
-            Tick t_rows = t_vec;
-            for (Tick f : free)
-                t_rows = std::max(t_rows, f);
+            const Tick t_rows = groups.latest();
 
             // Trailing element-wise work of the iteration slice.
             const Tick t_ew = t_rows + static_cast<Tick>(

@@ -216,11 +216,11 @@ emitChain(ProgramBuilder &b, SemiringKind kind, Rng &rng, Idx n,
 }
 
 /**
- * Optional residual + convergence.  Only exact semirings get one:
- * their three execution paths are bitwise identical, so a
- * threshold comparison can never disagree about the iteration a run
- * stops at.  (Under MulAdd/ArilAdd the reassociated vxm sums differ
- * in the last ulps, which could flip a comparison at the threshold.)
+ * Optional residual + convergence, for AndOr, MinAdd and MaxMul
+ * programs only.  Every path matches the reference bit for bit under
+ * MulAdd and ArilAdd too, but widening the rule would change the
+ * case every seed generates, and with it what the corpus and the CI
+ * seeds pin.
  */
 void
 maybeEmitConvergence(ProgramBuilder &b, SemiringKind kind, Rng &rng,

@@ -42,90 +42,7 @@ injectedBugFromName(const std::string &name)
         "buffer-overflow)", name.c_str());
 }
 
-bool
-valuesClose(Value a, Value b, double rtol, double atol)
-{
-    if (a == b)
-        return true; // also covers equal infinities
-    if (std::isnan(a) && std::isnan(b))
-        return true;
-    if (std::isinf(a) || std::isinf(b))
-        return false; // opposite infinities, or inf vs finite
-    return std::abs(a - b) <=
-           atol + rtol * std::max(std::abs(a), std::abs(b));
-}
-
 namespace {
-
-/** True when any leading op's reduction reassociates float adds. */
-bool
-needsTolerance(const Program &p)
-{
-    for (const OpNode &op : p.ops()) {
-        if (op.kind != OpKind::Vxm && op.kind != OpKind::Spmm)
-            continue;
-        const SemiringKind kind = op.semiring.kind();
-        if (kind == SemiringKind::MulAdd ||
-            kind == SemiringKind::ArilAdd)
-            return true;
-    }
-    return false;
-}
-
-std::string
-compareSpans(const std::string &tensor, const std::string &path,
-             const Value *ref, const Value *got, std::size_t count,
-             double rtol, double atol)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        if (!valuesClose(ref[i], got[i], rtol, atol)) {
-            std::ostringstream ss;
-            ss.precision(17);
-            ss << path << " diverges from ref on tensor '" << tensor
-               << "' at element " << i << ": ref " << ref[i]
-               << " vs " << got[i];
-            return ss.str();
-        }
-    }
-    return "";
-}
-
-void
-compareWorkspaces(std::vector<std::string> &failures,
-                  const std::string &path, const Program &p,
-                  const Workspace &ws_ref, const Workspace &ws_got,
-                  double rtol, double atol)
-{
-    for (TensorId id = 0;
-         id < static_cast<TensorId>(p.tensors().size()); ++id) {
-        const TensorInfo &info = p.tensor(id);
-        std::string msg;
-        switch (info.kind) {
-          case TensorKind::Vector:
-            msg = compareSpans(info.name, path, ws_ref.vec(id).data(),
-                               ws_got.vec(id).data(),
-                               ws_ref.vec(id).size(), rtol, atol);
-            break;
-          case TensorKind::DenseMatrix:
-            msg = compareSpans(info.name, path,
-                               ws_ref.den(id).data().data(),
-                               ws_got.den(id).data().data(),
-                               ws_ref.den(id).data().size(), rtol,
-                               atol);
-            break;
-          case TensorKind::Scalar: {
-            const Value a = ws_ref.scalar(id);
-            const Value b = ws_got.scalar(id);
-            msg = compareSpans(info.name, path, &a, &b, 1, rtol, atol);
-            break;
-          }
-          case TensorKind::SparseMatrix:
-            break; // constant operand
-        }
-        if (!msg.empty())
-            failures.push_back(std::move(msg));
-    }
-}
 
 /**
  * Bitwise value identity with NaN as one value class: when both
@@ -261,10 +178,9 @@ checkCase(const FuzzCase &fuzz, InjectedBug bug)
     }
 
     // ---- output equivalence -----------------------------------------
-    const bool tolerant = needsTolerance(fuzz.program);
-    const double rtol = tolerant ? 1e-8 : 0.0;
-    const double atol = tolerant ? 1e-10 : 0.0;
-
+    //
+    // Neither path reassociates a reduction, so both must match ref
+    // bit for bit (NaN as one value class).
     compareRuns(report.failures, "oei", ref_run, oei.run.iterations,
                 oei.run.converged);
     compareRuns(report.failures, "sim", ref_run, stats.iterations,
@@ -276,10 +192,10 @@ checkCase(const FuzzCase &fuzz, InjectedBug bug)
            << scheduleModeName(stats.mode);
         report.failures.push_back(ss.str());
     }
-    compareWorkspaces(report.failures, "oei", fuzz.program, ws_ref,
-                      ws_oei, rtol, atol);
-    compareWorkspaces(report.failures, "sim", fuzz.program, ws_ref,
-                      ws_sim, rtol, atol);
+    compareWorkspaceBits(report.failures, "oei", fuzz.program, ws_ref,
+                         ws_oei);
+    compareWorkspaceBits(report.failures, "sim", fuzz.program, ws_ref,
+                         ws_sim);
 
     // ---- packed-lane / band-thread cross-check ----------------------
     //
@@ -326,10 +242,10 @@ checkCase(const FuzzCase &fuzz, InjectedBug bug)
     // ---- alternate cycle backends -----------------------------------
     //
     // Every registry entry beyond sparsepipe diffs against ref too.
-    // Their functional path is the reference interpreter verbatim,
-    // so the bar is bitwise identity (NaN as one value class), and
-    // their cycle attribution must reconcile exactly: phase buckets
-    // sum to the phase span, bucket totals sum to the cycle count.
+    // Every backend runs the one functional stage, so the bar is the
+    // same bitwise identity (NaN as one value class), and their cycle
+    // attribution must reconcile exactly: phase buckets sum to the
+    // phase span, bucket totals sum to the cycle count.
     for (backend::BackendKind kind : backend::registeredBackends()) {
         if (kind == backend::BackendKind::Sparsepipe)
             continue;

@@ -1,15 +1,10 @@
 /**
  * @file
  * The differential check: run one case through the reference
- * executor, the independent OEI functional driver, and the
- * cycle-level simulator; compare every tensor element-wise under the
- * semiring's tolerance rule; then run the simulator invariants.
- *
- * Tolerance rule: a program whose leading vxm/spmm ops all use
- * reassociation-exact reductions (min / max / or) must match
- * bitwise; any MulAdd / ArilAdd leading op reassociates float
- * additions, so those programs compare with a scale-aware relative
- * tolerance.
+ * executor, the independent OEI functional driver, and every
+ * registered cycle backend; compare every tensor bit for bit (NaN as
+ * one value class, since IEEE 754 does not pin which NaN payload a
+ * reduction keeps); then run the simulator invariants.
  */
 
 #ifndef SPARSEPIPE_CHECK_DIFF_CHECK_HH
@@ -56,12 +51,6 @@ struct CaseReport
  */
 CaseReport checkCase(const FuzzCase &fuzz,
                      InjectedBug bug = InjectedBug::None);
-
-/**
- * Scale-aware comparison: exact equality (covers equal infinities),
- * NaN == NaN, else |a - b| <= atol + rtol * max(|a|, |b|).
- */
-bool valuesClose(Value a, Value b, double rtol, double atol);
 
 } // namespace sparsepipe
 

@@ -2,8 +2,8 @@
  * @file
  * The Sparsepipe simulator: cycle-level timing through the
  * event-driven OEI pass engine plus functional execution that
- * reproduces the reference executor's values bit-for-bit (modulo
- * floating-point reassociation inherent to the reordered schedule).
+ * reproduces the reference executor's values bit for bit.  Its
+ * functional stage is every backend's (backend::CycleEngine).
  *
  * Scheduling policy (Section IV-D):
  *  - a program whose analysis shows a fusable intra-iteration vxm

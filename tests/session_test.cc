@@ -407,10 +407,11 @@ TEST(FunctionalMemo, HitEqualsTheTwoStageRunAcrossSweepAxes)
     // sweep_warm's axes: buffer sizes on both sides of the working
     // set, the iso-GPU bandwidth ladder and the iso-CPU memory
     // system for sparsepipe, the buffer sizes for gamma.  The first
-    // run of each (case, backend) misses; every other one replays the
-    // memoized outcome and must equal a full two-stage run bit for
-    // bit.  bfs converges before its default iteration count.  gcn
-    // has no convergence test, so its runs make no lookup at all.
+    // run of each case misses, whichever backend it runs; every other
+    // one, on either backend, replays the memoized outcome and must
+    // equal a full two-stage run bit for bit.  bfs converges before
+    // its default iteration count.  gcn has no convergence test, so
+    // its runs make no lookup at all.
     struct Point
     {
         bool iso_cpu;
@@ -437,8 +438,8 @@ TEST(FunctionalMemo, HitEqualsTheTwoStageRunAcrossSweepAxes)
         const api::PreparedCase &pc =
             session.prepared(c.app, c.dataset, ReorderKind::Vanilla);
         const bool memoized = pc.app.program.hasConvergence();
+        keys += memoized;
         for (backend::BackendKind kind : backend::registeredBackends()) {
-            keys += memoized;
             for (const Point &pt : points) {
                 if (kind == backend::BackendKind::Gamma &&
                     (pt.iso_cpu || pt.bandwidth_gb_s != 504.0))
@@ -501,12 +502,8 @@ TEST(FunctionalMemo, ValueFreeProgramsMakeNoLookup)
                 testing::expectSameSimStats(report.stats,
                                             twoStageRun(req, pc), label);
             }
-            for (backend::ValueSemantics semantics :
-                 {backend::ValueSemantics::FusedOei,
-                  backend::ValueSemantics::Reference})
-                EXPECT_FALSE(
-                    pc.functional.find(pc.app.default_iters, semantics))
-                    << app << "-" << dataset;
+            EXPECT_FALSE(pc.functional.find(pc.app.default_iters))
+                << app << "-" << dataset;
         }
     }
     const api::Session::CacheStatsSnapshot stats = session.cacheStats();
@@ -515,7 +512,7 @@ TEST(FunctionalMemo, ValueFreeProgramsMakeNoLookup)
     EXPECT_EQ(stats.functional.evictions, 0u);
 }
 
-TEST(FunctionalMemo, KeyedByMaxItersAndValueSemantics)
+TEST(FunctionalMemo, KeyedByMaxIters)
 {
     api::Session session;
     api::RunRequest req;
@@ -525,28 +522,69 @@ TEST(FunctionalMemo, KeyedByMaxItersAndValueSemantics)
     ASSERT_TRUE(session.run(req).ok());
     req.iters = 6; // another max_iters: another key
     ASSERT_TRUE(session.run(req).ok());
-    req.backend = backend::BackendKind::Gamma; // another semantics
-    ASSERT_TRUE(session.run(req).ok());
-    EXPECT_EQ(session.cacheStats().functional.misses, 3u);
+    EXPECT_EQ(session.cacheStats().functional.misses, 2u);
     EXPECT_EQ(session.cacheStats().functional.hits, 0u);
 
-    // Blocked / naive footprint and the lane override change no key.
+    // The backend, the blocked / naive footprint and the lane
+    // override change no key.
+    req.backend = backend::BackendKind::Gamma;
+    ASSERT_TRUE(session.run(req).ok());
     req.blocked = false;
     req.lanes = 1;
     ASSERT_TRUE(session.run(req).ok());
-    EXPECT_EQ(session.cacheStats().functional.hits, 1u);
+    EXPECT_EQ(session.cacheStats().functional.misses, 2u);
+    EXPECT_EQ(session.cacheStats().functional.hits, 2u);
 
     const api::PreparedCase &pc =
         session.prepared("pr", "gy", ReorderKind::Vanilla);
-    const std::optional<RunResult> memo =
-        pc.functional.find(6, backend::ValueSemantics::Reference);
+    const std::optional<RunResult> memo = pc.functional.find(6);
     ASSERT_TRUE(memo.has_value());
     EXPECT_EQ(memo->iterations, 6);
 
     // A copy of a case may be edited, so it starts with no outcomes.
     const api::PreparedCase copy = pc;
-    EXPECT_FALSE(
-        copy.functional.find(6, backend::ValueSemantics::Reference));
+    EXPECT_FALSE(copy.functional.find(6));
+}
+
+TEST(FunctionalMemo, BackendsShareOneOutcomeInEitherOrder)
+{
+    // Every backend runs the same functional stage, so the first run
+    // of a case computes its values under whichever backend asks
+    // first, and a run of the other backend is a hit.  Each run
+    // equals a fresh two-stage run.  pr stops at its iteration cap,
+    // bfs and cg at their convergence tests.
+    const std::vector<backend::BackendKind> &kinds =
+        backend::registeredBackends();
+    for (bool sparsepipe_first : {true, false}) {
+        api::Session session;
+        std::uint64_t cases = 0;
+        for (const char *app : {"pr", "bfs", "cg"}) {
+            const api::PreparedCase &pc =
+                session.prepared(app, "gy", ReorderKind::Vanilla);
+            ++cases;
+            for (std::size_t i = 0; i < kinds.size(); ++i) {
+                api::RunRequest req;
+                req.app = app;
+                req.dataset = "gy";
+                req.backend = kinds[sparsepipe_first
+                                        ? i
+                                        : kinds.size() - 1 - i];
+                const std::string label =
+                    std::string(app) + " " +
+                    backend::backendName(req.backend) +
+                    (i == 0 ? " first" : " second");
+                const api::RunReport report = session.run(req).value();
+                testing::expectSameSimStats(report.stats,
+                                            twoStageRun(req, pc), label);
+                const api::Session::CacheStatsSnapshot stats =
+                    session.cacheStats();
+                EXPECT_EQ(stats.functional.misses, cases) << label;
+                EXPECT_EQ(stats.functional.hits,
+                          (cases - 1) * (kinds.size() - 1) + i)
+                    << label;
+            }
+        }
+    }
 }
 
 TEST(FunctionalMemo, FullMemoDropsItsOldestEntry)
@@ -565,8 +603,8 @@ TEST(FunctionalMemo, FullMemoDropsItsOldestEntry)
     const api::Session::CacheStatsSnapshot stats = session.cacheStats();
     EXPECT_EQ(stats.functional.misses, static_cast<std::uint64_t>(n));
     EXPECT_EQ(stats.functional.evictions, 1u);
-    EXPECT_FALSE(pc.functional.find(1, backend::ValueSemantics::FusedOei));
-    EXPECT_TRUE(pc.functional.find(n, backend::ValueSemantics::FusedOei));
+    EXPECT_FALSE(pc.functional.find(1));
+    EXPECT_TRUE(pc.functional.find(n));
 }
 
 TEST(FunctionalMemo, RacingMissesBothPublishTheSameOutcome)
@@ -578,21 +616,20 @@ TEST(FunctionalMemo, RacingMissesBothPublishTheSameOutcome)
     const api::PreparedCase &pc =
         session.prepared("pr", "gy", ReorderKind::Vanilla);
     const Idx max_iters = pc.app.default_iters;
-    const auto semantics = backend::ValueSemantics::FusedOei;
     std::barrier sync(2);
     RunResult outcome[2];
     bool missed[2] = {false, false};
     std::vector<std::thread> threads;
     for (int i = 0; i < 2; ++i) {
         threads.emplace_back([&, i] {
-            missed[i] = !pc.functional.find(max_iters, semantics);
+            missed[i] = !pc.functional.find(max_iters);
             sync.arrive_and_wait();
             Workspace ws = api::Session::bindWorkspace(pc);
             outcome[i] = backend::makeEngine(
                              backend::BackendKind::Sparsepipe,
                              SparsepipeConfig::isoGpu())
                              ->runFunctional(ws, max_iters);
-            pc.functional.publish(max_iters, semantics, outcome[i]);
+            pc.functional.publish(max_iters, outcome[i]);
         });
     }
     for (std::thread &t : threads)
@@ -600,8 +637,7 @@ TEST(FunctionalMemo, RacingMissesBothPublishTheSameOutcome)
     EXPECT_TRUE(missed[0] && missed[1]);
     EXPECT_EQ(outcome[0].iterations, outcome[1].iterations);
     EXPECT_EQ(outcome[0].converged, outcome[1].converged);
-    const std::optional<RunResult> memo =
-        pc.functional.find(max_iters, semantics);
+    const std::optional<RunResult> memo = pc.functional.find(max_iters);
     ASSERT_TRUE(memo.has_value());
     EXPECT_EQ(memo->iterations, outcome[0].iterations);
 
@@ -674,8 +710,7 @@ TEST(FunctionalMemo, CancelledRunPublishesNothing)
     ASSERT_FALSE(run.ok());
     EXPECT_EQ(run.status().code(), StatusCode::DeadlineExceeded);
     EXPECT_EQ(session.cacheStats().functional.misses, 1u);
-    EXPECT_FALSE(pc.functional.find(req.iters,
-                                    backend::ValueSemantics::FusedOei));
+    EXPECT_FALSE(pc.functional.find(req.iters));
 
     // knn has no convergence test: its run is timing-only, and the
     // pass engine's polls unwind it.
@@ -689,8 +724,7 @@ TEST(FunctionalMemo, CancelledRunPublishesNothing)
     ASSERT_FALSE(run.ok());
     EXPECT_EQ(run.status().code(), StatusCode::DeadlineExceeded);
     EXPECT_EQ(session.cacheStats().functional.misses, 1u);
-    EXPECT_FALSE(knn.functional.find(req.iters,
-                                     backend::ValueSemantics::FusedOei));
+    EXPECT_FALSE(knn.functional.find(req.iters));
 }
 
 // ---------------------------------------------------------------
@@ -952,9 +986,8 @@ TEST(FunctionalMemo, AppsSharingAnOperandKeepTheirOwnMemos)
     const api::Session::CacheStatsSnapshot stats = session.cacheStats();
     EXPECT_EQ(stats.functional.misses, 2u);
     EXPECT_EQ(stats.functional.hits, 2u);
-    EXPECT_TRUE(pr.functional.find(6, backend::ValueSemantics::FusedOei));
-    EXPECT_TRUE(
-        label.functional.find(6, backend::ValueSemantics::FusedOei));
+    EXPECT_TRUE(pr.functional.find(6));
+    EXPECT_TRUE(label.functional.find(6));
 }
 
 TEST(Session, EvictedOperandLeavesItsCasesArraysIntact)
