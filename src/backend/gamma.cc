@@ -90,6 +90,29 @@ FiberCache::access(Idx byte_begin, Idx byte_end)
     return out;
 }
 
+std::vector<Idx>
+FiberCache::recencyOrder() const
+{
+    // A line address maps to one set, so the sets' lists concatenated
+    // in set order still tell the sets apart.
+    std::vector<Idx> order;
+    std::vector<Line> set_lines;
+    for (Idx s = 0; s < sets_; ++s) {
+        const Line *set = lines_.data() + s * ways_;
+        set_lines.clear();
+        for (Idx w = 0; w < ways_; ++w)
+            if (set[w].tag >= 0)
+                set_lines.push_back(set[w]);
+        std::sort(set_lines.begin(), set_lines.end(),
+                  [](const Line &a, const Line &b) {
+                      return a.last_use < b.last_use;
+                  });
+        for (const Line &line : set_lines)
+            order.push_back(line.tag);
+    }
+    return order;
+}
+
 PeGroupTree::PeGroupTree(Idx groups, Tick start)
     : groups_(static_cast<std::size_t>(std::max<Idx>(1, groups))),
       leaves_(std::bit_ceil(groups_)),
@@ -135,6 +158,40 @@ struct RowPass
     bool spmm = false;
     /** Byte offset of the operand in the fiber-cache address space. */
     Idx base_bytes = 0;
+};
+
+/**
+ * One simulated iteration of the row loop, in the run's ticks: the
+ * state it started in, and what a replay of it repeats.
+ */
+struct IterationRecord
+{
+    struct DramCall
+    {
+        Tick now;
+        Idx bytes;
+        bool write;
+    };
+
+    Tick start = 0;
+    /** Ticks the DRAM pipe stayed busy past `start`. */
+    Tick dram_lead = 0;
+    std::vector<Idx> cache_order;
+    /** The run's counters and fiber-cache ledger at `start`. */
+    SimStats stats_before;
+    FiberCacheStats cache_before;
+
+    Tick end = 0;
+    std::vector<DramCall> dram;
+    obs::ActivityLog compute;
+    /** Its phase windows: [first_window, end_window) of the run's. */
+    std::size_t first_window = 0;
+    std::size_t end_window = 0;
+    /**
+     * It fetched no line for the first time, so it can repeat; an
+     * iteration stops recording DRAM calls at its first such line.
+     */
+    bool steady = false;
 };
 
 } // anonymous namespace
@@ -286,6 +343,31 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
     const Tick poll_stride =
         std::max<Tick>(1, config_.cancel_poll_cycles);
     Tick next_poll = 0;
+    // A replayed iteration has no rows to poll at: probe once per
+    // stride of simulated time up to `tick`.
+    auto pollThrough = [&](Tick tick) {
+        for (; cancel_ && next_poll <= tick; next_poll += poll_stride) {
+            ++stats.counters.cancel_polls;
+            throwIfError(cancel_->pollNow());
+        }
+    };
+
+    // The last simulated iteration; its DRAM calls go through
+    // access() so that it can be replayed.  A pass makes at most one
+    // call per row plus its vector read and write.  Reserving that
+    // bound spares the growth copies; pages become resident only
+    // once a call is written to them.
+    IterationRecord rec;
+    Idx max_calls = 0;
+    for (const RowPass &rp : passes)
+        max_calls += operands.csr(rp.matrix).rows() + 2;
+    rec.dram.reserve(static_cast<std::size_t>(max_calls));
+    auto access = [&dram, &rec](Tick now, Idx bytes, bool write) {
+        if (rec.steady)
+            rec.dram.push_back({now, bytes, write});
+        return dram.access(now, bytes, write);
+    };
+    bool replaying = false;
 
     Tick t = 0;
     for (Idx it = 0; it < outcome.iterations; ++it) {
@@ -293,12 +375,48 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
             ++stats.counters.cancel_polls;
             throwIfError(cancel_->pollNow());
         }
+        if (!replaying) {
+            const Tick lead =
+                dram.nextFree() > t ? dram.nextFree() - t : 0;
+            std::vector<Idx> order = cache.recencyOrder();
+            replaying = rec.steady && lead == rec.dram_lead &&
+                        order == rec.cache_order;
+            if (!replaying) {
+                rec.start = t;
+                rec.dram_lead = lead;
+                rec.cache_order = std::move(order);
+                rec.stats_before = stats;
+                rec.cache_before = cache.stats();
+                rec.dram.clear();
+                rec.compute = obs::ActivityLog();
+                rec.first_window = windows.size();
+                rec.steady = true;
+            }
+        }
+        if (replaying) {
+            // The recorded iteration, shifted to start at t.
+            const Tick shift = t - rec.start;
+            for (const IterationRecord::DramCall &call : rec.dram) {
+                pollThrough(call.now + shift);
+                dram.access(call.now + shift, call.bytes, call.write);
+            }
+            for (const obs::ActivitySpan &s : rec.compute.spans())
+                alog.record(s.kind, s.begin + shift, s.end + shift);
+            for (std::size_t w = rec.first_window; w < rec.end_window;
+                 ++w) {
+                const obs::PhaseWindow win = windows[w];
+                pushWindow(win.kind, win.begin + shift, win.end + shift);
+            }
+            t = rec.end + shift;
+            pollThrough(t);
+            ++stats.counters.replayed_iterations;
+            continue;
+        }
         for (const RowPass &rp : passes) {
             const Tick t0 = t;
             const Idx rbytes = static_cast<Idx>(vec_read_bytes / v);
             const Idx wbytes = static_cast<Idx>(vec_write_bytes / v);
-            const Tick t_vec =
-                rbytes > 0 ? dram.access(t0, rbytes, false) : t0;
+            const Tick t_vec = rbytes > 0 ? access(t0, rbytes, false) : t0;
 
             const CsrMatrix &m = operands.csr(rp.matrix);
             // Multiplies per nonzero: one per output column for SpMM.
@@ -323,10 +441,11 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
                     fiber_begin, fiber_begin + nnz * bytes_per_nz);
                 Tick ready = start + kIsScatterLatency;
                 if (acc.miss_lines > 0) {
+                    rec.steady = rec.steady && acc.cold_lines == 0;
                     const Idx miss_bytes =
                         acc.miss_lines * line_bytes;
                     ready = std::max(
-                        ready, dram.access(start, miss_bytes, false));
+                        ready, access(start, miss_bytes, false));
                     stats.matrix_demand_bytes +=
                         acc.cold_lines * line_bytes;
                     stats.reload_bytes +=
@@ -337,7 +456,7 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
                     (nnz * row_mults + group_pes - 1) / group_pes);
                 const Tick end =
                     ready + mults + kOsTreeLatency;
-                alog.record(obs::Activity::Compute, ready, end);
+                rec.compute.record(obs::Activity::Compute, ready, end);
                 groups.assign(g, end);
                 stats.os_elems += nnz;
             }
@@ -346,20 +465,38 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
             // Trailing element-wise work of the iteration slice.
             const Tick t_ew = t_rows + static_cast<Tick>(
                 ewise_work / v / pe) + 1;
-            alog.record(obs::Activity::Compute, t_rows, t_ew);
+            rec.compute.record(obs::Activity::Compute, t_rows, t_ew);
             if (wbytes > 0)
-                dram.access(t_ew, wbytes, true); // posted
+                access(t_ew, wbytes, true); // posted
             t = t_ew;
             pushWindow(obs::PhaseKind::StreamPass, t0, t);
             ++stats.passes;
             stats.vector_bytes += rbytes + wbytes;
         }
+        alog.append(rec.compute.spans());
+        rec.end = t;
+        rec.end_window = windows.size();
     }
 
     // Surface the fiber-cache ledger through the generic reuse
     // counters so recordSimMetrics / BENCH outputs carry it without
-    // a backend-specific SimStats extension.
+    // a backend-specific SimStats extension.  Each replayed iteration
+    // adds what the recorded one did.
     fiber_stats_ = cache.stats();
+    const Idx replayed = stats.counters.replayed_iterations;
+    auto repeat = [replayed](Idx &total, Idx before) {
+        total += replayed * (total - before);
+    };
+    const SimStats &before = rec.stats_before;
+    repeat(stats.passes, before.passes);
+    repeat(stats.os_elems, before.os_elems);
+    repeat(stats.vector_bytes, before.vector_bytes);
+    repeat(stats.matrix_demand_bytes, before.matrix_demand_bytes);
+    repeat(stats.reload_bytes, before.reload_bytes);
+    repeat(fiber_stats_.hit_lines, rec.cache_before.hit_lines);
+    repeat(fiber_stats_.miss_lines, rec.cache_before.miss_lines);
+    repeat(fiber_stats_.cold_lines, rec.cache_before.cold_lines);
+    repeat(fiber_stats_.evictions, rec.cache_before.evictions);
     stats.counters.prefetch_hit_elems = fiber_stats_.hit_lines;
     stats.counters.prefetch_miss_elems = fiber_stats_.miss_lines;
     finalize(t);

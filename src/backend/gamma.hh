@@ -86,6 +86,14 @@ class FiberCache
      *  addresses are non-negative. */
     Access access(Idx byte_begin, Idx byte_end);
 
+    /**
+     * The replacement state: set by set, the resident line addresses
+     * from least to most recently used.  Two caches with equal orders
+     * hit, miss and evict alike on any access stream; which way a
+     * line sits in does not matter.  O(lines) to build.
+     */
+    std::vector<Idx> recencyOrder() const;
+
     const FiberCacheStats &stats() const { return stats_; }
     Idx lineBytes() const { return line_bytes_; }
     Idx sets() const { return sets_; }
@@ -168,6 +176,24 @@ class PeGroupTree
  * (see core/sparsepipe_sim.hh): cancellation unwinds via SpError,
  * traces are emitted per phase and per DRAM transaction when
  * attached.
+ *
+ * The timing stage simulates the row loop until it reaches a steady
+ * state, then replays it.  Each simulated iteration is recorded from
+ * its start tick: its DramModel calls in order, its compute spans,
+ * its phase windows and its counter deltas.  An operand fixes the
+ * fiber accesses of an iteration, so an iteration that starts in the
+ * recorded one's fiber-cache recency order and DRAM lead (the ticks
+ * the pipe stays busy past the iteration's start) repeats it shifted
+ * in time, provided the recorded one fetched no line for the first
+ * time.  From that iteration on every iteration is the record
+ * replayed: its DRAM calls re-issued through the DramModel (so the
+ * ledger, the activity spans and any trace events are the simulated
+ * ones), its spans and windows shifted, its deltas added.  The
+ * record holds one iteration's DRAM calls at most.  The replay polls
+ * the cancellation token once per cancel_poll_cycles of simulated
+ * time and counts its iterations in
+ * ObsCounters::replayed_iterations; every other output is
+ * bit-identical to simulating each iteration.
  */
 class GammaSim final : public CycleEngine
 {

@@ -199,6 +199,13 @@ struct ObsCounters
      * the harness, not the modelled hardware).
      */
     Idx cancel_polls = 0;
+    /**
+     * Iterations the gamma backend replayed from a recorded one
+     * instead of simulating (DESIGN.md §12); 0 for Sparsepipe.
+     * Excluded from the metrics-v1 dump, like cancel_polls: it
+     * measures the simulator, not the modelled hardware.
+     */
+    Idx replayed_iterations = 0;
 };
 
 } // namespace sparsepipe::obs

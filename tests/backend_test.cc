@@ -3,15 +3,19 @@
  * Tests of the backend registry and the Gamma-style cycle engine:
  * name round-trips, the Status path for unknown names, the fiber
  * cache's hit/cold/eviction ledger and the PE-group pick against
- * their scanning forms, bitwise value identity of the gamma backend
- * against the reference executor, exact cycle attribution, and the
- * explore axis staying in sync with the registry.
+ * their scanning forms, the timing stage's steady-state replay
+ * against the row loop run every iteration, bitwise value identity
+ * of the gamma backend against the reference executor, exact cycle
+ * attribution, and the explore axis staying in sync with the
+ * registry.
  */
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
 
@@ -22,6 +26,9 @@
 #include "backend/backend.hh"
 #include "backend/gamma.hh"
 #include "explore/spec.hh"
+#include "graph/analysis.hh"
+#include "mem/dram.hh"
+#include "obs/trace.hh"
 #include "ref/executor.hh"
 #include "util/random.hh"
 #include "test_helpers.hh"
@@ -117,6 +124,32 @@ TEST(FiberCache, LruEvictionAndWarmReload)
 
     EXPECT_EQ(cache.stats().miss_lines, 4);
     EXPECT_EQ(cache.stats().cold_lines, 3);
+}
+
+TEST(FiberCache, RecencyOrderListsEachSetFromLeastRecentlyUsed)
+{
+    backend::FiberCache cache(1024, 2, 64); // 8 sets of 2 ways
+    EXPECT_TRUE(cache.recencyOrder().empty());
+
+    // Lines 0, 8 and 16 stream through set 0, and line 1 sits in
+    // set 1.  Each pass over 0, 8, 16 evicts the line it needs next,
+    // so the two lines left in set 0 swap ways from pass to pass
+    // while their recency order stays 8 then 16.
+    auto pass = [&cache] {
+        for (Idx line : {0, 8, 16})
+            cache.access(line * 64, line * 64 + 64);
+    };
+    cache.access(64, 128);
+    pass();
+    const std::vector<Idx> after_one = {8, 16, 1};
+    EXPECT_EQ(cache.recencyOrder(), after_one);
+    pass();
+    EXPECT_EQ(cache.recencyOrder(), after_one);
+
+    // A hit makes its line the most recent of its set.
+    cache.access(8 * 64, 8 * 64 + 1);
+    const std::vector<Idx> after_hit = {16, 8, 1};
+    EXPECT_EQ(cache.recencyOrder(), after_hit);
 }
 
 /**
@@ -446,6 +479,271 @@ TEST(GammaBackend, AttributionReconcilesExactly)
               (fc.miss_lines - fc.cold_lines) * 64);
 }
 
+/**
+ * Gamma's timing stage in its iteration-by-iteration form: every
+ * iteration runs the row loop, none is replayed.  GammaSim must
+ * match it on every output.  Programs with a leading matrix op only.
+ */
+class RowLoopGamma final : public backend::CycleEngine
+{
+  public:
+    using CycleEngine::CycleEngine;
+
+    SimStats
+    runTiming(const Program &p, const OperandPatterns &operands,
+              const RunResult &outcome, Idx /*max_iters*/) override
+    {
+        const Analysis an = analyzeProgram(p);
+        if (an.leading_ops.empty())
+            throw std::logic_error("RowLoopGamma: no matrix op");
+
+        SimStats stats;
+        stats.mode = ScheduleMode::Stream;
+        stats.iterations = outcome.iterations;
+        stats.converged = outcome.converged;
+
+        DramModel dram(config_.dram);
+        obs::ActivityLog alog;
+        std::vector<obs::PhaseWindow> windows;
+        dram.setAccessHook([this, &alog](Tick start, Tick finish,
+                                         Tick avail, Idx bytes,
+                                         bool write) {
+            if (write) {
+                alog.record(obs::Activity::WriteTransfer, start, finish);
+            } else {
+                alog.record(obs::Activity::ReadTransfer, start, finish);
+                alog.record(obs::Activity::ReadWait, finish, avail);
+            }
+            if (trace_)
+                trace_->complete(write ? "write" : "read", "dram",
+                                 obs::TraceTrack::Dram, start, finish,
+                                 {{"bytes",
+                                   static_cast<double>(bytes)}});
+        });
+        auto pushWindow = [&windows](obs::PhaseKind kind, Tick begin,
+                                     Tick end) {
+            windows.push_back(
+                {kind, static_cast<Idx>(windows.size()), begin, end});
+        };
+
+        const double vec_read_bytes =
+            static_cast<double>(an.traffic.vector_reads_unfused) *
+            value_bytes;
+        const double vec_write_bytes =
+            static_cast<double>(an.traffic.vector_writes_unfused) *
+            value_bytes;
+        const double ewise_work =
+            static_cast<double>(an.traffic.ewise_ops) +
+            static_cast<double>(an.traffic.reduction_elems) +
+            static_cast<double>(an.traffic.mm_flops);
+        const double pe = static_cast<double>(
+            std::max<Idx>(1, config_.pe_per_core));
+
+        struct RowPass
+        {
+            TensorId matrix;
+            bool spmm;
+            Idx base_bytes;
+        };
+        const Idx bytes_per_nz = config_.bytesPerElem();
+        std::vector<RowPass> passes;
+        std::map<TensorId, Idx> operand_base;
+        Idx next_base = 0;
+        for (std::size_t idx : an.leading_ops) {
+            const OpNode &lead = p.ops()[idx];
+            const bool spmm = lead.kind == OpKind::Spmm;
+            const TensorId matrix =
+                spmm ? lead.inputs[0] : lead.inputs[1];
+            auto [it, inserted] =
+                operand_base.try_emplace(matrix, next_base);
+            if (inserted)
+                next_base += operands.csr(matrix).nnz() * bytes_per_nz;
+            passes.push_back({matrix, spmm, it->second});
+        }
+
+        backend::FiberCache cache(config_.buffer_bytes);
+        const Idx line_bytes = cache.lineBytes();
+        const Idx group_pes = std::max<Idx>(
+            1, std::min<Idx>(32, config_.pe_per_core));
+        backend::PeGroupTree groups(config_.pe_per_core / group_pes, 0);
+        const double v = static_cast<double>(passes.size());
+
+        Tick t = 0;
+        for (Idx it = 0; it < outcome.iterations; ++it) {
+            for (const RowPass &rp : passes) {
+                const Tick t0 = t;
+                const Idx rbytes = static_cast<Idx>(vec_read_bytes / v);
+                const Idx wbytes = static_cast<Idx>(vec_write_bytes / v);
+                const Tick t_vec =
+                    rbytes > 0 ? dram.access(t0, rbytes, false) : t0;
+                const CsrMatrix &m = operands.csr(rp.matrix);
+                const Idx row_mults = rp.spmm
+                    ? std::max<Idx>(1, an.traffic.spmm_cols)
+                    : 1;
+                groups.reset(t_vec);
+                for (Idx r = 0; r < m.rows(); ++r) {
+                    const Idx nnz = m.rowNnz(r);
+                    if (nnz == 0)
+                        continue;
+                    const Idx g = groups.earliest();
+                    const Tick start = groups.freeAt(g);
+                    const Idx fiber_begin =
+                        rp.base_bytes + m.rowPtr()[r] * bytes_per_nz;
+                    const backend::FiberCache::Access acc = cache.access(
+                        fiber_begin, fiber_begin + nnz * bytes_per_nz);
+                    Tick ready = start + kIsScatterLatency;
+                    if (acc.miss_lines > 0) {
+                        ready = std::max(
+                            ready, dram.access(start,
+                                               acc.miss_lines * line_bytes,
+                                               false));
+                        stats.matrix_demand_bytes +=
+                            acc.cold_lines * line_bytes;
+                        stats.reload_bytes +=
+                            (acc.miss_lines - acc.cold_lines) *
+                            line_bytes;
+                    }
+                    const Tick mults = static_cast<Tick>(
+                        (nnz * row_mults + group_pes - 1) / group_pes);
+                    const Tick end = ready + mults + kOsTreeLatency;
+                    alog.record(obs::Activity::Compute, ready, end);
+                    groups.assign(g, end);
+                    stats.os_elems += nnz;
+                }
+                const Tick t_rows = groups.latest();
+                const Tick t_ew = t_rows + static_cast<Tick>(
+                    ewise_work / v / pe) + 1;
+                alog.record(obs::Activity::Compute, t_rows, t_ew);
+                if (wbytes > 0)
+                    dram.access(t_ew, wbytes, true);
+                t = t_ew;
+                pushWindow(obs::PhaseKind::StreamPass, t0, t);
+                ++stats.passes;
+                stats.vector_bytes += rbytes + wbytes;
+            }
+        }
+
+        fiber_stats_ = cache.stats();
+        stats.counters.prefetch_hit_elems = fiber_stats_.hit_lines;
+        stats.counters.prefetch_miss_elems = fiber_stats_.miss_lines;
+
+        const Tick drained = std::max(t, dram.nextFree());
+        if (drained > t)
+            pushWindow(obs::PhaseKind::WriteDrain, t, drained);
+        stats.cycles = drained;
+        stats.dram_read_bytes = dram.bytesRead();
+        stats.dram_write_bytes = dram.bytesWritten();
+        stats.bw_utilization =
+            dram.utilization(std::max<Tick>(drained, 1));
+        stats.bw_timeline = dram.utilizationSeries(
+            std::max<Tick>(drained, 1),
+            static_cast<std::size_t>(
+                std::max<Idx>(1, config_.bw_timeline_samples)));
+        stats.attribution = obs::attributeCycles(windows, alog.spans());
+        if (trace_) {
+            for (const obs::PhaseCycles &ph : stats.attribution.phases) {
+                trace_->complete(
+                    std::string(obs::phaseKindName(ph.kind)) + " #" +
+                        std::to_string(ph.index),
+                    "phase", obs::TraceTrack::Phases, ph.begin, ph.end,
+                    {{"compute", static_cast<double>(ph.compute)},
+                     {"dram_read_stall",
+                      static_cast<double>(ph.dram_read_stall)},
+                     {"dram_write_drain",
+                      static_cast<double>(ph.dram_write_drain)},
+                     {"buffer_swap_wait",
+                      static_cast<double>(ph.buffer_swap_wait)}});
+            }
+        }
+        return stats;
+    }
+
+    const backend::FiberCacheStats &fiberCacheStats() const
+    {
+        return fiber_stats_;
+    }
+
+  private:
+    backend::FiberCacheStats fiber_stats_;
+};
+
+TEST(GammaReplay, MatchesTheRowLoopIterationByIteration)
+{
+    // A working set that fits the default buffer (pr-ro), one that
+    // overflows it (pr-wi), a solver (cg-ca), two passes per
+    // iteration (bgs-gy), SpMM (gcn-gy) and a lower-skew graph
+    // (kcore-bu); iso-GPU, iso-CPU and a buffer on each side.
+    const std::pair<const char *, const char *> kCases[] = {
+        {"pr", "ro"}, {"pr", "wi"}, {"cg", "ca"},
+        {"bgs", "gy"}, {"gcn", "gy"}, {"kcore", "bu"},
+    };
+    std::vector<std::pair<std::string, SparsepipeConfig>> configs = {
+        {"iso-gpu", SparsepipeConfig::isoGpu()},
+        {"iso-cpu", SparsepipeConfig::isoCpu()},
+        {"256 KiB", SparsepipeConfig::isoGpu()},
+        {"24 MiB", SparsepipeConfig::isoGpu()},
+    };
+    configs[2].second.buffer_bytes = 256 << 10;
+    configs[3].second.buffer_bytes = 24 << 20;
+
+    api::Session session;
+    for (const auto &[app, dataset] : kCases) {
+        const api::PreparedCase &pc =
+            session.prepared(app, dataset, ReorderKind::Vanilla);
+        const OperandPatterns operands(pc.app.matrix, pc.csr, pc.csc);
+        for (const auto &[config_name, config] : configs) {
+            for (Idx iters : {Idx{6}, Idx{1}, Idx{2}, Idx{3}}) {
+                const std::string label =
+                    std::string(app) + "-" + dataset + ", " +
+                    config_name + ", " + std::to_string(iters) +
+                    " iterations";
+                const RunResult outcome{iters, false};
+                // Traces run to tens of MB: compare them on the runs
+                // with two simulated iterations and one replayed, on
+                // a buffer below and one above most working sets.
+                const bool traced = iters == 3 &&
+                                    (config_name == "iso-gpu" ||
+                                     config_name == "24 MiB");
+                obs::TraceSink got_trace, want_trace;
+                backend::GammaSim sim(config);
+                RowLoopGamma row_loop(config);
+                if (traced) {
+                    sim.attachTrace(&got_trace);
+                    row_loop.attachTrace(&want_trace);
+                }
+                const SimStats got =
+                    sim.runTiming(pc.app.program, operands, outcome, iters);
+                const SimStats want = row_loop.runTiming(
+                    pc.app.program, operands, outcome, iters);
+
+                testing::expectSameSimStats(got, want, label);
+                EXPECT_EQ(got.cycles, want.cycles) << label;
+                EXPECT_EQ(got_trace.eventCount(), want_trace.eventCount())
+                    << label;
+                EXPECT_TRUE(got_trace.toJson() == want_trace.toJson())
+                    << label << ": trace events differ";
+                const backend::FiberCacheStats &fc = sim.fiberCacheStats();
+                const backend::FiberCacheStats &want_fc =
+                    row_loop.fiberCacheStats();
+                EXPECT_EQ(fc.hit_lines, want_fc.hit_lines) << label;
+                EXPECT_EQ(fc.miss_lines, want_fc.miss_lines) << label;
+                EXPECT_EQ(fc.cold_lines, want_fc.cold_lines) << label;
+                EXPECT_EQ(fc.evictions, want_fc.evictions) << label;
+
+                // The access sequence is the same every iteration, so
+                // true LRU holds the same recency order from the end
+                // of the first iteration on: the third iteration
+                // starts in the second's state and the replay takes
+                // over there.
+                EXPECT_EQ(got.counters.replayed_iterations,
+                          std::max<Idx>(0, iters - 2))
+                    << label;
+                EXPECT_EQ(want.counters.replayed_iterations, 0);
+            }
+        }
+    }
+}
+
 TEST(GammaBackend, SessionRunReportsBackend)
 {
     api::RunRequest req;
@@ -460,6 +758,8 @@ TEST(GammaBackend, SessionRunReportsBackend)
     EXPECT_GT(report.stats.cycles, 0u);
     EXPECT_EQ(report.stats.attribution.totalCycles(),
               report.stats.cycles);
+    EXPECT_EQ(report.stats.counters.replayed_iterations,
+              std::max<Idx>(0, report.stats.iterations - 2));
 
     // The same request under the default backend differs in cycles
     // (different architecture) but not in run shape.
@@ -467,6 +767,7 @@ TEST(GammaBackend, SessionRunReportsBackend)
     const api::RunReport base = session.run(req).value();
     EXPECT_EQ(base.backend, "sparsepipe");
     EXPECT_EQ(base.stats.iterations, report.stats.iterations);
+    EXPECT_EQ(base.stats.counters.replayed_iterations, 0);
 }
 
 TEST(CycleEngines, TimingIgnoresValues)

@@ -245,6 +245,46 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(backend::backendName(info.param));
     });
 
+TEST(Session, GammaDeadlineExpiresInsideTheReplay)
+{
+    // knn runs max_iters iterations whatever its values, so its run is
+    // timing only; wi's operand overflows the default fiber cache.
+    // Gamma simulates the first two iterations and replays the rest.
+    api::Session session;
+    api::RunRequest req;
+    req.app = "knn";
+    req.dataset = "wi";
+    req.backend = backend::BackendKind::Gamma;
+    req.sp.cancel_poll_cycles = 512;
+    const api::PreparedCase &pc =
+        session.prepared(req.app, req.dataset, req.reorder);
+    ASSERT_GT(pc.nnz * req.sp.bytesPerElem(), req.sp.buffer_bytes);
+
+    auto hostMs = [&](Idx iters) {
+        req.iters = iters;
+        const auto start = std::chrono::steady_clock::now();
+        const api::RunReport report = session.run(req).value();
+        EXPECT_EQ(report.stats.counters.replayed_iterations, iters - 2);
+        return std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
+    const double simulated_ms = hostMs(2);
+    const double replayed_ms =
+        std::max(1e-3, (hostMs(102) - simulated_ms) / 100);
+
+    // The deadline falls well after the simulated iterations, and the
+    // replay alone would outlast it twenty times over.
+    const double deadline_ms = std::max(50.0, 5 * simulated_ms);
+    req.iters = 2 + static_cast<Idx>(20 * deadline_ms / replayed_ms);
+    CancelToken token;
+    req.cancel = &token;
+    token.setDeadlineAfterMs(static_cast<long long>(deadline_ms));
+    StatusOr<api::RunReport> run = session.run(req);
+    ASSERT_FALSE(run.ok()) << req.iters << " iterations";
+    EXPECT_EQ(run.status().code(), StatusCode::DeadlineExceeded);
+}
+
 TEST(Session, BindWorkspaceBindsBothCompressedForms)
 {
     api::Session session;
