@@ -6,10 +6,10 @@
 #include <map>
 #include <numeric>
 
+#include "core/replay.hh"
 #include "graph/analysis.hh"
 #include "mem/dram.hh"
 #include "obs/attribution.hh"
-#include "obs/trace.hh"
 #include "util/logging.hh"
 
 namespace sparsepipe::backend {
@@ -160,40 +160,6 @@ struct RowPass
     Idx base_bytes = 0;
 };
 
-/**
- * One simulated iteration of the row loop, in the run's ticks: the
- * state it started in, and what a replay of it repeats.
- */
-struct IterationRecord
-{
-    struct DramCall
-    {
-        Tick now;
-        Idx bytes;
-        bool write;
-    };
-
-    Tick start = 0;
-    /** Ticks the DRAM pipe stayed busy past `start`. */
-    Tick dram_lead = 0;
-    std::vector<Idx> cache_order;
-    /** The run's counters and fiber-cache ledger at `start`. */
-    SimStats stats_before;
-    FiberCacheStats cache_before;
-
-    Tick end = 0;
-    std::vector<DramCall> dram;
-    obs::ActivityLog compute;
-    /** Its phase windows: [first_window, end_window) of the run's. */
-    std::size_t first_window = 0;
-    std::size_t end_window = 0;
-    /**
-     * It fetched no line for the first time, so it can repeat; an
-     * iteration stops recording DRAM calls at its first such line.
-     */
-    bool steady = false;
-};
-
 } // anonymous namespace
 
 SimStats
@@ -208,61 +174,7 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
     stats.converged = outcome.converged;
 
     DramModel dram(config_.dram);
-
-    obs::ActivityLog alog;
-    std::vector<obs::PhaseWindow> windows;
-    dram.setAccessHook([this, &alog](Tick start, Tick finish,
-                                     Tick avail, Idx bytes,
-                                     bool write) {
-        if (write) {
-            alog.record(obs::Activity::WriteTransfer, start, finish);
-        } else {
-            alog.record(obs::Activity::ReadTransfer, start, finish);
-            alog.record(obs::Activity::ReadWait, finish, avail);
-        }
-        if (trace_)
-            trace_->complete(write ? "write" : "read", "dram",
-                             obs::TraceTrack::Dram, start, finish,
-                             {{"bytes",
-                               static_cast<double>(bytes)}});
-    });
-    auto pushWindow = [&windows](obs::PhaseKind kind, Tick begin,
-                                 Tick end) {
-        windows.push_back(
-            {kind, static_cast<Idx>(windows.size()), begin, end});
-    };
-    auto finalize = [&](Tick t) {
-        const Tick drained = std::max(t, dram.nextFree());
-        if (drained > t)
-            pushWindow(obs::PhaseKind::WriteDrain, t, drained);
-        stats.cycles = drained;
-        stats.dram_read_bytes = dram.bytesRead();
-        stats.dram_write_bytes = dram.bytesWritten();
-        stats.bw_utilization =
-            dram.utilization(std::max<Tick>(drained, 1));
-        const std::size_t samples = static_cast<std::size_t>(
-            std::max<Idx>(1, config_.bw_timeline_samples));
-        stats.bw_timeline = dram.utilizationSeries(
-            std::max<Tick>(drained, 1), samples);
-        stats.attribution = obs::attributeCycles(windows, alog.spans());
-        if (trace_) {
-            for (const obs::PhaseCycles &ph :
-                 stats.attribution.phases) {
-                trace_->complete(
-                    std::string(obs::phaseKindName(ph.kind)) + " #" +
-                        std::to_string(ph.index),
-                    "phase", obs::TraceTrack::Phases, ph.begin,
-                    ph.end,
-                    {{"compute", static_cast<double>(ph.compute)},
-                     {"dram_read_stall",
-                      static_cast<double>(ph.dram_read_stall)},
-                     {"dram_write_drain",
-                      static_cast<double>(ph.dram_write_drain)},
-                     {"buffer_swap_wait",
-                      static_cast<double>(ph.buffer_swap_wait)}});
-            }
-        }
-    };
+    StageTimeline timeline(dram, trace_);
 
     // Row-wise execution has no inter-operator pipeline, so every
     // operator pays its full operand traffic: the *unfused* profile.
@@ -297,10 +209,10 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
             const Tick t_cmp =
                 t + static_cast<Tick>(ewise_work / pe) + 1;
             t = std::max(t_mem, t_cmp);
-            alog.record(obs::Activity::Compute, t0, t_cmp);
-            pushWindow(obs::PhaseKind::EwiseIteration, t0, t);
+            timeline.activity().record(obs::Activity::Compute, t0, t_cmp);
+            timeline.pushWindow(obs::PhaseKind::EwiseIteration, t0, t);
         }
-        finalize(t);
+        timeline.finish(t, config_.bw_timeline_samples, stats);
         return stats;
     }
 
@@ -340,33 +252,23 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
     // can run for millions of simulated cycles between iteration
     // boundaries, so probe the token whenever simulated time has
     // advanced past the budget (same contract as PassEngine).
-    const Tick poll_stride =
-        std::max<Tick>(1, config_.cancel_poll_cycles);
-    Tick next_poll = 0;
-    // A replayed iteration has no rows to poll at: probe once per
-    // stride of simulated time up to `tick`.
-    auto pollThrough = [&](Tick tick) {
-        for (; cancel_ && next_poll <= tick; next_poll += poll_stride) {
-            ++stats.counters.cancel_polls;
-            throwIfError(cancel_->pollNow());
-        }
-    };
+    CyclePoller poller(cancel_, config_.cancel_poll_cycles,
+                       stats.counters.cancel_polls);
 
-    // The last simulated iteration; its DRAM calls go through
-    // access() so that it can be replayed.  A pass makes at most one
-    // call per row plus its vector read and write.  Reserving that
-    // bound spares the growth copies; pages become resident only
-    // once a call is written to them.
-    IterationRecord rec;
+    // The last simulated iteration, with the state it started in: the
+    // fiber cache's recency order (DESIGN.md §12), the run's counters
+    // and the cache's ledger.  A pass makes at most one DRAM call per
+    // row plus its vector read and write.  Reserving that bound spares
+    // the growth copies; pages become resident only once a call is
+    // written to them.
+    StretchRecord rec;
+    std::vector<Idx> rec_order;
+    SimStats stats_before;
+    FiberCacheStats cache_before;
     Idx max_calls = 0;
     for (const RowPass &rp : passes)
         max_calls += operands.csr(rp.matrix).rows() + 2;
     rec.dram.reserve(static_cast<std::size_t>(max_calls));
-    auto access = [&dram, &rec](Tick now, Idx bytes, bool write) {
-        if (rec.steady)
-            rec.dram.push_back({now, bytes, write});
-        return dram.access(now, bytes, write);
-    };
     bool replaying = false;
 
     Tick t = 0;
@@ -376,39 +278,18 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
             throwIfError(cancel_->pollNow());
         }
         if (!replaying) {
-            const Tick lead =
-                dram.nextFree() > t ? dram.nextFree() - t : 0;
             std::vector<Idx> order = cache.recencyOrder();
-            replaying = rec.steady && lead == rec.dram_lead &&
-                        order == rec.cache_order;
+            replaying = rec.repeatsWith(timeline.dramLead(t)) &&
+                        order == rec_order;
             if (!replaying) {
-                rec.start = t;
-                rec.dram_lead = lead;
-                rec.cache_order = std::move(order);
-                rec.stats_before = stats;
-                rec.cache_before = cache.stats();
-                rec.dram.clear();
-                rec.compute = obs::ActivityLog();
-                rec.first_window = windows.size();
-                rec.steady = true;
+                rec_order = std::move(order);
+                stats_before = stats;
+                cache_before = cache.stats();
+                timeline.beginRecord(rec, t);
             }
         }
         if (replaying) {
-            // The recorded iteration, shifted to start at t.
-            const Tick shift = t - rec.start;
-            for (const IterationRecord::DramCall &call : rec.dram) {
-                pollThrough(call.now + shift);
-                dram.access(call.now + shift, call.bytes, call.write);
-            }
-            for (const obs::ActivitySpan &s : rec.compute.spans())
-                alog.record(s.kind, s.begin + shift, s.end + shift);
-            for (std::size_t w = rec.first_window; w < rec.end_window;
-                 ++w) {
-                const obs::PhaseWindow win = windows[w];
-                pushWindow(win.kind, win.begin + shift, win.end + shift);
-            }
-            t = rec.end + shift;
-            pollThrough(t);
+            t = timeline.replay(rec, t, poller);
             ++stats.counters.replayed_iterations;
             continue;
         }
@@ -416,7 +297,8 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
             const Tick t0 = t;
             const Idx rbytes = static_cast<Idx>(vec_read_bytes / v);
             const Idx wbytes = static_cast<Idx>(vec_write_bytes / v);
-            const Tick t_vec = rbytes > 0 ? access(t0, rbytes, false) : t0;
+            const Tick t_vec =
+                rbytes > 0 ? dram.access(t0, rbytes, false) : t0;
 
             const CsrMatrix &m = operands.csr(rp.matrix);
             // Multiplies per nonzero: one per output column for SpMM.
@@ -430,22 +312,20 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
                     continue;
                 const Idx g = groups.earliest();
                 const Tick start = groups.freeAt(g);
-                if (cancel_ && start >= next_poll) {
-                    ++stats.counters.cancel_polls;
-                    throwIfError(cancel_->pollNow());
-                    next_poll = start + poll_stride;
-                }
+                poller.at(start);
                 const Idx fiber_begin =
                     rp.base_bytes + m.rowPtr()[r] * bytes_per_nz;
                 const FiberCache::Access acc = cache.access(
                     fiber_begin, fiber_begin + nnz * bytes_per_nz);
                 Tick ready = start + kIsScatterLatency;
                 if (acc.miss_lines > 0) {
+                    // A line fetched for the first time never is
+                    // again: this iteration cannot repeat.
                     rec.steady = rec.steady && acc.cold_lines == 0;
                     const Idx miss_bytes =
                         acc.miss_lines * line_bytes;
                     ready = std::max(
-                        ready, access(start, miss_bytes, false));
+                        ready, dram.access(start, miss_bytes, false));
                     stats.matrix_demand_bytes +=
                         acc.cold_lines * line_bytes;
                     stats.reload_bytes +=
@@ -467,15 +347,13 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
                 ewise_work / v / pe) + 1;
             rec.compute.record(obs::Activity::Compute, t_rows, t_ew);
             if (wbytes > 0)
-                access(t_ew, wbytes, true); // posted
+                dram.access(t_ew, wbytes, true); // posted
             t = t_ew;
-            pushWindow(obs::PhaseKind::StreamPass, t0, t);
+            timeline.pushWindow(obs::PhaseKind::StreamPass, t0, t);
             ++stats.passes;
             stats.vector_bytes += rbytes + wbytes;
         }
-        alog.append(rec.compute.spans());
-        rec.end = t;
-        rec.end_window = windows.size();
+        timeline.endRecord(t);
     }
 
     // Surface the fiber-cache ledger through the generic reuse
@@ -487,19 +365,18 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
     auto repeat = [replayed](Idx &total, Idx before) {
         total += replayed * (total - before);
     };
-    const SimStats &before = rec.stats_before;
-    repeat(stats.passes, before.passes);
-    repeat(stats.os_elems, before.os_elems);
-    repeat(stats.vector_bytes, before.vector_bytes);
-    repeat(stats.matrix_demand_bytes, before.matrix_demand_bytes);
-    repeat(stats.reload_bytes, before.reload_bytes);
-    repeat(fiber_stats_.hit_lines, rec.cache_before.hit_lines);
-    repeat(fiber_stats_.miss_lines, rec.cache_before.miss_lines);
-    repeat(fiber_stats_.cold_lines, rec.cache_before.cold_lines);
-    repeat(fiber_stats_.evictions, rec.cache_before.evictions);
+    repeat(stats.passes, stats_before.passes);
+    repeat(stats.os_elems, stats_before.os_elems);
+    repeat(stats.vector_bytes, stats_before.vector_bytes);
+    repeat(stats.matrix_demand_bytes, stats_before.matrix_demand_bytes);
+    repeat(stats.reload_bytes, stats_before.reload_bytes);
+    repeat(fiber_stats_.hit_lines, cache_before.hit_lines);
+    repeat(fiber_stats_.miss_lines, cache_before.miss_lines);
+    repeat(fiber_stats_.cold_lines, cache_before.cold_lines);
+    repeat(fiber_stats_.evictions, cache_before.evictions);
     stats.counters.prefetch_hit_elems = fiber_stats_.hit_lines;
     stats.counters.prefetch_miss_elems = fiber_stats_.miss_lines;
-    finalize(t);
+    timeline.finish(t, config_.bw_timeline_samples, stats);
     return stats;
 }
 

@@ -178,22 +178,18 @@ class PeGroupTree
  * attached.
  *
  * The timing stage simulates the row loop until it reaches a steady
- * state, then replays it.  Each simulated iteration is recorded from
- * its start tick: its DramModel calls in order, its compute spans,
- * its phase windows and its counter deltas.  An operand fixes the
- * fiber accesses of an iteration, so an iteration that starts in the
- * recorded one's fiber-cache recency order and DRAM lead (the ticks
- * the pipe stays busy past the iteration's start) repeats it shifted
- * in time, provided the recorded one fetched no line for the first
- * time.  From that iteration on every iteration is the record
- * replayed: its DRAM calls re-issued through the DramModel (so the
- * ledger, the activity spans and any trace events are the simulated
- * ones), its spans and windows shifted, its deltas added.  The
- * record holds one iteration's DRAM calls at most.  The replay polls
- * the cancellation token once per cancel_poll_cycles of simulated
- * time and counts its iterations in
- * ObsCounters::replayed_iterations; every other output is
- * bit-identical to simulating each iteration.
+ * state, then replays it through the helper it shares with
+ * SparsepipeSim (core/replay.hh).  Each simulated iteration is
+ * recorded from its start tick, with its counter deltas.  An operand
+ * fixes the fiber accesses of an iteration, so an iteration that
+ * starts in the recorded one's fiber-cache recency order and DRAM
+ * lead (the ticks the pipe stays busy past the iteration's start)
+ * repeats it shifted in time, provided the recorded one fetched no
+ * line for the first time.  From that iteration on every iteration
+ * is the record replayed and its deltas added.  The record holds one
+ * iteration's DRAM calls at most.  ObsCounters::replayed_iterations
+ * counts the replayed iterations; every other output but
+ * cancel_polls is bit-identical to simulating each iteration.
  */
 class GammaSim final : public CycleEngine
 {

@@ -86,6 +86,9 @@ StepBuckets::finalizeDerived()
         col_slab_ptr_[static_cast<std::size_t>(cs) + 1] =
             col_slab_.size();
     }
+    occupancy_ = {};
+    for (const BucketSpan &sp : col_slab_)
+        ++occupancy_[static_cast<std::size_t>(obs::occupancyBin(sp.cnt))];
 
     // The band slab is the column slab transposed: count each band's
     // spans, then scatter in column-step order.

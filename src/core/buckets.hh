@@ -17,6 +17,7 @@
 #ifndef SPARSEPIPE_CORE_BUCKETS_HH
 #define SPARSEPIPE_CORE_BUCKETS_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -24,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "obs/attribution.hh"
 #include "sparse/csr.hh"
 
 namespace sparsepipe {
@@ -123,6 +125,16 @@ class StepBuckets
         return {band_slab_.data() + lo, hi - lo};
     }
 
+    /**
+     * Histogram of the occupied buckets' counts over
+     * obs::occupancyBin, counted once at build.
+     */
+    const std::array<Idx, obs::kOccupancyBins> &
+    occupancy() const
+    {
+        return occupancy_;
+    }
+
     /** Bytes the arrays hold. */
     std::uint64_t heldBytes() const;
 
@@ -165,6 +177,7 @@ class StepBuckets
     /** Occupied buckets by row band (CSC-style slab). */
     std::vector<BucketSpan> band_slab_;
     std::vector<std::size_t> band_slab_ptr_;
+    std::array<Idx, obs::kOccupancyBins> occupancy_ = {};
 };
 
 /**

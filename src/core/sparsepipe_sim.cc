@@ -1,6 +1,7 @@
 #include "core/sparsepipe_sim.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 #include <vector>
@@ -9,11 +10,11 @@
 #include "core/lane_exec.hh"
 #include "core/oei_functional.hh"
 #include "core/pass_engine.hh"
+#include "core/replay.hh"
 #include "runner/thread_pool.hh"
 #include "semiring/packed.hh"
 #include "mem/dram.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 #include "sim/event_queue.hh"
 #include "util/logging.hh"
 
@@ -312,63 +313,7 @@ SparsepipeSim::runTiming(const Program &p,
     // Activity spans and phase windows feeding cycle attribution.
     // Windows tile [0, cycles]: every pass / iteration starts where
     // the previous one ended, and the drain window covers the tail.
-    obs::ActivityLog alog;
-    std::vector<obs::PhaseWindow> windows;
-    dram.setAccessHook([this, &alog](Tick start, Tick finish,
-                                     Tick avail, Idx bytes,
-                                     bool write) {
-        if (write) {
-            alog.record(obs::Activity::WriteTransfer, start, finish);
-        } else {
-            alog.record(obs::Activity::ReadTransfer, start, finish);
-            alog.record(obs::Activity::ReadWait, finish, avail);
-        }
-        if (trace_)
-            trace_->complete(write ? "write" : "read", "dram",
-                             obs::TraceTrack::Dram, start, finish,
-                             {{"bytes",
-                               static_cast<double>(bytes)}});
-    });
-    auto pushWindow = [&windows](obs::PhaseKind kind, Tick begin,
-                                 Tick end) {
-        windows.push_back(
-            {kind, static_cast<Idx>(windows.size()), begin, end});
-    };
-
-    // Drain posted writes, attribute every cycle, and fill the
-    // DRAM-side aggregates (shared epilogue of both timing models).
-    auto finalize = [&](Tick t) {
-        const Tick drained = std::max(t, dram.nextFree());
-        if (drained > t)
-            pushWindow(obs::PhaseKind::WriteDrain, t, drained);
-        stats.cycles = drained;
-        stats.dram_read_bytes = dram.bytesRead();
-        stats.dram_write_bytes = dram.bytesWritten();
-        stats.bw_utilization =
-            dram.utilization(std::max<Tick>(drained, 1));
-        const std::size_t samples = static_cast<std::size_t>(
-            std::max<Idx>(1, config_.bw_timeline_samples));
-        stats.bw_timeline = dram.utilizationSeries(
-            std::max<Tick>(drained, 1), samples);
-        stats.attribution = obs::attributeCycles(windows, alog.spans());
-        if (trace_) {
-            for (const obs::PhaseCycles &ph :
-                 stats.attribution.phases) {
-                trace_->complete(
-                    std::string(obs::phaseKindName(ph.kind)) + " #" +
-                        std::to_string(ph.index),
-                    "phase", obs::TraceTrack::Phases, ph.begin,
-                    ph.end,
-                    {{"compute", static_cast<double>(ph.compute)},
-                     {"dram_read_stall",
-                      static_cast<double>(ph.dram_read_stall)},
-                     {"dram_write_drain",
-                      static_cast<double>(ph.dram_write_drain)},
-                     {"buffer_swap_wait",
-                      static_cast<double>(ph.buffer_swap_wait)}});
-            }
-        }
-    };
+    StageTimeline timeline(dram, trace_);
 
     PassCosts per_iter;
     per_iter.vector_read_bytes =
@@ -404,10 +349,10 @@ SparsepipeSim::runTiming(const Program &p,
                 per_iter.ewise_work /
                 static_cast<double>(config_.pe_per_core)) + 1;
             t = std::max(t_mem, t_cmp);
-            alog.record(obs::Activity::Compute, t0, t_cmp);
-            pushWindow(obs::PhaseKind::EwiseIteration, t0, t);
+            timeline.activity().record(obs::Activity::Compute, t0, t_cmp);
+            timeline.pushWindow(obs::PhaseKind::EwiseIteration, t0, t);
         }
-        finalize(t);
+        timeline.finish(t, config_.bw_timeline_samples, stats);
         return stats;
     }
 
@@ -418,13 +363,55 @@ SparsepipeSim::runTiming(const Program &p,
         operands.buckets(plan.matrix, t_cols, plan.spmm);
     const StepBuckets &buckets = *held;
     const Idx bytes_per_nz = config_.bytesPerElem();
+    stats.counters.bucket_occupancy = buckets.occupancy();
 
-    for (Idx cs = 0; cs < buckets.steps(); ++cs) {
-        for (const BucketSpan &sp : buckets.colSpans(cs)) {
-            ++stats.counters.bucket_occupancy[
-                static_cast<std::size_t>(obs::occupancyBin(sp.cnt))];
+    // A pass starts on a fresh buffer and re-assigned engine scratch,
+    // so it is a function of its role and of the DRAM lead it starts
+    // with: the last simulated pass of each role replays whenever a
+    // pass of that role starts with its lead (DESIGN.md §12).
+    struct PassRecord
+    {
+        StretchRecord stretch;
+        PassStats pass; ///< its counters, without activity or polls
+        BufferStats buffer;
+    };
+    std::array<PassRecord, 4> records; // by IterationRole
+    CyclePoller poller(cancel_, config_.cancel_poll_cycles,
+                       stats.counters.cancel_polls);
+    auto runPass = [&](IterationRole role, const PassCosts &costs,
+                       Tick t) {
+        PassRecord &rec = records[static_cast<std::size_t>(role)];
+        if (rec.stretch.repeatsWith(timeline.dramLead(t))) {
+            mergePass(stats, rec.pass);
+            if (role != IterationRole::Stream)
+                mergeBuffer(stats.buffer, rec.buffer);
+            ++stats.counters.replayed_iterations;
+            return timeline.replay(rec.stretch, t, poller);
         }
-    }
+        timeline.beginRecord(rec.stretch, t);
+        PassStats ps;
+        if (role == IterationRole::Stream) {
+            ps = engine.runStream(buckets, costs, t);
+        } else {
+            DualBufferModel buffer(config_.buffer_bytes, bytes_per_nz,
+                                   buckets.bands());
+            ps = engine.runFused(buckets, buffer, costs, t);
+            rec.buffer = buffer.stats();
+            mergeBuffer(stats.buffer, rec.buffer);
+        }
+        rec.stretch.compute.append(ps.activity);
+        timeline.pushWindow(role == IterationRole::Stream
+                                ? obs::PhaseKind::StreamPass
+                                : obs::PhaseKind::FusedPass,
+                            t, ps.end);
+        timeline.endRecord(ps.end);
+        mergePass(stats, ps);
+        ps.activity = {};
+        ps.cancel_polls = 0;
+        rec.pass = std::move(ps);
+        poller.skipTo(rec.stretch.end);
+        return rec.stretch.end;
+    };
 
     Tick t = 0;
     for (Idx it = 0; it < outcome.iterations; ++it) {
@@ -443,32 +430,20 @@ SparsepipeSim::runTiming(const Program &p,
                 costs.vector_write_bytes *= 2.0;
                 costs.ewise_work *= 2.0;
             }
-            DualBufferModel buffer(config_.buffer_bytes, bytes_per_nz,
-                                   buckets.bands());
-            PassStats ps = engine.runFused(buckets, buffer, costs, t);
-            alog.append(ps.activity);
-            pushWindow(obs::PhaseKind::FusedPass, t, ps.end);
-            t = ps.end;
-            mergePass(stats, ps);
-            mergeBuffer(stats.buffer, buffer.stats());
+            t = runPass(role, costs, t);
         } else if (role == IterationRole::Stream) {
             const Idx v = static_cast<Idx>(an.leading_ops.size());
             PassCosts costs = per_iter;
             costs.vector_read_bytes /= static_cast<double>(v);
             costs.vector_write_bytes /= static_cast<double>(v);
             costs.ewise_work /= static_cast<double>(v);
-            for (Idx k = 0; k < v; ++k) {
-                PassStats ps = engine.runStream(buckets, costs, t);
-                alog.append(ps.activity);
-                pushWindow(obs::PhaseKind::StreamPass, t, ps.end);
-                t = ps.end;
-                mergePass(stats, ps);
-            }
+            for (Idx k = 0; k < v; ++k)
+                t = runPass(role, costs, t);
         }
         // IterationRole::Covered: charged by the previous pass.
     }
 
-    finalize(t);
+    timeline.finish(t, config_.bw_timeline_samples, stats);
     return stats;
 }
 

@@ -143,9 +143,15 @@ class OperandPatterns
  *
  *  - runFunctional() executes the workspace with the fused-pair and
  *    packed-lane kernels and returns {iterations, converged};
- *  - runTiming() replays the pass engine for that many iterations.
+ *  - runTiming() runs the pass engine for that many iterations.
  *    It is a pure function of (program, config, operand patterns,
- *    outcome, max_iters).
+ *    outcome, max_iters).  A pass is a function of its role (fused,
+ *    paired fused or stream) and of the DRAM lead it starts with, so
+ *    the last simulated pass of each role is recorded, and a pass
+ *    that starts with its role's recorded lead replays the record
+ *    (core/replay.hh; DESIGN.md §12).  ObsCounters::
+ *    replayed_iterations counts the replayed passes; every other
+ *    output but cancel_polls is bit-identical to simulating each.
  *
  * run() composes the two.  A caller that already knows a case's
  * outcome calls runTiming() alone: api::Session from its memo, the

@@ -1,6 +1,9 @@
 #include "obs/attribution.hh"
 
 #include <algorithm>
+#include <cstdint>
+
+#include "util/logging.hh"
 
 namespace sparsepipe::obs {
 
@@ -25,13 +28,21 @@ phaseKindName(PhaseKind kind)
 
 namespace {
 
-/** +1/-1 sweep edge over one activity class. */
-struct Edge
+/**
+ * A sweep edge packed in one word: the tick, then the activity kind
+ * and whether a span opens there in the low bits, so sorting the words
+ * sorts the edges by tick.
+ */
+constexpr int kEdgeTagBits = 3;
+
+std::uint64_t
+packEdge(Tick at, Activity kind, bool opens)
 {
-    Tick at;
-    int kind;  ///< index into the Activity enum
-    int delta; ///< +1 opens a span, -1 closes it
-};
+    return (at << kEdgeTagBits) |
+           (static_cast<std::uint64_t>(kind) << 1) | (opens ? 1 : 0);
+}
+
+Tick edgeTick(std::uint64_t edge) { return edge >> kEdgeTagBits; }
 
 /**
  * Classify one elementary segment given the number of open spans of
@@ -55,20 +66,33 @@ charge(PhaseCycles &out, const int (&open)[4], Tick cycles)
 
 CycleAttribution
 attributeCycles(const std::vector<PhaseWindow> &windows,
-                std::vector<ActivitySpan> spans)
+                const std::vector<ActivitySpan> &spans)
 {
     CycleAttribution attr;
     attr.phases.reserve(windows.size());
 
-    // Spans are recorded in roughly increasing order but ReadWait
-    // tails start in the future; sort once so each window can scan a
-    // contiguous range.
-    std::sort(spans.begin(), spans.end(),
-              [](const ActivitySpan &a, const ActivitySpan &b) {
-                  return a.begin < b.begin;
-              });
+    // One sweep over every span's edges.  Windows come in order and do
+    // not overlap, so the open counts at a tick inside a window are
+    // the same whether spans are clipped to the window or not.
+    std::vector<std::uint64_t> edges;
+    edges.reserve(2 * spans.size());
+    for (const ActivitySpan &s : spans) {
+        if (s.end <= s.begin)
+            continue;
+        if (s.end >> (64 - kEdgeTagBits))
+            sp_panic("attributeCycles: tick %llu out of range",
+                     static_cast<unsigned long long>(s.end));
+        edges.push_back(packEdge(s.begin, s.kind, true));
+        edges.push_back(packEdge(s.end, s.kind, false));
+    }
+    std::sort(edges.begin(), edges.end());
 
-    std::size_t lo = 0; // first span that may still reach a window
+    int open[4] = {0, 0, 0, 0};
+    std::size_t e = 0;
+    auto openThrough = [&](Tick tick) {
+        for (; e < edges.size() && edgeTick(edges[e]) <= tick; ++e)
+            open[(edges[e] >> 1) & 3] += (edges[e] & 1) ? 1 : -1;
+    };
     for (const PhaseWindow &w : windows) {
         PhaseCycles phase;
         phase.kind = w.kind;
@@ -76,42 +100,14 @@ attributeCycles(const std::vector<PhaseWindow> &windows,
         phase.begin = w.begin;
         phase.end = w.end;
 
-        // Spans end before this window never matter again (windows
-        // are sorted); advance lo past spans wholly before w.begin.
-        while (lo < spans.size() && spans[lo].end <= w.begin &&
-               spans[lo].begin <= w.begin)
-            ++lo;
-
-        std::vector<Edge> edges;
-        for (std::size_t i = lo; i < spans.size(); ++i) {
-            const ActivitySpan &s = spans[i];
-            if (s.begin >= w.end)
-                break;
-            const Tick b = std::max(s.begin, w.begin);
-            const Tick e = std::min(s.end, w.end);
-            if (e <= b)
-                continue;
-            edges.push_back({b, static_cast<int>(s.kind), +1});
-            edges.push_back({e, static_cast<int>(s.kind), -1});
-        }
-        std::sort(edges.begin(), edges.end(),
-                  [](const Edge &a, const Edge &b) {
-                      return a.at < b.at;
-                  });
-
-        int open[4] = {0, 0, 0, 0};
-        Tick cursor = w.begin;
-        std::size_t e = 0;
-        while (cursor < w.end) {
-            while (e < edges.size() && edges[e].at == cursor) {
-                open[edges[e].kind] += edges[e].delta;
-                ++e;
-            }
-            const Tick next =
-                e < edges.size() ? std::min(edges[e].at, w.end)
-                                 : w.end;
+        openThrough(w.begin);
+        for (Tick cursor = w.begin; cursor < w.end;) {
+            const Tick next = e < edges.size()
+                ? std::min(edgeTick(edges[e]), w.end)
+                : w.end;
             charge(phase, open, next - cursor);
             cursor = next;
+            openThrough(cursor);
         }
 
         attr.compute += phase.compute;

@@ -87,6 +87,14 @@ class ActivityLog
 
     void append(const std::vector<ActivitySpan> &spans);
 
+    /** Drop every span, keeping the capacity. */
+    void
+    clear()
+    {
+        spans_.clear();
+        last_.fill(kNone);
+    }
+
     const std::vector<ActivitySpan> &spans() const { return spans_; }
 
   private:
@@ -161,10 +169,11 @@ struct CycleAttribution
  * (an ActivityLog's, or any raw list).  Windows must be sorted and
  * non-overlapping (the simulator produces them tiling the run);
  * spans crossing a window boundary contribute to each window they
- * overlap.
+ * overlap.  One sweep over the spans' sorted edges covers every
+ * window: O((spans + windows) log spans).
  */
 CycleAttribution attributeCycles(const std::vector<PhaseWindow> &windows,
-                                 std::vector<ActivitySpan> spans);
+                                 const std::vector<ActivitySpan> &spans);
 
 /** Bins of the step-bucket occupancy histogram (log2 scale). */
 inline constexpr int kOccupancyBins = 8;
@@ -200,8 +209,9 @@ struct ObsCounters
      */
     Idx cancel_polls = 0;
     /**
-     * Iterations the gamma backend replayed from a recorded one
-     * instead of simulating (DESIGN.md §12); 0 for Sparsepipe.
+     * Stretches the timing stage replayed from a recorded one instead
+     * of simulating (core/replay.hh): passes on Sparsepipe (one per
+     * fused pass, one per stream pass), iterations on gamma.
      * Excluded from the metrics-v1 dump, like cancel_polls: it
      * measures the simulator, not the modelled hardware.
      */

@@ -25,11 +25,13 @@
 #include "apps/apps.hh"
 #include "backend/backend.hh"
 #include "backend/gamma.hh"
+#include "core/pass_engine.hh"
 #include "explore/spec.hh"
 #include "graph/analysis.hh"
 #include "mem/dram.hh"
 #include "obs/trace.hh"
 #include "ref/executor.hh"
+#include "sim/event_queue.hh"
 #include "util/random.hh"
 #include "test_helpers.hh"
 
@@ -742,6 +744,261 @@ TEST(GammaReplay, MatchesTheRowLoopIterationByIteration)
             }
         }
     }
+}
+
+/** Pass counters into run counters, as SparsepipeSim merges them. */
+void
+mergePassStats(SimStats &stats, const PassStats &ps)
+{
+    stats.matrix_demand_bytes += ps.matrix_demand_bytes;
+    stats.reload_bytes += ps.reload_bytes;
+    stats.prefetch_bytes += ps.prefetch_bytes;
+    stats.vector_bytes += ps.vector_bytes;
+    stats.os_elems += ps.os_elems;
+    stats.is_elems += ps.is_elems;
+    stats.ewise_ops += ps.ewise_ops;
+    stats.counters.prefetch_hit_elems += ps.prefetch_hit_elems;
+    stats.counters.prefetch_miss_elems += ps.prefetch_miss_elems;
+    stats.counters.prefetch_denied_elems += ps.prefetch_denied_elems;
+    stats.counters.demand_reload_events += ps.demand_reload_events;
+    stats.counters.reload_ahead_events += ps.reload_ahead_events;
+    stats.counters.cancel_polls += ps.cancel_polls;
+    ++stats.passes;
+}
+
+/**
+ * Sparsepipe's timing stage in its pass-by-pass form: every pass runs
+ * through PassEngine, none is replayed.  SparsepipeSim must match it
+ * on every output.  It also counts the passes the replay rule covers,
+ * those that start in the role (fused, paired fused or stream) and
+ * DRAM lead of the pass of that role before them, in `replayable`.
+ * Programs with a leading matrix op only.
+ */
+SimStats
+passLoopTiming(const SparsepipeConfig &cfg, const Program &p,
+               const OperandPatterns &operands, const RunResult &outcome,
+               Idx max_iters, obs::TraceSink *trace, Idx &replayable)
+{
+    const Analysis an = analyzeProgram(p);
+    if (an.leading_ops.empty())
+        throw std::logic_error("passLoopTiming: no matrix op");
+
+    // The scheduling decision.
+    const OpNode &lead = p.ops()[an.leading_ops.front()];
+    const bool spmm = lead.kind == OpKind::Spmm;
+    const TensorId matrix = spmm ? lead.inputs[0] : lead.inputs[1];
+    ScheduleMode mode = ScheduleMode::Stream;
+    for (const VxmPairing &pairing : an.pairings) {
+        if (pairing.fusable && !pairing.crosses_iteration) {
+            mode = ScheduleMode::IntraIteration;
+            break;
+        }
+    }
+    if (mode == ScheduleMode::Stream && an.leading_ops.size() == 1 &&
+        an.pairings.front().fusable)
+        mode = ScheduleMode::CrossIteration;
+
+    SimStats stats;
+    stats.mode = mode;
+    stats.iterations = outcome.iterations;
+    stats.converged = outcome.converged;
+
+    EventQueue eq;
+    DramModel dram(cfg.dram);
+    PassEngine engine(cfg, dram, eq);
+    obs::ActivityLog alog;
+    std::vector<obs::PhaseWindow> windows;
+    dram.setAccessHook([&](Tick start, Tick finish, Tick avail, Idx bytes,
+                           bool write) {
+        if (write) {
+            alog.record(obs::Activity::WriteTransfer, start, finish);
+        } else {
+            alog.record(obs::Activity::ReadTransfer, start, finish);
+            alog.record(obs::Activity::ReadWait, finish, avail);
+        }
+        if (trace)
+            trace->complete(write ? "write" : "read", "dram",
+                            obs::TraceTrack::Dram, start, finish,
+                            {{"bytes", static_cast<double>(bytes)}});
+    });
+    auto pushWindow = [&windows](obs::PhaseKind kind, Tick begin,
+                                 Tick end) {
+        windows.push_back(
+            {kind, static_cast<Idx>(windows.size()), begin, end});
+    };
+
+    PassCosts per_iter;
+    per_iter.vector_read_bytes =
+        static_cast<double>(an.traffic.vector_reads_fused) * value_bytes;
+    per_iter.vector_write_bytes =
+        static_cast<double>(an.traffic.vector_writes_fused) *
+        value_bytes;
+    per_iter.ewise_work = static_cast<double>(an.traffic.ewise_ops) +
+                          static_cast<double>(an.traffic.reduction_elems) +
+                          static_cast<double>(an.traffic.mm_flops);
+    per_iter.os_mult =
+        spmm ? static_cast<double>(std::max<Idx>(1, an.traffic.spmm_cols))
+             : 1.0;
+
+    const CscMatrix &csc = operands.csc(matrix);
+    const std::shared_ptr<const StepBuckets> held = operands.buckets(
+        matrix, cfg.resolveSubTensor(csc.cols(), csc.nnz()), spmm);
+    const StepBuckets &buckets = *held;
+    for (Idx cs = 0; cs < buckets.steps(); ++cs)
+        for (const BucketSpan &sp : buckets.colSpans(cs))
+            ++stats.counters.bucket_occupancy[static_cast<std::size_t>(
+                obs::occupancyBin(sp.cnt))];
+
+    // Role 0 fused, 1 paired fused, 2 stream: the lead the last pass
+    // of each role started with.
+    std::map<int, Tick> last_lead;
+    auto noteLead = [&](int role, Tick t) {
+        const Tick lead_ticks =
+            dram.nextFree() > t ? dram.nextFree() - t : 0;
+        const auto it = last_lead.find(role);
+        if (it != last_lead.end() && it->second == lead_ticks)
+            ++replayable;
+        last_lead[role] = lead_ticks;
+    };
+
+    Tick t = 0;
+    for (Idx it = 0; it < outcome.iterations; ++it) {
+        const bool paired = mode == ScheduleMode::CrossIteration &&
+                            it % 2 == 0 && it + 1 < max_iters;
+        const bool covered =
+            mode == ScheduleMode::CrossIteration && it % 2 == 1;
+        if (covered)
+            continue;
+        if (mode == ScheduleMode::IntraIteration || paired) {
+            PassCosts costs = per_iter;
+            if (paired) {
+                costs.vector_read_bytes *= 2.0;
+                costs.vector_write_bytes *= 2.0;
+                costs.ewise_work *= 2.0;
+            }
+            noteLead(paired ? 1 : 0, t);
+            DualBufferModel buffer(cfg.buffer_bytes, cfg.bytesPerElem(),
+                                   buckets.bands());
+            const PassStats ps = engine.runFused(buckets, buffer, costs, t);
+            alog.append(ps.activity);
+            pushWindow(obs::PhaseKind::FusedPass, t, ps.end);
+            t = ps.end;
+            mergePassStats(stats, ps);
+            const BufferStats &bs = buffer.stats();
+            stats.buffer.peak_elems =
+                std::max(stats.buffer.peak_elems, bs.peak_elems);
+            stats.buffer.evicted_elems += bs.evicted_elems;
+            stats.buffer.repacks += bs.repacks;
+            stats.buffer.sram_reads_elems += bs.sram_reads_elems;
+            stats.buffer.sram_writes_elems += bs.sram_writes_elems;
+            continue;
+        }
+        const Idx v = static_cast<Idx>(an.leading_ops.size());
+        PassCosts costs = per_iter;
+        costs.vector_read_bytes /= static_cast<double>(v);
+        costs.vector_write_bytes /= static_cast<double>(v);
+        costs.ewise_work /= static_cast<double>(v);
+        for (Idx k = 0; k < v; ++k) {
+            noteLead(2, t);
+            const PassStats ps = engine.runStream(buckets, costs, t);
+            alog.append(ps.activity);
+            pushWindow(obs::PhaseKind::StreamPass, t, ps.end);
+            t = ps.end;
+            mergePassStats(stats, ps);
+        }
+    }
+
+    const Tick drained = std::max(t, dram.nextFree());
+    if (drained > t)
+        pushWindow(obs::PhaseKind::WriteDrain, t, drained);
+    stats.cycles = drained;
+    stats.dram_read_bytes = dram.bytesRead();
+    stats.dram_write_bytes = dram.bytesWritten();
+    stats.bw_utilization = dram.utilization(std::max<Tick>(drained, 1));
+    stats.bw_timeline = dram.utilizationSeries(
+        std::max<Tick>(drained, 1),
+        static_cast<std::size_t>(std::max<Idx>(1, cfg.bw_timeline_samples)));
+    stats.attribution = obs::attributeCycles(windows, alog.spans());
+    if (trace) {
+        for (const obs::PhaseCycles &ph : stats.attribution.phases) {
+            trace->complete(
+                std::string(obs::phaseKindName(ph.kind)) + " #" +
+                    std::to_string(ph.index),
+                "phase", obs::TraceTrack::Phases, ph.begin, ph.end,
+                {{"compute", static_cast<double>(ph.compute)},
+                 {"dram_read_stall",
+                  static_cast<double>(ph.dram_read_stall)},
+                 {"dram_write_drain",
+                  static_cast<double>(ph.dram_write_drain)},
+                 {"buffer_swap_wait",
+                  static_cast<double>(ph.buffer_swap_wait)}});
+        }
+    }
+    return stats;
+}
+
+TEST(SparsepipeReplay, MatchesThePassLoopPassByPass)
+{
+    // Paired fused passes over a working set that overflows the
+    // default buffer (pr-wi) and one that fits (pr-ro), one fused pass
+    // per iteration (knn-co), one and two stream passes per iteration
+    // (cg-ca, bgs-gy) and SpMM (gcn-gy); iso-GPU, iso-CPU and a buffer
+    // on each side.  Seven iterations end pr's paired passes with a
+    // stream pass.
+    const std::pair<const char *, const char *> kCases[] = {
+        {"pr", "wi"}, {"pr", "ro"}, {"knn", "co"},
+        {"cg", "ca"}, {"bgs", "gy"}, {"gcn", "gy"},
+    };
+    std::vector<std::pair<std::string, SparsepipeConfig>> configs = {
+        {"iso-gpu", SparsepipeConfig::isoGpu()},
+        {"iso-cpu", SparsepipeConfig::isoCpu()},
+        {"256 KiB", SparsepipeConfig::isoGpu()},
+        {"24 MiB", SparsepipeConfig::isoGpu()},
+    };
+    configs[2].second.buffer_bytes = 256 << 10;
+    configs[3].second.buffer_bytes = 24 << 20;
+
+    api::Session session;
+    Idx replayed = 0;
+    for (const auto &[app, dataset] : kCases) {
+        const api::PreparedCase &pc =
+            session.prepared(app, dataset, ReorderKind::Vanilla);
+        const OperandPatterns operands(pc.app.matrix, pc.csr, pc.csc);
+        for (const auto &[config_name, config] : configs) {
+            for (Idx iters : {Idx{1}, Idx{3}, Idx{7}}) {
+                const std::string label =
+                    std::string(app) + "-" + dataset + ", " +
+                    config_name + ", " + std::to_string(iters) +
+                    " iterations";
+                const RunResult outcome{iters, false};
+                const bool traced = iters == 7 &&
+                                    (config_name == "iso-gpu" ||
+                                     config_name == "24 MiB");
+                obs::TraceSink got_trace, want_trace;
+                SparsepipeSim sim(config);
+                if (traced)
+                    sim.attachTrace(&got_trace);
+                const SimStats got =
+                    sim.runTiming(pc.app.program, operands, outcome, iters);
+                Idx replayable = 0;
+                const SimStats want = passLoopTiming(
+                    config, pc.app.program, operands, outcome, iters,
+                    traced ? &want_trace : nullptr, replayable);
+
+                testing::expectSameSimStats(got, want, label);
+                EXPECT_EQ(got.cycles, want.cycles) << label;
+                EXPECT_EQ(got_trace.eventCount(), want_trace.eventCount())
+                    << label;
+                EXPECT_TRUE(got_trace.toJson() == want_trace.toJson())
+                    << label << ": trace events differ";
+                EXPECT_EQ(got.counters.replayed_iterations, replayable)
+                    << label;
+                replayed += replayable;
+            }
+        }
+    }
+    // Each role's passes start with one lead from its second pass on.
+    EXPECT_GT(replayed, 0);
 }
 
 TEST(GammaBackend, SessionRunReportsBackend)

@@ -224,6 +224,125 @@ TEST(Attribution, CoalescingKeepsEveryCycleAndMatchesPerCycleClassifier)
     EXPECT_LT(kept_total, raw_total);
 }
 
+/**
+ * attributeCycles as a sweep per window: the spans clipped to each
+ * window and that window's edges sorted and swept on their own.
+ */
+CycleAttribution
+attributePerWindow(const std::vector<PhaseWindow> &windows,
+                   std::vector<obs::ActivitySpan> spans)
+{
+    struct Edge
+    {
+        Tick at;
+        int kind;
+        int delta;
+    };
+    CycleAttribution attr;
+    std::sort(spans.begin(), spans.end(),
+              [](const obs::ActivitySpan &a, const obs::ActivitySpan &b) {
+                  return a.begin < b.begin;
+              });
+    std::size_t lo = 0;
+    for (const PhaseWindow &w : windows) {
+        obs::PhaseCycles phase;
+        phase.kind = w.kind;
+        phase.index = w.index;
+        phase.begin = w.begin;
+        phase.end = w.end;
+        while (lo < spans.size() && spans[lo].end <= w.begin &&
+               spans[lo].begin <= w.begin)
+            ++lo;
+        std::vector<Edge> edges;
+        for (std::size_t i = lo; i < spans.size(); ++i) {
+            const obs::ActivitySpan &s = spans[i];
+            if (s.begin >= w.end)
+                break;
+            const Tick b = std::max(s.begin, w.begin);
+            const Tick e = std::min(s.end, w.end);
+            if (e <= b)
+                continue;
+            edges.push_back({b, static_cast<int>(s.kind), +1});
+            edges.push_back({e, static_cast<int>(s.kind), -1});
+        }
+        std::sort(edges.begin(), edges.end(),
+                  [](const Edge &a, const Edge &b) { return a.at < b.at; });
+        int open[4] = {0, 0, 0, 0};
+        Tick cursor = w.begin;
+        std::size_t e = 0;
+        while (cursor < w.end) {
+            while (e < edges.size() && edges[e].at == cursor) {
+                open[edges[e].kind] += edges[e].delta;
+                ++e;
+            }
+            const Tick next =
+                e < edges.size() ? std::min(edges[e].at, w.end) : w.end;
+            Tick *bucket = &phase.buffer_swap_wait;
+            if (open[static_cast<int>(Activity::Compute)] > 0)
+                bucket = &phase.compute;
+            else if (open[static_cast<int>(Activity::ReadWait)] > 0 ||
+                     open[static_cast<int>(Activity::ReadTransfer)] > 0)
+                bucket = &phase.dram_read_stall;
+            else if (open[static_cast<int>(Activity::WriteTransfer)] > 0)
+                bucket = &phase.dram_write_drain;
+            *bucket += next - cursor;
+            cursor = next;
+        }
+        attr.compute += phase.compute;
+        attr.dram_read_stall += phase.dram_read_stall;
+        attr.dram_write_drain += phase.dram_write_drain;
+        attr.buffer_swap_wait += phase.buffer_swap_wait;
+        attr.phases.push_back(phase);
+    }
+    return attr;
+}
+
+TEST(Attribution, OneSweepMatchesPerWindowSweep)
+{
+    // Raw spans of every kind anywhere on the timeline, overlapping,
+    // out of order, crossing window boundaries, zero-length or
+    // reversed, and past the end; windows in order over [0, horizon),
+    // some of them empty and some apart.
+    Rng rng(25);
+    for (int trial = 0; trial < 400; ++trial) {
+        const Tick horizon = 1 + static_cast<Tick>(rng.nextBelow(400));
+        std::vector<obs::ActivitySpan> spans;
+        const int n = static_cast<int>(rng.nextBelow(120));
+        for (int i = 0; i < n; ++i) {
+            const Idx begin = static_cast<Idx>(rng.nextBelow(horizon + 20));
+            const Idx end = std::max<Idx>(
+                0, begin + static_cast<Idx>(rng.nextBelow(90)) - 5);
+            spans.push_back({static_cast<Tick>(begin),
+                             static_cast<Tick>(end),
+                             static_cast<Activity>(rng.nextBelow(4))});
+        }
+        std::vector<PhaseWindow> windows;
+        Tick covered = 0;
+        for (Tick at = 0; at < horizon;) {
+            if (rng.nextBelow(4) == 0)
+                at = std::min(horizon,
+                              at + static_cast<Tick>(rng.nextBelow(30)));
+            const Tick next = std::min(
+                horizon, at + static_cast<Tick>(rng.nextBelow(60)));
+            windows.push_back({static_cast<PhaseKind>(rng.nextBelow(4)),
+                               static_cast<Idx>(windows.size()), at,
+                               next});
+            covered += next - at;
+            at = next;
+        }
+
+        const std::string label = "trial " + std::to_string(trial);
+        const CycleAttribution got = attributeCycles(windows, spans);
+        const CycleAttribution want = attributePerWindow(windows, spans);
+        expectSamePhases(got, want, label);
+        EXPECT_EQ(got.compute, want.compute) << label;
+        EXPECT_EQ(got.dram_read_stall, want.dram_read_stall) << label;
+        EXPECT_EQ(got.dram_write_drain, want.dram_write_drain) << label;
+        EXPECT_EQ(got.buffer_swap_wait, want.buffer_swap_wait) << label;
+        EXPECT_EQ(got.totalCycles(), covered) << label;
+    }
+}
+
 TEST(Attribution, OccupancyBinsAreLog2)
 {
     EXPECT_EQ(obs::occupancyBin(1), 0);

@@ -215,13 +215,18 @@ TEST_P(SessionCancelPropagation, PollCadenceBoundsAbortLatency)
 
 TEST_P(SessionCancelPropagation, MidSimDeadlineReturnsDeadlineExceeded)
 {
+    // knn runs max_iters iterations whatever its values, so the run
+    // is timing only and lasts far beyond the deadline.  The case is
+    // prepared before the deadline is armed, so the deadline expires
+    // inside the engine rather than during preparation.
     api::Session session;
     api::RunRequest req;
-    req.app = "pr";
+    req.app = "knn";
     req.dataset = "co";
-    req.iters = 400; // long enough to be mid-flight when it expires
+    req.iters = 100000;
     req.backend = GetParam();
     req.sp.cancel_poll_cycles = 512;
+    session.prepared(req.app, req.dataset, req.reorder);
 
     CancelToken token;
     req.cancel = &token;
@@ -237,34 +242,30 @@ TEST_P(SessionCancelPropagation, MidSimDeadlineReturnsDeadlineExceeded)
     EXPECT_TRUE(session.run(req).ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, SessionCancelPropagation,
-    ::testing::Values(backend::BackendKind::Sparsepipe,
-                      backend::BackendKind::Gamma),
-    [](const ::testing::TestParamInfo<backend::BackendKind> &info) {
-        return std::string(backend::backendName(info.param));
-    });
-
-TEST(Session, GammaDeadlineExpiresInsideTheReplay)
+TEST_P(SessionCancelPropagation, DeadlineExpiresInsideTheReplay)
 {
-    // knn runs max_iters iterations whatever its values, so its run is
-    // timing only; wi's operand overflows the default fiber cache.
-    // Gamma simulates the first two iterations and replays the rest.
+    // knn's run is timing only, and wi's operand overflows the default
+    // buffer and fiber cache.  Sparsepipe replays its fused pass from
+    // the second iteration on, gamma the whole iteration from the
+    // third on.
     api::Session session;
     api::RunRequest req;
     req.app = "knn";
     req.dataset = "wi";
-    req.backend = backend::BackendKind::Gamma;
+    req.backend = GetParam();
     req.sp.cancel_poll_cycles = 512;
     const api::PreparedCase &pc =
         session.prepared(req.app, req.dataset, req.reorder);
     ASSERT_GT(pc.nnz * req.sp.bytesPerElem(), req.sp.buffer_bytes);
 
+    const Idx simulated =
+        req.backend == backend::BackendKind::Gamma ? 2 : 1;
     auto hostMs = [&](Idx iters) {
         req.iters = iters;
         const auto start = std::chrono::steady_clock::now();
         const api::RunReport report = session.run(req).value();
-        EXPECT_EQ(report.stats.counters.replayed_iterations, iters - 2);
+        EXPECT_EQ(report.stats.counters.replayed_iterations,
+                  iters - simulated);
         return std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - start)
             .count();
@@ -284,6 +285,14 @@ TEST(Session, GammaDeadlineExpiresInsideTheReplay)
     ASSERT_FALSE(run.ok()) << req.iters << " iterations";
     EXPECT_EQ(run.status().code(), StatusCode::DeadlineExceeded);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, SessionCancelPropagation,
+    ::testing::Values(backend::BackendKind::Sparsepipe,
+                      backend::BackendKind::Gamma),
+    [](const ::testing::TestParamInfo<backend::BackendKind> &info) {
+        return std::string(backend::backendName(info.param));
+    });
 
 TEST(Session, BindWorkspaceBindsBothCompressedForms)
 {
