@@ -336,7 +336,7 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
                     (nnz * row_mults + group_pes - 1) / group_pes);
                 const Tick end =
                     ready + mults + kOsTreeLatency;
-                rec.compute.record(obs::Activity::Compute, ready, end);
+                rec.activity.record(obs::Activity::Compute, ready, end);
                 groups.assign(g, end);
                 stats.os_elems += nnz;
             }
@@ -345,7 +345,7 @@ GammaSim::runTiming(const Program &p, const OperandPatterns &operands,
             // Trailing element-wise work of the iteration slice.
             const Tick t_ew = t_rows + static_cast<Tick>(
                 ewise_work / v / pe) + 1;
-            rec.compute.record(obs::Activity::Compute, t_rows, t_ew);
+            rec.activity.record(obs::Activity::Compute, t_rows, t_ew);
             if (wbytes > 0)
                 dram.access(t_ew, wbytes, true); // posted
             t = t_ew;

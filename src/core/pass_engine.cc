@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "core/replay.hh"
 #include "util/logging.hh"
 
 namespace sparsepipe {
@@ -36,22 +37,11 @@ struct PassEngine::Run
     DualBufferModel *buffer; ///< null for stream passes
     PassCosts costs;
     bool fused;
-    const CancelToken *cancel; ///< null when cancellation is off
+    CyclePoller *poller; ///< null when cancellation is off
 
     Idx steps = 0;
     Idx bands = 0;
     Idx total = 0; ///< stage instances incl. the IS drain tail
-
-    /**
-     * Cycle-budget cancellation poll: the next simulated tick at
-     * which execute() probes the token with pollNow() regardless of
-     * stage-launch cadence.  Stage launches can be arbitrarily far
-     * apart in simulated time (a huge column step is one launch), so
-     * the launch-site check alone does not bound abort latency in
-     * cycles; this one does, at cfg.cancel_poll_cycles granularity.
-     */
-    Tick next_poll = 0;
-    Tick poll_stride = 1;
 
     double per_step_read_bytes = 0.0;
     double per_step_ewise = 0.0;
@@ -75,10 +65,9 @@ struct PassEngine::Run
     Run(const SparsepipeConfig &cfg_, DramModel &dram_,
         EventQueue &eq_, const StepBuckets &b_,
         DualBufferModel *buffer_, const PassCosts &costs_,
-        bool fused_, const CancelToken *cancel_,
-        PassEngine::Scratch &sc)
+        bool fused_, CyclePoller *poller_, PassEngine::Scratch &sc)
         : cfg(cfg_), dram(dram_), eq(eq_), b(b_), buffer(buffer_),
-          costs(costs_), fused(fused_), cancel(cancel_),
+          costs(costs_), fused(fused_), poller(poller_),
           done(sc.done),
           completed(sc.completed), launched(sc.launched),
           prefetched(sc.prefetched), prefetchable(sc.prefetchable),
@@ -86,7 +75,6 @@ struct PassEngine::Run
           is_arrival(sc.is_arrival), pre_reloaded(sc.pre_reloaded),
           data_ready(sc.data_ready)
     {
-        poll_stride = std::max<Tick>(1, cfg.cancel_poll_cycles);
         steps = b.steps();
         bands = b.bands();
         total = fused ? cfg.lag + std::max(steps, bands) : steps;
@@ -179,10 +167,8 @@ struct PassEngine::Run
         // Cooperative cancellation point: one relaxed load per stage
         // launch.  Unwinds through the event queue via SpError; all
         // pass state is per-run, so abandoning it is safe.
-        if (cancel) {
-            ++stats.cancel_polls;
-            throwIfError(cancel->check());
-        }
+        if (poller)
+            poller->check();
         execute(s, j);
     }
 
@@ -335,15 +321,14 @@ struct PassEngine::Run
     execute(Stage s, Idx j)
     {
         const Tick now = eq.now();
-        // Budget poll: bounds how far simulated time may advance
-        // between deadline probes.  pollNow() (not check()) so an
-        // expired deadline is seen on this very poll, not up to a
-        // stride of launch-site checks later.
-        if (cancel && now >= next_poll) {
-            ++stats.cancel_polls;
-            throwIfError(cancel->pollNow());
-            next_poll = now + poll_stride;
-        }
+        // Budget poll: stage launches can be arbitrarily far apart in
+        // simulated time (a huge column step is one launch), so the
+        // launch-site check alone does not bound abort latency in
+        // cycles; the run's poller does, once per cancel_poll_cycles,
+        // with pollNow() so an expired deadline is seen on this very
+        // poll.
+        if (poller)
+            poller->at(now);
         switch (s) {
           case Load: {
             const Idx nnz_j = b.colStepNnz(j);
@@ -546,7 +531,7 @@ PassEngine::runFused(const StepBuckets &buckets,
                      Tick start)
 {
     Run run(config_, dram_, queue_, buckets, &buffer, costs, true,
-            cancel_, scratch_);
+            poller_, scratch_);
     run.run(start);
     return run.stats;
 }
@@ -556,7 +541,7 @@ PassEngine::runStream(const StepBuckets &buckets,
                       const PassCosts &costs, Tick start)
 {
     Run run(config_, dram_, queue_, buckets, nullptr, costs, false,
-            cancel_, scratch_);
+            poller_, scratch_);
     run.run(start);
     return run.stats;
 }

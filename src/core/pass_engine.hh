@@ -29,9 +29,10 @@
 #include "mem/dram.hh"
 #include "obs/attribution.hh"
 #include "sim/event_queue.hh"
-#include "util/status.hh"
 
 namespace sparsepipe {
+
+class CyclePoller;
 
 /** Per-pass workload charged to the pipeline. */
 struct PassCosts
@@ -74,8 +75,6 @@ struct PassStats
     Idx demand_reload_events = 0;
     /** Band reloads the reload-ahead path hid. */
     Idx reload_ahead_events = 0;
-    /** Cancellation-token polls (stage launches + budget polls). */
-    Idx cancel_polls = 0;
 };
 
 /**
@@ -101,14 +100,18 @@ class PassEngine
                         const PassCosts &costs, Tick start);
 
     /**
-     * Attach a cancellation token (null detaches).  The engine
-     * checks it once per stage launch — a relaxed atomic load per
-     * column step — and unwinds by throwing SpError(Cancelled /
-     * DeadlineExceeded); the Session boundary flattens that back
-     * into a returned Status.  Engine, queue, and DRAM model are
-     * per-run objects, so abandoning them mid-pass is safe.
+     * Attach the run's cancellation poller (null detaches; it must
+     * outlive the passes).  The engine checks its token once per
+     * stage launch (CyclePoller::check, a relaxed atomic load per
+     * column step) and polls it on simulated time at each stage it
+     * executes (CyclePoller::at), so the cadence carries on across
+     * passes and into replayed ones.  A fired token unwinds by
+     * throwing SpError(Cancelled / DeadlineExceeded); the Session
+     * boundary flattens that back into a returned Status.  Engine,
+     * queue, and DRAM model are per-run objects, so abandoning them
+     * mid-pass is safe.
      */
-    void setCancelToken(const CancelToken *token) { cancel_ = token; }
+    void setPoller(CyclePoller *poller) { poller_ = poller; }
 
   private:
     struct Run;
@@ -135,7 +138,7 @@ class PassEngine
     const SparsepipeConfig &config_;
     DramModel &dram_;
     EventQueue &queue_;
-    const CancelToken *cancel_ = nullptr;
+    CyclePoller *poller_ = nullptr;
     Scratch scratch_;
 };
 

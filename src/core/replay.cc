@@ -12,19 +12,26 @@ StageTimeline::StageTimeline(DramModel &dram, obs::TraceSink *trace)
 {
     dram_.setAccessHook([this](Tick start, Tick finish, Tick avail,
                                Idx bytes, bool write) {
+        obs::ActivityLog &log = recording_ ? recording_->activity : alog_;
         if (write) {
-            alog_.record(obs::Activity::WriteTransfer, start, finish);
+            log.record(obs::Activity::WriteTransfer, start, finish);
         } else {
-            alog_.record(obs::Activity::ReadTransfer, start, finish);
-            alog_.record(obs::Activity::ReadWait, finish, avail);
+            log.record(obs::Activity::ReadTransfer, start, finish);
+            log.record(obs::Activity::ReadWait, finish, avail);
         }
         if (recording_ && recording_->steady)
             recording_->dram.push_back({start, bytes, write});
         if (trace_)
-            trace_->complete(write ? "write" : "read", "dram",
-                             obs::TraceTrack::Dram, start, finish,
-                             {{"bytes", static_cast<double>(bytes)}});
+            traceDram(start, finish, bytes, write);
     });
+}
+
+void
+StageTimeline::traceDram(Tick start, Tick finish, Idx bytes, bool write)
+{
+    trace_->complete(write ? "write" : "read", "dram",
+                     obs::TraceTrack::Dram, start, finish,
+                     {{"bytes", static_cast<double>(bytes)}});
 }
 
 void
@@ -43,7 +50,7 @@ StageTimeline::beginRecord(StretchRecord &rec, Tick t)
     rec.start = t;
     rec.dram_lead = dramLead(t);
     rec.dram.clear();
-    rec.compute.clear();
+    rec.activity.clear();
     rec.windows.clear();
     rec.steady = true;
     recording_ = &rec;
@@ -53,7 +60,8 @@ void
 StageTimeline::endRecord(Tick t)
 {
     recording_->end = t;
-    alog_.append(recording_->compute.spans());
+    recording_->activity.normalize();
+    alog_.append(recording_->activity);
     recording_ = nullptr;
 }
 
@@ -61,15 +69,19 @@ Tick
 StageTimeline::replay(const StretchRecord &rec, Tick t, CyclePoller &poll)
 {
     // The DRAM pipe is busy rec.dram_lead past t as it was past
-    // rec.start, so each call gets the start it got in the record,
-    // shifted: the calls come back in order, in the same state.
+    // rec.start, so access() would give each call the start it got in
+    // the record, shifted, and the same spans: the calls come back in
+    // order, in the same state.  So the ledger takes them at those
+    // starts, and the run takes the spans the hook folded then.
     const Tick shift = t - rec.start;
     for (const StretchRecord::DramCall &call : rec.dram) {
-        poll.through(call.start + shift);
-        dram_.access(call.start + shift, call.bytes, call.write);
+        const Tick start = call.start + shift;
+        poll.through(start);
+        const Tick finish = dram_.occupy(start, call.bytes, call.write);
+        if (trace_)
+            traceDram(start, finish, call.bytes, call.write);
     }
-    for (const obs::ActivitySpan &s : rec.compute.spans())
-        alog_.record(s.kind, s.begin + shift, s.end + shift);
+    alog_.append(rec.activity, shift);
     for (const obs::PhaseWindow &w : rec.windows)
         pushWindow(w.kind, w.begin + shift, w.end + shift);
     const Tick end = rec.end + shift;
@@ -90,7 +102,7 @@ StageTimeline::finish(Tick t, Idx timeline_samples, SimStats &stats)
     stats.bw_timeline = dram_.utilizationSeries(
         std::max<Tick>(drained, 1),
         static_cast<std::size_t>(std::max<Idx>(1, timeline_samples)));
-    stats.attribution = obs::attributeCycles(windows_, alog_.spans());
+    stats.attribution = obs::attributeCycles(windows_, alog_);
     if (!trace_)
         return;
     for (const obs::PhaseCycles &ph : stats.attribution.phases) {

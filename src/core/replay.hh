@@ -10,9 +10,10 @@
  * state that changes timing).  So a stretch that starts in the state
  * a recorded one started in is that record shifted in time.  The
  * engine decides which state it compares; StageTimeline records a
- * stretch's DRAM calls, compute spans and phase windows and replays
- * them, re-issuing each call through the DramModel so the ledger,
- * the activity spans and any trace events are the simulated ones.
+ * stretch's DRAM calls, activity spans and phase windows and replays
+ * them: it applies each call's ledger arithmetic again, in call
+ * order, so the ledger and any trace events are the simulated ones,
+ * and appends the spans and windows shifted.
  */
 
 #ifndef SPARSEPIPE_CORE_REPLAY_HH
@@ -67,9 +68,19 @@ class CyclePoller
             poll();
     }
 
-    /** Simulated time up to `tick` polled elsewhere: the next poll
-     *  falls at `tick`. */
-    void skipTo(Tick tick) { next_ = std::max(next_, tick); }
+    /**
+     * The cheap latched check (one relaxed load), counted as a poll:
+     * for sites as frequent as a pass's stage launches, where
+     * pollNow()'s clock read would cost too much.
+     */
+    void
+    check()
+    {
+        if (token_) {
+            ++polls_;
+            throwIfError(token_->check());
+        }
+    }
 
   private:
     void
@@ -103,8 +114,13 @@ struct StretchRecord
     /** Ticks the DRAM pipe stayed busy past `start`. */
     Tick dram_lead = 0;
     std::vector<DramCall> dram;
-    /** Compute spans; the engine records them here while recording. */
-    obs::ActivityLog compute;
+    /**
+     * The stretch's activity spans: its DRAM spans as the access hook
+     * folded them, and the compute spans the engine records here
+     * while recording.  Normalized when the recording ends, so
+     * that it joins the run's spans in order of begin.
+     */
+    obs::ActivityLog activity;
     std::vector<obs::PhaseWindow> windows;
     /**
      * The stretch can repeat.  Set when recording begins; an engine
@@ -132,7 +148,8 @@ class StageTimeline
   public:
     /**
      * Observe every access of `dram` and, when `trace` is set, emit a
-     * trace event for each.  Both must outlive the timeline.
+     * trace event for each, replayed ones included.  Both must
+     * outlive the timeline.
      */
     StageTimeline(DramModel &dram, obs::TraceSink *trace);
     StageTimeline(const StageTimeline &) = delete;
@@ -152,19 +169,22 @@ class StageTimeline
 
     /**
      * Record the stretch starting at `t` into `rec`: until endRecord()
-     * the DRAM calls (while `rec.steady`) and the windows pushed go
-     * to it as well.  `rec` must outlive the recording.
+     * the DRAM calls (while `rec.steady`), the DRAM spans and the
+     * windows pushed go to it, the windows as well as to the run.
+     * `rec` must outlive the recording.
      */
     void beginRecord(StretchRecord &rec, Tick t);
 
-    /** The recorded stretch ends at `t`; its compute spans join the
-     *  run's. */
+    /** The recorded stretch ends at `t`: its activity spans are
+     *  normalized (obs::ActivityLog::normalize) and join the run's. */
     void endRecord(Tick t);
 
     /**
-     * Repeat `rec` shifted to start at `t`: re-issue its DRAM calls in
-     * order, then append its compute spans and windows.  Polls at each
-     * call and at the end until `poll` caught up with the tick.
+     * Repeat `rec` shifted to start at `t`: apply its DRAM calls to the
+     * ledger again in order (DramModel::occupy, no hook), tracing each
+     * when a sink is attached, then append its activity spans and
+     * windows shifted.  Polls at each call and at the end until `poll`
+     * caught up with the tick.
      * @return the end tick of the repeated stretch
      */
     Tick replay(const StretchRecord &rec, Tick t, CyclePoller &poll);
@@ -178,6 +198,9 @@ class StageTimeline
     void finish(Tick t, Idx timeline_samples, SimStats &stats);
 
   private:
+    /** Emit the trace event of one DRAM call (needs a sink). */
+    void traceDram(Tick start, Tick finish, Idx bytes, bool write);
+
     DramModel &dram_;
     obs::TraceSink *trace_;
     obs::ActivityLog alog_;

@@ -128,7 +128,6 @@ mergePass(SimStats &stats, const PassStats &ps)
     stats.counters.prefetch_denied_elems += ps.prefetch_denied_elems;
     stats.counters.demand_reload_events += ps.demand_reload_events;
     stats.counters.reload_ahead_events += ps.reload_ahead_events;
-    stats.counters.cancel_polls += ps.cancel_polls;
     ++stats.passes;
 }
 
@@ -307,8 +306,12 @@ SparsepipeSim::runTiming(const Program &p,
 
     EventQueue eq;
     DramModel dram(config_.dram);
+    // One poller for the run: the engine's stage polls and the
+    // replays' polls keep one cadence on simulated time.
+    CyclePoller poller(cancel_, config_.cancel_poll_cycles,
+                       stats.counters.cancel_polls);
     PassEngine engine(config_, dram, eq);
-    engine.setCancelToken(cancel_);
+    engine.setPoller(&poller);
 
     // Activity spans and phase windows feeding cycle attribution.
     // Windows tile [0, cycles]: every pass / iteration starts where
@@ -372,12 +375,10 @@ SparsepipeSim::runTiming(const Program &p,
     struct PassRecord
     {
         StretchRecord stretch;
-        PassStats pass; ///< its counters, without activity or polls
+        PassStats pass; ///< its counters, without activity
         BufferStats buffer;
     };
     std::array<PassRecord, 4> records; // by IterationRole
-    CyclePoller poller(cancel_, config_.cancel_poll_cycles,
-                       stats.counters.cancel_polls);
     auto runPass = [&](IterationRole role, const PassCosts &costs,
                        Tick t) {
         PassRecord &rec = records[static_cast<std::size_t>(role)];
@@ -399,7 +400,7 @@ SparsepipeSim::runTiming(const Program &p,
             rec.buffer = buffer.stats();
             mergeBuffer(stats.buffer, rec.buffer);
         }
-        rec.stretch.compute.append(ps.activity);
+        rec.stretch.activity.append(ps.activity);
         timeline.pushWindow(role == IterationRole::Stream
                                 ? obs::PhaseKind::StreamPass
                                 : obs::PhaseKind::FusedPass,
@@ -407,9 +408,7 @@ SparsepipeSim::runTiming(const Program &p,
         timeline.endRecord(ps.end);
         mergePass(stats, ps);
         ps.activity = {};
-        ps.cancel_polls = 0;
         rec.pass = std::move(ps);
-        poller.skipTo(rec.stretch.end);
         return rec.stretch.end;
     };
 

@@ -47,6 +47,22 @@ DramModel::access(Tick now, Idx bytes, bool write)
         return now;
 
     const Tick start = std::max(now, next_free_);
+    const Tick finish = occupy(start, bytes, write);
+    const Tick avail =
+        finish + (write ? config_.writeLatencyCycles()
+                        : config_.readLatencyCycles());
+    if (hook_)
+        hook_(start, finish, avail, bytes, write);
+    return avail;
+}
+
+Tick
+DramModel::occupy(Tick start, Idx bytes, bool write)
+{
+    if (bytes <= 0)
+        sp_panic("DramModel::occupy: empty transfer");
+    if (start < next_free_)
+        sp_panic("DramModel::occupy: start before the pins are free");
     const double cycles =
         static_cast<double>(bytes) / config_.bytesPerCycle();
     const Tick finish =
@@ -58,13 +74,7 @@ DramModel::access(Tick now, Idx bytes, bool write)
         bytes_written_ += bytes;
     else
         bytes_read_ += bytes;
-
-    const Tick avail =
-        finish + (write ? config_.writeLatencyCycles()
-                        : config_.readLatencyCycles());
-    if (hook_)
-        hook_(start, finish, avail, bytes, write);
-    return avail;
+    return finish;
 }
 
 Idx

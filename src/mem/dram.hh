@@ -87,6 +87,21 @@ class DramModel
     Tick access(Tick now, Idx bytes, bool write);
 
     /**
+     * Occupy the pins with a non-empty transfer from `start` on, with
+     * no latency and no hook: the ledger, the byte counters and
+     * nextFree() move, nothing else.  access() is this at
+     * max(now, nextFree()) plus the hook.  A replayed stretch
+     * (core/replay.hh) applies its recorded calls with it, at the
+     * starts they got and in call order: the ledger is floating
+     * point, so only the same calls in the same order give its bits.
+     * Panics on an empty transfer or a start before nextFree(): a
+     * replay out of step with the pins fails instead of overlapping
+     * transfers in the ledger.
+     * @return tick at which the transfer leaves the pins
+     */
+    Tick occupy(Tick start, Idx bytes, bool write);
+
+    /**
      * Bytes of pin bandwidth left idle between max(now, nextFree())
      * and `deadline` — the budget the opportunistic CSR loader may
      * claim without delaying demand traffic.

@@ -1,9 +1,8 @@
 #include "obs/attribution.hh"
 
 #include <algorithm>
-#include <cstdint>
-
-#include "util/logging.hh"
+#include <iterator>
+#include <utility>
 
 namespace sparsepipe::obs {
 
@@ -12,6 +11,57 @@ ActivityLog::append(const std::vector<ActivitySpan> &spans)
 {
     for (const ActivitySpan &s : spans)
         record(s.kind, s.begin, s.end);
+}
+
+void
+ActivityLog::append(const ActivityLog &other, Tick shift)
+{
+    for (std::size_t k = 0; k < kinds_.size(); ++k) {
+        const Activity kind = static_cast<Activity>(k);
+        for (const Span &s : other.kinds_[k])
+            record(kind, s.begin + shift, s.end + shift);
+    }
+}
+
+namespace {
+
+bool
+beginsBefore(const ActivityLog::Span &a, const ActivityLog::Span &b)
+{
+    return a.begin < b.begin;
+}
+
+/** Whether `spans` are in order of begin, which the walk needs. */
+bool
+inBeginOrder(const std::vector<ActivityLog::Span> &spans)
+{
+    return std::is_sorted(spans.begin(), spans.end(), beginsBefore);
+}
+
+/** Sort `spans` and fold the ones that overlap or touch: their union,
+ *  as disjoint spans in order. */
+void
+sortAndFold(std::vector<ActivityLog::Span> &spans)
+{
+    std::sort(spans.begin(), spans.end(), beginsBefore);
+    std::size_t kept = 0;
+    for (const ActivityLog::Span &s : spans) {
+        if (kept > 0 && s.begin <= spans[kept - 1].end)
+            spans[kept - 1].end = std::max(spans[kept - 1].end, s.end);
+        else
+            spans[kept++] = s;
+    }
+    spans.resize(kept);
+}
+
+} // anonymous namespace
+
+void
+ActivityLog::normalize()
+{
+    for (std::vector<Span> &spans : kinds_)
+        if (!inBeginOrder(spans))
+            sortAndFold(spans);
 }
 
 const char *
@@ -28,87 +78,95 @@ phaseKindName(PhaseKind kind)
 
 namespace {
 
-/**
- * A sweep edge packed in one word: the tick, then the activity kind
- * and whether a span opens there in the low bits, so sorting the words
- * sorts the edges by tick.
- */
-constexpr int kEdgeTagBits = 3;
-
-std::uint64_t
-packEdge(Tick at, Activity kind, bool opens)
+/** A cursor over one kind's spans, in order of begin. */
+struct Layer
 {
-    return (at << kEdgeTagBits) |
-           (static_cast<std::uint64_t>(kind) << 1) | (opens ? 1 : 0);
-}
-
-Tick edgeTick(std::uint64_t edge) { return edge >> kEdgeTagBits; }
+    const ActivityLog::Span *at;
+    const ActivityLog::Span *stop;
+    Tick PhaseCycles::*bucket;
+};
 
 /**
- * Classify one elementary segment given the number of open spans of
- * each activity class, by stall-attribution priority.
+ * The kinds by stall-attribution priority, each with the bucket its
+ * cycles go to.  A cycle goes to the first kind whose union covers
+ * it, so the two read kinds together charge their union.
+ */
+constexpr std::pair<Activity, Tick PhaseCycles::*> kLayers[] = {
+    {Activity::Compute, &PhaseCycles::compute},
+    {Activity::ReadTransfer, &PhaseCycles::dram_read_stall},
+    {Activity::ReadWait, &PhaseCycles::dram_read_stall},
+    {Activity::WriteTransfer, &PhaseCycles::dram_write_drain},
+};
+constexpr std::size_t kLayerCount = std::size(kLayers);
+
+/**
+ * Charge [from, to) to layer `i` where its union covers it, and the
+ * gaps to the layers after it; buffer_swap_wait takes what no layer
+ * covers.  Calls for one layer come in time order, so its cursor only
+ * moves forward: every span behind it ends at or before `from`, and
+ * every span ahead begins no earlier than the one under it, so spans
+ * that overlap need no folding.
  */
 void
-charge(PhaseCycles &out, const int (&open)[4], Tick cycles)
+charge(std::array<Layer, kLayerCount> &layers, std::size_t i,
+       PhaseCycles &out, Tick from, Tick to)
 {
-    if (open[static_cast<int>(Activity::Compute)] > 0)
-        out.compute += cycles;
-    else if (open[static_cast<int>(Activity::ReadWait)] > 0 ||
-             open[static_cast<int>(Activity::ReadTransfer)] > 0)
-        out.dram_read_stall += cycles;
-    else if (open[static_cast<int>(Activity::WriteTransfer)] > 0)
-        out.dram_write_drain += cycles;
-    else
-        out.buffer_swap_wait += cycles;
+    if (i == kLayerCount) {
+        out.buffer_swap_wait += to - from;
+        return;
+    }
+    Layer &layer = layers[i];
+    while (from < to) {
+        while (layer.at != layer.stop && layer.at->end <= from)
+            ++layer.at;
+        if (layer.at == layer.stop || layer.at->begin >= to)
+            break;
+        if (layer.at->begin > from) {
+            charge(layers, i + 1, out, from, layer.at->begin);
+            from = layer.at->begin;
+        }
+        const Tick covered = std::min(layer.at->end, to);
+        out.*layer.bucket += covered - from;
+        from = covered;
+    }
+    if (from < to)
+        charge(layers, i + 1, out, from, to);
 }
 
 } // anonymous namespace
 
 CycleAttribution
 attributeCycles(const std::vector<PhaseWindow> &windows,
-                const std::vector<ActivitySpan> &spans)
+                const ActivityLog &log)
 {
     CycleAttribution attr;
     attr.phases.reserve(windows.size());
 
-    // One sweep over every span's edges.  Windows come in order and do
-    // not overlap, so the open counts at a tick inside a window are
-    // the same whether spans are clipped to the window or not.
-    std::vector<std::uint64_t> edges;
-    edges.reserve(2 * spans.size());
-    for (const ActivitySpan &s : spans) {
-        if (s.end <= s.begin)
-            continue;
-        if (s.end >> (64 - kEdgeTagBits))
-            sp_panic("attributeCycles: tick %llu out of range",
-                     static_cast<unsigned long long>(s.end));
-        edges.push_back(packEdge(s.begin, s.kind, true));
-        edges.push_back(packEdge(s.end, s.kind, false));
+    // A cycle's bucket depends only on which kinds' unions cover it,
+    // so each kind keeps one cursor over its spans in order of begin:
+    // the log's own list when it is in that order, a sorted and folded
+    // copy when it is not.  Windows come in order and do not overlap,
+    // so no cursor ever moves back.
+    std::array<std::vector<ActivityLog::Span>, kLayerCount> sorted;
+    std::array<Layer, kLayerCount> layers;
+    for (std::size_t i = 0; i < kLayerCount; ++i) {
+        const auto [kind, bucket] = kLayers[i];
+        const std::vector<ActivityLog::Span> *spans = &log.spans(kind);
+        if (!inBeginOrder(*spans)) {
+            sorted[i] = *spans;
+            sortAndFold(sorted[i]);
+            spans = &sorted[i];
+        }
+        layers[i] = {spans->data(), spans->data() + spans->size(), bucket};
     }
-    std::sort(edges.begin(), edges.end());
 
-    int open[4] = {0, 0, 0, 0};
-    std::size_t e = 0;
-    auto openThrough = [&](Tick tick) {
-        for (; e < edges.size() && edgeTick(edges[e]) <= tick; ++e)
-            open[(edges[e] >> 1) & 3] += (edges[e] & 1) ? 1 : -1;
-    };
     for (const PhaseWindow &w : windows) {
         PhaseCycles phase;
         phase.kind = w.kind;
         phase.index = w.index;
         phase.begin = w.begin;
         phase.end = w.end;
-
-        openThrough(w.begin);
-        for (Tick cursor = w.begin; cursor < w.end;) {
-            const Tick next = e < edges.size()
-                ? std::min(edgeTick(edges[e]), w.end)
-                : w.end;
-            charge(phase, open, next - cursor);
-            cursor = next;
-            openThrough(cursor);
-        }
+        charge(layers, 0, phase, w.begin, w.end);
 
         attr.compute += phase.compute;
         attr.dram_read_stall += phase.dram_read_stall;

@@ -7,8 +7,10 @@
  * write drain) that tile [0, SimStats::cycles] with no gaps.  During
  * a run, the engine and the DRAM model record typed *activity spans*
  * (compute busy, read transfer, read-data wait, write transfer) into
- * an ActivityLog; attributeCycles() then sweeps each phase window
- * and classifies every cycle into exactly one bucket by priority:
+ * an ActivityLog, one folded list per kind; attributeCycles() then
+ * walks each kind's union across the phase windows in order, in time
+ * linear in spans and windows, and classifies every cycle into
+ * exactly one bucket by priority:
  *
  *   compute          some compute stage (OS / E-Wise / IS) was busy;
  *   dram_read_stall  no compute, but a demand/eager read transfer or
@@ -23,7 +25,8 @@
  * The partition is exact by construction: each phase's four buckets
  * sum to its span, and the spans tile the run, so the bucket totals
  * reconcile with SimStats::cycles (enforced as an sp_check
- * invariant and asserted in obs_test).
+ * invariant and asserted in obs_test).  Ticks may take any 64-bit
+ * value: the sweep packs no edges into words.
  */
 
 #ifndef SPARSEPIPE_OBS_ATTRIBUTION_HH
@@ -57,52 +60,85 @@ struct ActivitySpan
 /**
  * Log of activity spans for one simulated run.  Spans may overlap
  * freely; classification happens at attribution time, and it reads
- * only the union of each kind's spans.  So record() folds a span
- * into the last recorded span of the same kind when the two overlap
- * or touch: the per-kind unions, and with them attributeCycles(),
- * stay exactly as if every span were kept, while a run that records
- * one span per row or per DRAM access keeps a handful.
+ * only the union of each kind's spans.  So the log keeps one list per
+ * kind, and record() folds a span into the last span of its kind when
+ * the two overlap or touch: the per-kind unions, and with them
+ * attributeCycles(), stay exactly as if every span were kept, while a
+ * run that records one span per row or per DRAM access keeps a
+ * handful.
+ *
+ * attributeCycles() needs each kind's list only in order of begin,
+ * overlaps allowed.  Spans that arrive in that order keep it, since a
+ * fold then never moves the last span's begin back.  A span that lies
+ * wholly before the last one, or a fold that reaches back past the
+ * begin of the span before, breaks it; attributeCycles() then sorts a
+ * copy of that kind, and normalize() sorts and folds it in place.
  */
 class ActivityLog
 {
   public:
+    /** One span of a kind's list (half-open [begin, end)). */
+    struct Span
+    {
+        Tick begin = 0;
+        Tick end = 0;
+    };
+
     /** Record a span; zero/negative-length spans are dropped. */
     void
     record(Activity kind, Tick begin, Tick end)
     {
         if (end <= begin)
             return;
-        std::size_t &last = last_[static_cast<std::size_t>(kind)];
-        if (last < spans_.size()) {
-            ActivitySpan &prev = spans_[last];
-            if (begin <= prev.end && end >= prev.begin) {
-                prev.begin = std::min(prev.begin, begin);
-                prev.end = std::max(prev.end, end);
+        std::vector<Span> &spans = kinds_[static_cast<std::size_t>(kind)];
+        if (!spans.empty()) {
+            Span &last = spans.back();
+            if (begin <= last.end && end >= last.begin) {
+                last.begin = std::min(last.begin, begin);
+                last.end = std::max(last.end, end);
                 return;
             }
         }
-        last = spans_.size();
-        spans_.push_back({begin, end, kind});
+        spans.push_back({begin, end});
     }
 
+    /** Record every span of a flat list, in order. */
     void append(const std::vector<ActivitySpan> &spans);
+
+    /** Record every span of `other`, each `shift` ticks later. */
+    void append(const ActivityLog &other, Tick shift = 0);
+
+    /** Sort and fold every kind whose spans are out of order of
+     *  begin: it becomes its union, disjoint spans in order. */
+    void normalize();
 
     /** Drop every span, keeping the capacity. */
     void
     clear()
     {
-        spans_.clear();
-        last_.fill(kNone);
+        for (std::vector<Span> &spans : kinds_)
+            spans.clear();
     }
 
-    const std::vector<ActivitySpan> &spans() const { return spans_; }
+    /** The spans of one kind, folded as recorded. */
+    const std::vector<Span> &
+    spans(Activity kind) const
+    {
+        return kinds_[static_cast<std::size_t>(kind)];
+    }
+
+    /** Spans kept over all kinds. */
+    std::size_t
+    size() const
+    {
+        std::size_t n = 0;
+        for (const std::vector<Span> &spans : kinds_)
+            n += spans.size();
+        return n;
+    }
 
   private:
-    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-    std::vector<ActivitySpan> spans_;
-    /** Per kind, the index of its last span (kNone before the first). */
-    std::array<std::size_t, 4> last_ = {kNone, kNone, kNone, kNone};
+    std::array<std::vector<Span>, 4> kinds_;
 };
 
 /** The kind of simulator phase a window covers. */
@@ -165,15 +201,16 @@ struct CycleAttribution
 };
 
 /**
- * Classify every cycle of every phase window against activity spans
- * (an ActivityLog's, or any raw list).  Windows must be sorted and
- * non-overlapping (the simulator produces them tiling the run);
- * spans crossing a window boundary contribute to each window they
- * overlap.  One sweep over the spans' sorted edges covers every
- * window: O((spans + windows) log spans).
+ * Classify every cycle of every phase window against an activity log.
+ * Windows must be sorted and non-overlapping (the simulator produces
+ * them tiling the run); spans crossing a window boundary contribute
+ * to each window they overlap.  A cycle's bucket depends only on
+ * which kinds' unions cover it, so one cursor per kind walks that
+ * kind's list across the windows in order: O(spans + windows), after
+ * sorting a copy of any kind whose spans are out of order of begin.
  */
 CycleAttribution attributeCycles(const std::vector<PhaseWindow> &windows,
-                                 const std::vector<ActivitySpan> &spans);
+                                 const ActivityLog &log);
 
 /** Bins of the step-bucket occupancy histogram (log2 scale). */
 inline constexpr int kOccupancyBins = 8;

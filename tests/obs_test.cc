@@ -2,19 +2,27 @@
  * @file
  * Tests of the observability layer (src/obs) and its integration
  * with the simulator: exact cycle attribution for every application,
- * Chrome-trace emission, metrics-v1 round-tripping, and the
+ * the per-kind activity log and its linear sweep against the sorted
+ * edge sweep it replaced (on random spans and on real runs of both
+ * engines), Chrome-trace emission, metrics-v1 round-tripping, and the
  * tolerance-diff engine behind tools/metrics_diff.
  */
 
+#include <algorithm>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
+#include "api/session.hh"
 #include "apps/apps.hh"
+#include "backend/gamma.hh"
 #include "core/sparsepipe_sim.hh"
 #include "obs/attribution.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "test_helpers.hh"
+#include "timing_loops.hh"
 #include "util/random.hh"
 
 namespace sparsepipe {
@@ -51,7 +59,7 @@ TEST(Attribution, ClassifiesByPriorityAndTilesExactly)
 
     std::vector<PhaseWindow> windows = {
         {PhaseKind::FusedPass, 0, 0, 100}};
-    CycleAttribution attr = attributeCycles(windows, log.spans());
+    CycleAttribution attr = attributeCycles(windows, log);
 
     ASSERT_EQ(attr.phases.size(), 1u);
     EXPECT_EQ(attr.compute, 30);
@@ -71,7 +79,7 @@ TEST(Attribution, SpansCrossingWindowBoundariesSplit)
     std::vector<PhaseWindow> windows = {
         {PhaseKind::FusedPass, 0, 0, 50},
         {PhaseKind::WriteDrain, 1, 50, 100}};
-    CycleAttribution attr = attributeCycles(windows, log.spans());
+    CycleAttribution attr = attributeCycles(windows, log);
     ASSERT_EQ(attr.phases.size(), 2u);
     EXPECT_EQ(attr.phases[0].compute, 10);
     EXPECT_EQ(attr.phases[1].compute, 10);
@@ -87,7 +95,7 @@ TEST(Attribution, OverlappingSpansOfOneKindCountOnce)
     log.record(Activity::ReadWait, 30, 50);
     std::vector<PhaseWindow> windows = {
         {PhaseKind::StreamPass, 0, 0, 60}};
-    CycleAttribution attr = attributeCycles(windows, log.spans());
+    CycleAttribution attr = attributeCycles(windows, log);
     EXPECT_EQ(attr.dram_read_stall, 60);
     EXPECT_EQ(attr.totalCycles(), 60);
 }
@@ -97,7 +105,7 @@ TEST(Attribution, ZeroLengthSpansAreDropped)
     ActivityLog log;
     log.record(Activity::Compute, 10, 10);
     log.record(Activity::Compute, 12, 11);
-    EXPECT_TRUE(log.spans().empty());
+    EXPECT_EQ(log.size(), 0u);
 }
 
 /** Field-by-field equality of two attributions' phase rows. */
@@ -156,13 +164,103 @@ classifyEachCycle(const std::vector<PhaseWindow> &windows,
     return attr;
 }
 
+/**
+ * attributeCycles as it was before the per-kind log: every span's
+ * edges packed in one word each (the tick, then the kind and whether
+ * the span opens there), sorted once and swept across the windows in
+ * order with an open count per kind.
+ */
+CycleAttribution
+packedEdgeSweep(const std::vector<PhaseWindow> &windows,
+                const std::vector<obs::ActivitySpan> &spans)
+{
+    constexpr int kTagBits = 3;
+    auto pack = [](Tick at, Activity kind, bool opens) {
+        return (at << kTagBits) |
+               (static_cast<std::uint64_t>(kind) << 1) | (opens ? 1 : 0);
+    };
+    auto tick = [](std::uint64_t edge) { return edge >> kTagBits; };
+
+    std::vector<std::uint64_t> edges;
+    for (const obs::ActivitySpan &s : spans) {
+        if (s.end <= s.begin)
+            continue;
+        edges.push_back(pack(s.begin, s.kind, true));
+        edges.push_back(pack(s.end, s.kind, false));
+    }
+    std::sort(edges.begin(), edges.end());
+
+    CycleAttribution attr;
+    int open[4] = {0, 0, 0, 0};
+    std::size_t e = 0;
+    auto openThrough = [&](Tick at) {
+        for (; e < edges.size() && tick(edges[e]) <= at; ++e)
+            open[(edges[e] >> 1) & 3] += (edges[e] & 1) ? 1 : -1;
+    };
+    for (const PhaseWindow &w : windows) {
+        obs::PhaseCycles phase;
+        phase.kind = w.kind;
+        phase.index = w.index;
+        phase.begin = w.begin;
+        phase.end = w.end;
+        openThrough(w.begin);
+        for (Tick cursor = w.begin; cursor < w.end;) {
+            const Tick next =
+                e < edges.size() ? std::min(tick(edges[e]), w.end) : w.end;
+            Tick *bucket = &phase.buffer_swap_wait;
+            if (open[static_cast<int>(Activity::Compute)] > 0)
+                bucket = &phase.compute;
+            else if (open[static_cast<int>(Activity::ReadWait)] > 0 ||
+                     open[static_cast<int>(Activity::ReadTransfer)] > 0)
+                bucket = &phase.dram_read_stall;
+            else if (open[static_cast<int>(Activity::WriteTransfer)] > 0)
+                bucket = &phase.dram_write_drain;
+            *bucket += next - cursor;
+            cursor = next;
+            openThrough(cursor);
+        }
+        attr.compute += phase.compute;
+        attr.dram_read_stall += phase.dram_read_stall;
+        attr.dram_write_drain += phase.dram_write_drain;
+        attr.buffer_swap_wait += phase.buffer_swap_wait;
+        attr.phases.push_back(phase);
+    }
+    return attr;
+}
+
+/** A log with every span of `spans` recorded in order. */
+ActivityLog
+logOf(const std::vector<obs::ActivitySpan> &spans)
+{
+    ActivityLog log;
+    log.append(spans);
+    return log;
+}
+
+/** Kinds of `log` whose spans are out of order of begin. */
+int
+kindsOutOfOrder(const ActivityLog &log)
+{
+    int n = 0;
+    for (int k = 0; k < 4; ++k) {
+        const std::vector<ActivityLog::Span> &spans =
+            log.spans(static_cast<Activity>(k));
+        n += !std::is_sorted(spans.begin(), spans.end(),
+                             [](const ActivityLog::Span &a,
+                                const ActivityLog::Span &b) {
+                                 return a.begin < b.begin;
+                             });
+    }
+    return n;
+}
+
 TEST(Attribution, CoalescingKeepsEveryCycleAndMatchesPerCycleClassifier)
 {
     // Random spans of all four kinds, each either touching the last
     // span of its kind, overlapping it, or anywhere (out of order);
     // zero-length ones included.  The log folds many of them, and
-    // the attribution of the folded log must equal both the
-    // attribution of the raw spans and the per-cycle specification.
+    // the attribution of the folded log must equal both the packed
+    // edge sweep of the raw spans and the per-cycle specification.
     Rng rng(2024);
     std::size_t raw_total = 0, kept_total = 0;
     for (int trial = 0; trial < 300; ++trial) {
@@ -212,13 +310,13 @@ TEST(Attribution, CoalescingKeepsEveryCycleAndMatchesPerCycleClassifier)
 
         const std::string label = "trial " + std::to_string(trial);
         const CycleAttribution folded =
-            attributeCycles(windows, log.spans());
-        expectSamePhases(folded, attributeCycles(windows, raw), label);
+            attributeCycles(windows, log);
+        expectSamePhases(folded, packedEdgeSweep(windows, raw), label);
         expectSamePhases(folded, classifyEachCycle(windows, raw), label);
         EXPECT_EQ(folded.totalCycles(), horizon) << label;
-        EXPECT_LE(log.spans().size(), raw.size()) << label;
+        EXPECT_LE(log.size(), raw.size()) << label;
         raw_total += raw.size();
-        kept_total += log.spans().size();
+        kept_total += log.size();
     }
     // Touching and overlapping spans were generated, so some folded.
     EXPECT_LT(kept_total, raw_total);
@@ -332,7 +430,8 @@ TEST(Attribution, OneSweepMatchesPerWindowSweep)
         }
 
         const std::string label = "trial " + std::to_string(trial);
-        const CycleAttribution got = attributeCycles(windows, spans);
+        const CycleAttribution got =
+            attributeCycles(windows, logOf(spans));
         const CycleAttribution want = attributePerWindow(windows, spans);
         expectSamePhases(got, want, label);
         EXPECT_EQ(got.compute, want.compute) << label;
@@ -341,6 +440,269 @@ TEST(Attribution, OneSweepMatchesPerWindowSweep)
         EXPECT_EQ(got.buffer_swap_wait, want.buffer_swap_wait) << label;
         EXPECT_EQ(got.totalCycles(), covered) << label;
     }
+}
+
+/** expectSamePhases plus the run totals. */
+void
+expectSameAttribution(const CycleAttribution &got,
+                      const CycleAttribution &want, const std::string &label)
+{
+    expectSamePhases(got, want, label);
+    EXPECT_EQ(got.compute, want.compute) << label;
+    EXPECT_EQ(got.dram_read_stall, want.dram_read_stall) << label;
+    EXPECT_EQ(got.dram_write_drain, want.dram_write_drain) << label;
+    EXPECT_EQ(got.buffer_swap_wait, want.buffer_swap_wait) << label;
+}
+
+TEST(Attribution, LinearSweepMatchesPackedEdgeSweep)
+{
+    // Each span of a random kind touches the last span of its kind,
+    // overlaps it, nests inside it, falls anywhere (often before it),
+    // is zero-length or reversed, or runs past the horizon.  Windows go
+    // in order over [0, horizon), some empty and some apart.  The
+    // sweep reads the spans as a log recorded in order and in reverse
+    // order (so most kinds are out of order of begin), and that log
+    // normalized.
+    Rng rng(26);
+    int kinds_sorted = 0;
+    for (int trial = 0; trial < 500; ++trial) {
+        const Tick horizon = 1 + static_cast<Tick>(rng.nextBelow(500));
+        std::vector<obs::ActivitySpan> spans;
+        Tick last_begin[4] = {0, 0, 0, 0};
+        Tick last_end[4] = {0, 0, 0, 0};
+        const int n = static_cast<int>(rng.nextBelow(150));
+        for (int i = 0; i < n; ++i) {
+            const int k = static_cast<int>(rng.nextBelow(4));
+            const Tick len = static_cast<Tick>(rng.nextBelow(40));
+            Tick begin = 0;
+            Tick end = 0;
+            switch (rng.nextBelow(7)) {
+              case 0: // touching
+                begin = last_end[k];
+                end = begin + len;
+                break;
+              case 1: // overlapping
+                begin = last_begin[k] +
+                        static_cast<Tick>(rng.nextBelow(
+                            last_end[k] - last_begin[k] + 1));
+                end = begin + len;
+                break;
+              case 2: // nested
+                begin = last_begin[k];
+                end = std::min(last_end[k], begin + len);
+                break;
+              case 3: // zero-length
+                begin = static_cast<Tick>(rng.nextBelow(horizon));
+                end = begin;
+                break;
+              case 4: // reversed
+                end = static_cast<Tick>(rng.nextBelow(horizon));
+                begin = end + 1 + len;
+                break;
+              case 5: // past the horizon
+                begin = horizon - static_cast<Tick>(
+                                      rng.nextBelow(std::min<Tick>(
+                                          horizon, 10)));
+                end = horizon + 1 + len;
+                break;
+              default: // anywhere
+                begin = static_cast<Tick>(rng.nextBelow(horizon + 20));
+                end = begin + len;
+            }
+            spans.push_back({begin, end, static_cast<Activity>(k)});
+            if (end > begin) {
+                last_begin[k] = begin;
+                last_end[k] = end;
+            }
+        }
+        std::vector<PhaseWindow> windows;
+        for (Tick at = 0; at < horizon;) {
+            if (rng.nextBelow(4) == 0)
+                at = std::min(horizon,
+                              at + static_cast<Tick>(rng.nextBelow(30)));
+            const Tick next = std::min(
+                horizon, at + static_cast<Tick>(rng.nextBelow(60)));
+            windows.push_back({static_cast<PhaseKind>(rng.nextBelow(4)),
+                               static_cast<Idx>(windows.size()), at,
+                               next});
+            at = next;
+        }
+
+        const std::string label = "trial " + std::to_string(trial);
+        const CycleAttribution want = packedEdgeSweep(windows, spans);
+        ActivityLog in_order = logOf(spans);
+        ActivityLog reversed;
+        for (auto it = spans.rbegin(); it != spans.rend(); ++it)
+            reversed.record(it->kind, it->begin, it->end);
+        for (const ActivityLog *log : {&in_order, &reversed}) {
+            kinds_sorted += kindsOutOfOrder(*log);
+            expectSameAttribution(attributeCycles(windows, *log), want,
+                                  label + ", log");
+            ActivityLog normalized = *log;
+            normalized.normalize();
+            EXPECT_EQ(kindsOutOfOrder(normalized), 0) << label;
+            expectSameAttribution(attributeCycles(windows, normalized),
+                                  want, label + ", normalized log");
+        }
+    }
+    // The sorting path ran, not only the walk over the log's lists.
+    EXPECT_GT(kinds_sorted, 100);
+}
+
+TEST(Attribution, LinearSweepMatchesPackedEdgeSweepOnRealRuns)
+{
+    // The spans and windows of real runs, recorded unfolded by the
+    // unreplayed loops (timing_loops.hh): Sparsepipe's paired fused
+    // passes over an operand that overflows the buffer (pr-wi) and its
+    // stream passes (cg-ca), and gamma's row loop (pr-ro), at iso-GPU
+    // and at 256 KiB.  The engines' own attribution, swept from a log
+    // their records and replays built, must match the reference too.
+    struct Case
+    {
+        backend::BackendKind backend;
+        const char *app;
+        const char *dataset;
+        Idx iters;
+    };
+    const Case kCases[] = {
+        {backend::BackendKind::Sparsepipe, "pr", "wi", 7},
+        {backend::BackendKind::Sparsepipe, "cg", "ca", 7},
+        {backend::BackendKind::Gamma, "pr", "ro", 4},
+    };
+    api::Session session;
+    for (const Case &c : kCases) {
+        const api::PreparedCase &pc =
+            session.prepared(c.app, c.dataset, ReorderKind::Vanilla);
+        const OperandPatterns operands(pc.app.matrix, pc.csr, pc.csc);
+        const RunResult outcome{c.iters, false};
+        for (const Idx buffer_kb : {Idx{1536}, Idx{256}}) {
+            SparsepipeConfig config = SparsepipeConfig::isoGpu();
+            config.buffer_bytes = buffer_kb << 10;
+            const std::string label =
+                std::string(backend::backendName(c.backend)) + " " +
+                c.app + "-" + c.dataset + " at " +
+                std::to_string(buffer_kb) + " KiB";
+
+            testing::RunSpans raw;
+            SimStats engine_stats;
+            if (c.backend == backend::BackendKind::Gamma) {
+                testing::RowLoopGamma loop(config);
+                loop.captureSpans(&raw);
+                loop.runTiming(pc.app.program, operands, outcome, c.iters);
+                engine_stats = backend::GammaSim(config).runTiming(
+                    pc.app.program, operands, outcome, c.iters);
+            } else {
+                Idx replayable = 0;
+                testing::passLoopTiming(config, pc.app.program, operands,
+                                        outcome, c.iters, nullptr,
+                                        replayable, &raw);
+                engine_stats = SparsepipeSim(config).runTiming(
+                    pc.app.program, operands, outcome, c.iters);
+            }
+            ASSERT_GT(raw.spans.size(), 1000u) << label;
+            EXPECT_GT(engine_stats.counters.replayed_iterations, 0)
+                << label;
+
+            const CycleAttribution want =
+                packedEdgeSweep(raw.windows, raw.spans);
+            EXPECT_EQ(want.totalCycles(), engine_stats.cycles) << label;
+            expectSameAttribution(
+                attributeCycles(raw.windows, logOf(raw.spans)), want,
+                label + ", log");
+            expectSameAttribution(engine_stats.attribution, want,
+                                  label + ", engine");
+        }
+    }
+}
+
+TEST(ActivityLog, FoldsASpanIntoTheLastOfItsKind)
+{
+    // Gaps, touching and overlapping spans, and a fold that reaches
+    // back but not over the span before.  The spans stay in order of
+    // begin, so normalize() leaves them as they are.
+    ActivityLog log;
+    log.record(Activity::Compute, 0, 10);
+    log.record(Activity::Compute, 20, 30);
+    log.record(Activity::Compute, 30, 35); // touches: folds
+    log.record(Activity::Compute, 32, 40); // overlaps: folds
+    log.record(Activity::Compute, 15, 25); // folds back to 15 > 10
+    log.record(Activity::ReadWait, 5, 8);
+    log.normalize();
+    ASSERT_EQ(log.spans(Activity::Compute).size(), 2u);
+    EXPECT_EQ(log.spans(Activity::Compute)[1].begin, 15u);
+    EXPECT_EQ(log.spans(Activity::Compute)[1].end, 40u);
+    EXPECT_EQ(log.size(), 3u);
+}
+
+TEST(ActivityLog, NormalizeSortsAndFoldsAKindOutOfOrder)
+{
+    const std::vector<PhaseWindow> windows = {
+        {PhaseKind::StreamPass, 0, 0, 40}};
+
+    // A span that lies wholly before the kind's last span.
+    ActivityLog before;
+    before.record(Activity::ReadTransfer, 20, 30);
+    before.record(Activity::Compute, 0, 5);
+    before.record(Activity::ReadTransfer, 5, 10);
+    before.record(Activity::ReadTransfer, 10, 12); // touches: folds
+    EXPECT_EQ(attributeCycles(windows, before).dram_read_stall, 17u);
+    before.normalize();
+    const std::vector<ActivityLog::Span> &read =
+        before.spans(Activity::ReadTransfer);
+    ASSERT_EQ(read.size(), 2u);
+    EXPECT_EQ(read[0].begin, 5u);
+    EXPECT_EQ(read[0].end, 12u);
+    EXPECT_EQ(read[1].begin, 20u);
+    EXPECT_EQ(before.spans(Activity::Compute).size(), 1u);
+
+    // A fold that reaches back past the begin of the span before.
+    ActivityLog past;
+    past.record(Activity::WriteTransfer, 2, 10);
+    past.record(Activity::WriteTransfer, 20, 30);
+    past.record(Activity::WriteTransfer, 1, 25);
+    EXPECT_EQ(attributeCycles(windows, past).dram_write_drain, 29u);
+    past.normalize();
+    ASSERT_EQ(past.spans(Activity::WriteTransfer).size(), 1u);
+    EXPECT_EQ(past.spans(Activity::WriteTransfer)[0].begin, 1u);
+    EXPECT_EQ(past.spans(Activity::WriteTransfer)[0].end, 30u);
+
+    // A fold that reaches back over (or onto) the span before but not
+    // past its begin leaves spans that overlap in order of begin: the
+    // sweep reads their union as they are, and normalize() keeps them.
+    for (const Tick reach : {Tick{10}, Tick{5}, Tick{0}}) {
+        ActivityLog over;
+        over.record(Activity::WriteTransfer, 0, 10);
+        over.record(Activity::WriteTransfer, 20, 30);
+        over.record(Activity::WriteTransfer, reach, 25);
+        EXPECT_EQ(attributeCycles(windows, over).dram_write_drain, 30u)
+            << reach;
+        over.normalize();
+        EXPECT_EQ(over.spans(Activity::WriteTransfer).size(), 2u) << reach;
+    }
+}
+
+TEST(ActivityLog, AppendsAnotherLogShifted)
+{
+    // A replay appends a record's spans shifted: a span that touches
+    // the run's last one folds into it.
+    ActivityLog stretch;
+    stretch.record(Activity::Compute, 0, 4);
+    stretch.record(Activity::Compute, 6, 9);
+    stretch.record(Activity::ReadTransfer, 1, 3);
+    ActivityLog run;
+    run.record(Activity::Compute, 0, 100);
+    run.append(stretch, 100);
+    run.append(stretch, 110);
+    const std::vector<ActivityLog::Span> &compute =
+        run.spans(Activity::Compute);
+    ASSERT_EQ(compute.size(), 4u);
+    EXPECT_EQ(compute[0].end, 104u);
+    EXPECT_EQ(compute[1].begin, 106u);
+    EXPECT_EQ(compute[3].end, 119u);
+    ASSERT_EQ(run.spans(Activity::ReadTransfer).size(), 2u);
+    EXPECT_EQ(run.spans(Activity::ReadTransfer)[1].begin, 111u);
+    run.clear();
+    EXPECT_EQ(run.size(), 0u);
 }
 
 TEST(Attribution, OccupancyBinsAreLog2)

@@ -213,6 +213,42 @@ TEST_P(SessionCancelPropagation, PollCadenceBoundsAbortLatency)
         << "cycles=" << polled.stats.cycles;
 }
 
+TEST_P(SessionCancelPropagation, ReplayPollsOncePerPollWindow)
+{
+    // knn's run is timing only.  On co, Sparsepipe replays its fused
+    // pass from the second iteration on and gamma the whole iteration
+    // from the third on, so every iteration a longer run adds is a
+    // replay, and only simulated time paces its polls: one per
+    // cancel_poll_cycles window of the added cycles (give or take
+    // one), plus one at each added iteration's boundary.
+    api::Session session;
+    api::RunRequest req;
+    req.app = "knn";
+    req.dataset = "co";
+    req.backend = GetParam();
+    req.sp.cancel_poll_cycles = 512;
+    CancelToken token; // never fired, no deadline
+    req.cancel = &token;
+    auto stats = [&](Idx iters) {
+        req.iters = iters;
+        return session.run(req).value().stats;
+    };
+    const SimStats shorter = stats(8);
+    const SimStats longer = stats(40);
+    const Idx added = 32;
+    ASSERT_EQ(longer.counters.replayed_iterations -
+                  shorter.counters.replayed_iterations,
+              added);
+
+    const Idx polls =
+        longer.counters.cancel_polls - shorter.counters.cancel_polls;
+    const Idx windows = static_cast<Idx>(
+        (longer.cycles - shorter.cycles) / req.sp.cancel_poll_cycles);
+    ASSERT_GT(windows, 10 * added) << "the replay is too short to see";
+    EXPECT_GE(polls, added + windows - 1);
+    EXPECT_LE(polls, added + windows + 1);
+}
+
 TEST_P(SessionCancelPropagation, MidSimDeadlineReturnsDeadlineExceeded)
 {
     // knn runs max_iters iterations whatever its values, so the run

@@ -136,6 +136,33 @@ TEST(DramModel, UtilizationNeverExceedsOne)
     EXPECT_LE(dram.utilization(end), 1.0 + 1e-9);
 }
 
+TEST(DramModel, OccupyAppliesAServedCallAgain)
+{
+    // access() at its start is occupy() plus latency and the hook, so
+    // occupying the pins at the starts access() chose leaves the same
+    // ledger, counters and nextFree().
+    DramModel served(DramConfig::ddr4(), 32);
+    DramModel again(DramConfig::ddr4(), 32);
+    Tick now = 0;
+    for (int i = 0; i < 20; ++i) {
+        const Idx bytes = 100 + 37 * i;
+        const bool write = i % 3 == 0;
+        const Tick start = std::max(now, served.nextFree());
+        now = served.access(now, bytes, write) - 5 * (i % 4);
+        EXPECT_EQ(again.occupy(start, bytes, write), served.nextFree());
+    }
+    EXPECT_EQ(again.bytesRead(), served.bytesRead());
+    EXPECT_EQ(again.bytesWritten(), served.bytesWritten());
+    const Tick end = served.nextFree();
+    EXPECT_EQ(again.utilizationSeries(end, 7),
+              served.utilizationSeries(end, 7));
+
+    // A start the pins are not free for, or an empty transfer, is a
+    // replay out of step: it must not overlap transfers in the ledger.
+    EXPECT_DEATH(again.occupy(end - 1, 64, false), "before the pins");
+    EXPECT_DEATH(again.occupy(end, 0, false), "empty transfer");
+}
+
 TEST(DramModel, InvalidConfigIsFatal)
 {
     DramConfig bad = DramConfig::gddr6x();
