@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "core/autotune.hh"
+#include "api/autotune.hh"
 #include "harness.hh"
 #include "util/stats.hh"
 
@@ -62,10 +62,13 @@ main(int argc, char **argv)
         for (const std::string &dataset : sets) {
             RunConfig cfg;
             applyArgOverrides(args, cfg);
-            const api::PreparedCase &pc = api::Session::process().prepared(
-                "pr", dataset, cfg.reorder, cfg.seed);
-            AutotuneResult tuned =
-                autotuneSubTensor(pc.app, pc.csr, pc.csc, cfg.sp);
+            api::Session &session = api::Session::process();
+            const api::AutotuneResult tuned =
+                api::autotuneSubTensor(
+                    session, requestFor("pr", dataset, cfg),
+                    session.prepared("pr", dataset, cfg.reorder,
+                                     cfg.seed))
+                    .value();
             cfg.sp.sub_tensor_cols = tuned.best;
             CaseResult r = runCase("pr", dataset, cfg);
             row.push_back(std::to_string(r.sp.cycles) + " (T=" +

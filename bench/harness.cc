@@ -25,6 +25,22 @@ preparedDataset(const std::string &name, ReorderKind reorder,
     return api::Session::process().reordered(name, reorder, seed).csr;
 }
 
+api::RunRequest
+requestFor(const std::string &app, const std::string &dataset,
+           const RunConfig &config)
+{
+    api::RunRequest req;
+    req.app = app;
+    req.dataset = dataset;
+    req.backend = config.backend;
+    req.sp = config.sp;
+    req.iters = config.iters;
+    req.reorder = config.reorder;
+    req.blocked = config.blocked;
+    req.seed = config.seed;
+    return req;
+}
+
 StatusOr<CaseResult>
 runCaseOr(const std::string &app_name, const std::string &dataset,
           const RunConfig &config, const CancelToken *cancel)
@@ -45,15 +61,7 @@ runCaseOr(const std::string &app_name, const std::string &dataset,
         const api::PreparedCase &pc = session.prepared(
             app_name, dataset, config.reorder, config.seed);
 
-        api::RunRequest req;
-        req.app = app_name;
-        req.dataset = dataset;
-        req.backend = config.backend;
-        req.sp = config.sp;
-        req.iters = config.iters;
-        req.reorder = config.reorder;
-        req.blocked = config.blocked;
-        req.seed = config.seed;
+        api::RunRequest req = requestFor(app_name, dataset, config);
         req.cancel = cancel;
         StatusOr<api::RunReport> report = session.run(req, pc);
         if (!report.ok()) {

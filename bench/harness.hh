@@ -101,13 +101,18 @@ const CsrMatrix &preparedDataset(const std::string &name,
                                  ReorderKind reorder,
                                  std::uint64_t seed = kDefaultSeed);
 
+/** The Session request runCaseOr() makes for one case. */
+api::RunRequest requestFor(const std::string &app,
+                           const std::string &dataset,
+                           const RunConfig &config);
+
 /**
  * Run one (app, dataset) case under a configuration.
  *
  * Recoverable failures come back as a Status: InvalidInput for
  * unknown names, Cancelled / DeadlineExceeded when `cancel` fires,
  * ResourceExhausted / Internal for trouble inside the simulator.
- * Batch sweeps use this so one bad job cannot take the process down.
+ * Sweeps use this so one bad job cannot take the process down.
  */
 StatusOr<CaseResult> runCaseOr(const std::string &app,
                                const std::string &dataset,

@@ -89,7 +89,9 @@
  * miss never waits on another thread) and publish the same outcome;
  * a run that fails or is cancelled publishes nothing.
  * cacheStats().functional counts the hits and misses of the programs
- * with a convergence test, across backends.
+ * with a convergence test, across backends.  The sub-tensor
+ * autotuner (api/autotune.hh) probes a case through run(), so its
+ * probes share one outcome the same way.
  *
  * Thread safety: a Session may be shared by concurrent callers.  The
  * caches serialize construction per key (KeyedCache), every run gets

@@ -154,10 +154,10 @@ class OperandPatterns
  *    output but cancel_polls is bit-identical to simulating each.
  *
  * run() composes the two.  A caller that already knows a case's
- * outcome calls runTiming() alone: api::Session from its memo, the
- * autotuner for every probe after the pilot, and both, for a program
- * without a convergence test, from valueFreeOutcome() without
- * computing any value.
+ * outcome calls runTiming() alone: api::Session from its memo (every
+ * run, the autotuner's probes included, goes through it) and, for a
+ * program without a convergence test, from valueFreeOutcome()
+ * without computing any value.
  */
 class SparsepipeSim
 {

@@ -2,18 +2,19 @@
  * @file
  * Crash-resumable sweep journal.
  *
- * A batch sweep appends one line per finished job to a journal file:
+ * A sweep (explore::runSweep) appends one line per finished job to a
+ * journal file:
  *
- *   ok app=pr dataset=wi iters=0 reorder=vanilla ...
- *   fail DeadlineExceeded app=gcn dataset=co ...
+ *   ok app=pr dataset=gy iters=2 seed=1592614637 buffer_kb=256 ...
+ *   fail deadline-exceeded app=knn dataset=co ...
  *
  * Each line is flushed as soon as the job completes, so a crashed or
  * killed sweep leaves a prefix of truthful records behind.  Rerunning
- * with --resume loads the journal first and skips every job whose
- * canonical key (batchJobKey) already has an `ok` record; failed jobs
- * are retried.  Keys are canonical job specs rather than file
- * positions, so editing or reordering the batch file between runs
- * does not confuse resumption.
+ * with resume loads the journal first and skips every job whose
+ * canonical key (explore::jobKey) already has an `ok` record; failed
+ * jobs are retried.  Keys are canonical job specs rather than file
+ * positions, so editing or reordering the spec between runs does not
+ * confuse resumption.
  */
 
 #ifndef SPARSEPIPE_RUNNER_JOURNAL_HH

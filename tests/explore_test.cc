@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -491,6 +492,93 @@ TEST(SweepDriver, ResumeSkipsCompletedAndRepairsTornState)
     StatusOr<std::vector<DatasetRow>> rows = readDataset(dataset);
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(rows.value().size(), 2u);
+
+    std::remove(dataset.c_str());
+    std::remove(journal.c_str());
+}
+
+TEST(SweepDriver, DeadlineFailsOneJobAndResumeRunsOnlyIt)
+{
+    // knn runs every iteration whatever its values (as in
+    // SessionCancelPropagation.MidSimDeadlineReturnsDeadlineExceeded),
+    // while bfs and sssp converge within ten whatever the iteration
+    // budget.  The deadline sits ten times above the slower of the
+    // two on this machine and at a quarter of the knn job.
+    api::Session &session = api::Session::process();
+    for (const char *app : {"bfs", "sssp", "knn"})
+        session.prepared(app, "co", ReorderKind::Vanilla);
+    auto hostMs = [](api::Session &on, const char *app, Idx iters) {
+        api::RunRequest req;
+        req.app = app;
+        req.dataset = "co";
+        req.iters = iters;
+        const auto start = std::chrono::steady_clock::now();
+        EXPECT_TRUE(on.run(req).ok()) << app;
+        return std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
+    // A Session of their own, so the sweep's convergent jobs still
+    // compute their values.
+    api::Session calibration;
+    double quick_ms = 0.0;
+    for (const char *app : {"bfs", "sssp"}) {
+        calibration.prepared(app, "co", ReorderKind::Vanilla);
+        quick_ms = std::max(quick_ms, hostMs(calibration, app, 1000));
+    }
+    const double knn_iter_ms = std::max(
+        1e-4, (hostMs(session, "knn", 202) - hostMs(session, "knn", 2)) / 200);
+    const double deadline_ms = std::max(100.0, 10 * quick_ms);
+    const Idx iters = 2 + static_cast<Idx>(4 * deadline_ms / knn_iter_ms);
+
+    const std::string dataset =
+        ::testing::TempDir() + "sweep_deadline.jsonl";
+    const std::string journal = dataset + ".journal";
+    std::remove(dataset.c_str());
+    std::remove(journal.c_str());
+    const ExploreSpec spec =
+        parseExploreSpec("space deadline\napps bfs sssp knn\n"
+                         "datasets co\niters " +
+                         std::to_string(iters) + "\n")
+            .value();
+    SweepOptions opt;
+    opt.dataset_path = dataset;
+    opt.jobs = 1;
+    opt.timeout_ms = static_cast<long long>(deadline_ms);
+
+    const StatusOr<SweepSummary> first = runSweep(spec, opt);
+    ASSERT_TRUE(first.ok()) << first.status().toString();
+    EXPECT_EQ(first->ran, 3u);
+    EXPECT_EQ(first->failed, 1u) << iters << " iterations";
+    EXPECT_EQ(first->rows_appended, 2u);
+    const StatusOr<std::vector<DatasetRow>> rows = readDataset(dataset);
+    ASSERT_TRUE(rows.ok()) << rows.status().toString();
+    std::set<std::string> apps;
+    for (const DatasetRow &row : rows.value())
+        apps.insert(row.app);
+    EXPECT_EQ(apps, (std::set<std::string>{"bfs", "sssp"}));
+
+    const std::vector<ExploreJob> jobs = expandSpec(spec);
+    ASSERT_EQ(jobs.back().app, "knn");
+    const std::string knn_fail =
+        "fail deadline-exceeded " + jobKey(jobs.back());
+    std::ifstream in(journal);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    EXPECT_EQ(std::count(lines.begin(), lines.end(), knn_fail), 1);
+
+    // Resumed without the deadline, the sweep runs the failed job
+    // alone and appends its row.
+    opt.resume = true;
+    opt.timeout_ms = 0;
+    const StatusOr<SweepSummary> resumed = runSweep(spec, opt);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
+    EXPECT_EQ(resumed->skipped, 2u);
+    EXPECT_EQ(resumed->ran, 1u);
+    EXPECT_EQ(resumed->failed, 0u);
+    EXPECT_EQ(resumed->rows_appended, 1u);
+    EXPECT_EQ(readDataset(dataset).value().size(), 3u);
 
     std::remove(dataset.c_str());
     std::remove(journal.c_str());

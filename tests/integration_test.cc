@@ -6,7 +6,6 @@
  *    must be value-preserving under ANY resource configuration);
  *  - preprocessing end-to-end: reorder + blocked storage feed the
  *    simulator and preserve results up to the vertex renumbering;
- *  - autotuner behaviour;
  *  - failure injection: unbound matrices, non-square operands,
  *    degenerate graphs (empty matrix, empty rows, self loops).
  */
@@ -14,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.hh"
-#include "core/autotune.hh"
 #include "core/sparsepipe_sim.hh"
 #include "prep/blocked.hh"
 #include "prep/reorder.hh"
@@ -150,63 +148,6 @@ TEST(Preprocessing, BlockedBytesFeedTheSimulator)
         SparsepipeSim(plain).simulateApp(app, raw, 8);
     EXPECT_LT(s_blk.matrix_demand_bytes, s_pln.matrix_demand_bytes);
     EXPECT_LE(s_blk.cycles, s_pln.cycles);
-}
-
-TEST(Autotune, WinnerIsNoWorseThanStaticHeuristic)
-{
-    const Idx n = 2048;
-    CooMatrix raw = smallRmat(n, 30000, 31);
-    AppInstance app = makePageRank(n);
-    SparsepipeConfig cfg = SparsepipeConfig::isoGpu();
-
-    AutotuneResult tuned = autotuneSubTensor(app, raw, cfg);
-    ASSERT_FALSE(tuned.probes.empty());
-    EXPECT_GT(tuned.best, 0);
-
-    SparsepipeConfig best = cfg;
-    best.sub_tensor_cols = tuned.best;
-    SimStats s_best =
-        SparsepipeSim(best).simulateApp(app, raw, 8);
-    SimStats s_auto = SparsepipeSim(cfg).simulateApp(app, raw, 8);
-    EXPECT_LE(static_cast<double>(s_best.cycles),
-              1.05 * static_cast<double>(s_auto.cycles));
-}
-
-TEST(Autotune, RespectsExplicitCandidatesAndValidatesPilot)
-{
-    const Idx n = 256;
-    CooMatrix raw = smallGraph(n, 2000, 37);
-    AppInstance app = makeBfs(n);
-    SparsepipeConfig cfg = SparsepipeConfig::isoGpu();
-    AutotuneResult tuned =
-        autotuneSubTensor(app, raw, cfg, {8, 64}, 2);
-    ASSERT_EQ(tuned.probes.size(), 2u);
-    EXPECT_TRUE(tuned.best == 8 || tuned.best == 64);
-    EXPECT_DEATH(autotuneSubTensor(app, raw, cfg, {8}, 1),
-                 ">= 2 iterations");
-}
-
-TEST(Autotune, ValueFreePilotTimesLikeAFullRunPerCandidate)
-{
-    // knn and gcn have no convergence test, so the tuner times their
-    // pilot without computing its values.  Each probe must still
-    // read the cycles of a full run at its width.
-    const Idx n = 1024;
-    const CooMatrix raw = smallRmat(n, 12000, 47);
-    const SparsepipeConfig cfg = SparsepipeConfig::isoGpu();
-    for (const char *name : {"knn", "gcn"}) {
-        const AppInstance app = makeApp(name, n);
-        ASSERT_TRUE(valueFreeOutcome(app.program, 4)) << name;
-        const AutotuneResult tuned = autotuneSubTensor(app, raw, cfg);
-        ASSERT_GT(tuned.probes.size(), 1u) << name;
-        for (const TunePoint &probe : tuned.probes) {
-            SparsepipeConfig at = cfg;
-            at.sub_tensor_cols = probe.sub_tensor_cols;
-            EXPECT_EQ(probe.cycles,
-                      SparsepipeSim(at).simulateApp(app, raw, 4).cycles)
-                << name << " t=" << probe.sub_tensor_cols;
-        }
-    }
 }
 
 TEST(FailureInjection, SimulatingUnboundMatrixIsFatal)

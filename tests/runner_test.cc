@@ -3,7 +3,7 @@
  * Tests for the parallel experiment-runner subsystem (src/runner)
  * and its integration with the bench harness: pool semantics,
  * per-job exception capture, deterministic result ordering,
- * once-per-key cache construction, batch-spec parsing, and
+ * once-per-key cache construction, the sweep journal, and
  * serial-vs-parallel sweep equivalence.
  */
 
@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include "harness.hh"
-#include "runner/batch.hh"
 #include "runner/journal.hh"
 #include "runner/keyed_cache.hh"
 #include "runner/result_sink.hh"
@@ -335,66 +334,6 @@ TEST(KeyedCache, BoundedCacheStillConstructsOncePerResidency)
     EXPECT_EQ(stats.hits, 63u);
 }
 
-TEST(Batch, ParsesFullJobSpecLine)
-{
-    std::string error;
-    auto job = parseBatchLine(
-        "app=sssp dataset=ro iters=12 reorder=locality blocked=0 "
-        "iso-cpu=true seed=0x10 label=hello # trailing comment",
-        error);
-    ASSERT_TRUE(job.has_value()) << error;
-    EXPECT_TRUE(error.empty());
-    EXPECT_EQ(job->app, "sssp");
-    EXPECT_EQ(job->dataset, "ro");
-    EXPECT_EQ(job->iters, 12);
-    EXPECT_EQ(job->reorder, "locality");
-    EXPECT_FALSE(job->blocked);
-    EXPECT_TRUE(job->iso_cpu);
-    EXPECT_EQ(job->seed, 0x10u);
-    EXPECT_EQ(job->label, "hello");
-}
-
-TEST(Batch, DefaultsAndCommentLines)
-{
-    std::string error;
-    auto job = parseBatchLine("app=pr dataset=wi", error);
-    ASSERT_TRUE(job.has_value());
-    EXPECT_EQ(job->label, "pr-wi");
-    EXPECT_EQ(job->reorder, "vanilla");
-    EXPECT_TRUE(job->blocked);
-    EXPECT_FALSE(job->iso_cpu);
-    EXPECT_EQ(job->iters, 0);
-
-    EXPECT_FALSE(parseBatchLine("", error).has_value());
-    EXPECT_TRUE(error.empty());
-    EXPECT_FALSE(parseBatchLine("   # just a comment", error)
-                     .has_value());
-    EXPECT_TRUE(error.empty());
-}
-
-TEST(Batch, RejectsMalformedLines)
-{
-    std::string error;
-    EXPECT_FALSE(parseBatchLine("app=pr", error).has_value());
-    EXPECT_FALSE(error.empty());
-    EXPECT_FALSE(parseBatchLine("pr wi", error).has_value());
-    EXPECT_FALSE(error.empty());
-    EXPECT_FALSE(
-        parseBatchLine("app=pr dataset=wi iters=abc", error)
-            .has_value());
-    EXPECT_NE(error.find("iters"), std::string::npos);
-    EXPECT_FALSE(
-        parseBatchLine("app=pr dataset=wi reorder=zigzag", error)
-            .has_value());
-    EXPECT_FALSE(
-        parseBatchLine("app=pr dataset=wi blocked=maybe", error)
-            .has_value());
-    EXPECT_FALSE(
-        parseBatchLine("app=pr dataset=wi colour=red", error)
-            .has_value());
-    EXPECT_NE(error.find("colour"), std::string::npos);
-}
-
 namespace {
 
 /** Field-by-field equality; the parallel sweep must be bit-equal. */
@@ -442,89 +381,6 @@ TEST(Sweep, ParallelMatchesSerialByteForByte)
         SCOPED_TRACE(serial[i].app + "-" + serial[i].dataset);
         expectCaseEqual(serial[i], parallel[i]);
     }
-}
-
-TEST(Batch, ParsesTimeoutMs)
-{
-    std::string error;
-    auto job = parseBatchLine(
-        "app=pr dataset=wi timeout-ms=1500", error);
-    ASSERT_TRUE(job.has_value()) << error;
-    EXPECT_EQ(job->timeout_ms, 1500);
-
-    auto unset = parseBatchLine("app=pr dataset=wi", error);
-    ASSERT_TRUE(unset.has_value());
-    EXPECT_EQ(unset->timeout_ms, 0);
-
-    EXPECT_FALSE(
-        parseBatchLine("app=pr dataset=wi timeout-ms=-5", error)
-            .has_value());
-    EXPECT_NE(error.find("timeout"), std::string::npos);
-}
-
-TEST(Batch, JobKeyIsCanonicalAndIgnoresTimeout)
-{
-    std::string error;
-    auto a = parseBatchLine(
-        "app=pr dataset=wi iters=8 seed=0x10 label=x", error);
-    auto b = parseBatchLine(
-        "label=x seed=16 iters=8 dataset=wi app=pr timeout-ms=900",
-        error);
-    ASSERT_TRUE(a.has_value());
-    ASSERT_TRUE(b.has_value());
-    // Same job, different spelling/order and a timeout: same key, so
-    // a rerun with a longer deadline still skips completed work.
-    EXPECT_EQ(batchJobKey(*a), batchJobKey(*b));
-
-    auto c = parseBatchLine(
-        "app=pr dataset=wi iters=9 seed=0x10 label=x", error);
-    ASSERT_TRUE(c.has_value());
-    EXPECT_NE(batchJobKey(*a), batchJobKey(*c));
-
-    // The backend is semantic: a different engine is different work.
-    auto d = parseBatchLine(
-        "app=pr dataset=wi iters=8 seed=0x10 label=x backend=gamma",
-        error);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->backend, "gamma");
-    EXPECT_NE(batchJobKey(*a), batchJobKey(*d));
-}
-
-TEST(Batch, ReadBatchFileReportsStatus)
-{
-    StatusOr<std::vector<BatchJob>> missing =
-        readBatchFile("/nonexistent/sparsepipe.batch");
-    ASSERT_FALSE(missing.ok());
-    EXPECT_EQ(missing.status().code(), StatusCode::IoError);
-
-    const std::string dir = ::testing::TempDir();
-    const std::string bad_path = dir + "/sp_bad.batch";
-    {
-        std::ofstream out(bad_path);
-        out << "app=pr dataset=wi\n"
-            << "app=pr dataset=wi iters=abc\n";
-    }
-    StatusOr<std::vector<BatchJob>> bad = readBatchFile(bad_path);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.status().code(), StatusCode::InvalidInput);
-    EXPECT_NE(bad.status().toString().find("line 2"),
-              std::string::npos);
-
-    const std::string good_path = dir + "/sp_good.batch";
-    {
-        std::ofstream out(good_path);
-        out << "# sweep\n"
-            << "app=pr dataset=wi\n"
-            << "\n"
-            << "app=sssp dataset=ro timeout-ms=250\n";
-    }
-    StatusOr<std::vector<BatchJob>> good = readBatchFile(good_path);
-    ASSERT_TRUE(good.ok()) << good.status().toString();
-    ASSERT_EQ(good->size(), 2u);
-    EXPECT_EQ((*good)[0].app, "pr");
-    EXPECT_EQ((*good)[1].timeout_ms, 250);
-    std::remove(bad_path.c_str());
-    std::remove(good_path.c_str());
 }
 
 TEST(Journal, RecordsSurviveAndResume)

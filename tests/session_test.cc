@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/autotune.hh"
 #include "api/session.hh"
 #include "apps/apps.hh"
 #include "core/buckets.hh"
@@ -1347,6 +1348,58 @@ TEST(BucketMemo, ConcurrentRunsOnOnePatternAgree)
     const api::Session::CacheStatsSnapshot stats = session.cacheStats();
     EXPECT_EQ(stats.buckets.misses, 1u);
     EXPECT_EQ(stats.buckets.hits, reports.size() - 1);
+}
+
+// ---------------------------------------------------------------
+// The sub-tensor autotuner
+// ---------------------------------------------------------------
+
+TEST(Autotune, WinnerIsNoWorseThanStaticHeuristic)
+{
+    const api::PreparedCase pc =
+        api::prepareCase("pr", testing::smallRmat(2048, 30000, 31));
+    api::Session session;
+    api::RunRequest req;
+    req.app = "pr";
+    req.iters = 8;
+    const api::AutotuneResult tuned =
+        api::autotuneSubTensor(session, req, pc).value();
+    ASSERT_FALSE(tuned.probes.empty());
+    EXPECT_GT(tuned.best, 0);
+
+    const Tick at_auto = session.run(req, pc).value().stats.cycles;
+    req.sp.sub_tensor_cols = tuned.best;
+    const Tick at_best = session.run(req, pc).value().stats.cycles;
+    EXPECT_LE(static_cast<double>(at_best),
+              1.05 * static_cast<double>(at_auto));
+}
+
+TEST(Autotune, ValueFreePilotTimesLikeAFullRunPerCandidate)
+{
+    // knn and gcn have no convergence test, so the tuner's probes
+    // time them without computing their values.  Each probe must
+    // still read the cycles of a full run at its width.
+    const CooMatrix raw = testing::smallRmat(1024, 12000, 47);
+    api::Session session;
+    for (const char *name : {"knn", "gcn"}) {
+        const api::PreparedCase pc = api::prepareCase(name, raw);
+        ASSERT_TRUE(valueFreeOutcome(pc.app.program, 4)) << name;
+        api::RunRequest req;
+        req.app = name;
+        // Unblocked, the probes' footprint (12 B/nz) is the one
+        // simulateApp runs at.
+        req.blocked = false;
+        const api::AutotuneResult tuned =
+            api::autotuneSubTensor(session, req, pc).value();
+        ASSERT_GT(tuned.probes.size(), 1u) << name;
+        for (const api::TunePoint &probe : tuned.probes) {
+            SparsepipeConfig at = req.sp;
+            at.sub_tensor_cols = probe.sub_tensor_cols;
+            EXPECT_EQ(probe.cycles,
+                      SparsepipeSim(at).simulateApp(pc.app, raw, 4).cycles)
+                << name << " t=" << probe.sub_tensor_cols;
+        }
+    }
 }
 
 } // anonymous namespace

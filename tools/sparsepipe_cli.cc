@@ -14,38 +14,30 @@
  *   sparsepipe_cli --app bfs --synthetic rmat:65536:8 \
  *       --buffer-kb 512 --no-eager --timeline
  *   sparsepipe_cli --app gcn --dataset co --autotune
- *   sparsepipe_cli --batch jobs.txt --jobs 8
+ *
+ * Sweeps of many runs are explore specs (sparsepipe_explore).
  */
 
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <deque>
 #include <string>
-#include <vector>
 
+#include "api/autotune.hh"
 #include "api/session.hh"
 #include "apps/apps.hh"
 #include "baseline/models.hh"
-#include "core/autotune.hh"
 #include "core/sparsepipe_sim.hh"
 #include "energy/energy_model.hh"
-#include "harness.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "prep/reorder.hh"
-#include "runner/batch.hh"
-#include "runner/journal.hh"
-#include "runner/scheduler.hh"
-#include "runner/thread_pool.hh"
 #include "sparse/datasets.hh"
 #include "sparse/generate.hh"
 #include "sparse/io.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
-#include "util/table.hh"
 
 using namespace sparsepipe;
 
@@ -75,19 +67,13 @@ struct Options
     std::string trace_out;   // Chrome trace_event JSON
     std::string metrics_out; // metrics-v1 JSON
     std::uint64_t seed = 0x5eed5eedULL;
-    /** Batch file; when set, all other run flags are ignored. */
-    std::string batch;
-    int jobs = 0; // 0 = ThreadPool::defaultJobs()
-    /** Deadline per run / per batch job without its own (0 = none). */
+    /** Deadline of the run (0 = none). */
     long long timeout_ms = 0;
-    /** Completion journal for --batch (enables --resume). */
-    std::string journal;
-    bool resume = false;
 };
 
 /**
- * Process-wide cancellation root: Ctrl-C cancels it, every job token
- * chains to it, so one signal drains the whole sweep cleanly.
+ * Process-wide cancellation root: Ctrl-C cancels it and the run's
+ * token chains to it, so one signal stops the run cleanly.
  */
 CancelToken &
 sigintToken()
@@ -166,28 +152,7 @@ usage()
         "                      (compare runs with "
         "tools/metrics_diff)\n"
         "  --seed N            generator seed\n"
-        "  --batch FILE        run one job per line (key=value "
-        "specs: app= dataset=\n"
-        "                      [iters= reorder= blocked= iso-cpu= "
-        "backend= seed=\n"
-        "                      timeout-ms= label=]), served through "
-        "the worker pool; results print\n"
-        "                      in file order; a failed job is "
-        "reported and the sweep\n"
-        "                      continues (exit 1 if any job "
-        "failed)\n"
-        "  --jobs N            worker threads for --batch (default: "
-        "SPARSEPIPE_JOBS\n"
-        "                      env, else hardware concurrency)\n"
-        "  --timeout-ms N      per-run deadline; in --batch mode "
-        "the default for jobs\n"
-        "                      without their own timeout-ms= key\n"
-        "  --journal FILE      append one line per finished batch "
-        "job (flushed as it\n"
-        "                      completes), so a killed sweep can be "
-        "resumed\n"
-        "  --resume            skip batch jobs the journal already "
-        "records as ok\n"
+        "  --timeout-ms N      deadline of the run\n"
         "  --list              list applications and datasets\n");
 }
 
@@ -305,21 +270,13 @@ parse(int argc, char **argv)
         else if (arg == "--metrics-out") opt.metrics_out = next();
         else if (arg == "--seed")
             opt.seed = flagValue(parseU64Flag("--seed", next()));
-        else if (arg == "--batch") opt.batch = next();
-        else if (arg == "--jobs") {
-            opt.jobs = static_cast<int>(
-                flagValue(parseI64Flag("--jobs", next())));
-            if (opt.jobs < 1)
-                usageError("--jobs wants a positive count");
-        } else if (arg == "--timeout-ms") {
+        else if (arg == "--timeout-ms") {
             opt.timeout_ms =
                 flagValue(parseI64Flag("--timeout-ms", next()));
             if (opt.timeout_ms < 0)
                 usageError("--timeout-ms wants a non-negative "
                            "count");
         }
-        else if (arg == "--journal") opt.journal = next();
-        else if (arg == "--resume") opt.resume = true;
         else if (arg == "--list") {
             listInventory();
             std::exit(kExitOk);
@@ -331,175 +288,7 @@ parse(int argc, char **argv)
             usageError("unknown flag '" + arg + "'");
         }
     }
-    if (opt.resume && opt.journal.empty())
-        usageError("--resume needs --journal FILE");
     return opt;
-}
-
-/** Map a batch reorder string (already validated) to the enum. */
-ReorderKind
-reorderKindOf(const std::string &name)
-{
-    if (name == "none") return ReorderKind::None;
-    if (name == "locality") return ReorderKind::Locality;
-    return ReorderKind::Vanilla;
-}
-
-/**
- * --batch mode: read one job spec per line, serve the whole batch
- * through the worker pool, and print a per-job summary table in
- * file order (deterministic regardless of completion order).
- *
- * Fault isolation: a failing job is recorded as a failed outcome and
- * the sweep continues; the failures are listed at the end and the
- * exit code is 1.  Ctrl-C cancels every in-flight job cooperatively
- * and drains the pool.  With --journal each completion is flushed to
- * disk as it happens, and --resume skips jobs a previous (possibly
- * killed) sweep already finished.
- */
-int
-runBatch(const Options &opt)
-{
-    using namespace sparsepipe::bench;
-
-    StatusOr<std::vector<runner::BatchJob>> batch_or =
-        runner::readBatchFile(opt.batch);
-    if (!batch_or.ok()) {
-        std::fprintf(stderr, "sparsepipe_cli: %s\n",
-                     batch_or.status().toString().c_str());
-        return kExitRuntime;
-    }
-    std::vector<runner::BatchJob> batch = std::move(batch_or).value();
-    // The line parser leaves backend names to us (sp_runner sits
-    // below the backend registry); reject the whole batch up front
-    // like any other malformed file, not one job at a time mid-run.
-    for (const runner::BatchJob &job : batch) {
-        if (StatusOr<backend::BackendKind> kind =
-                backend::backendFromName(job.backend);
-            !kind.ok()) {
-            std::fprintf(stderr, "sparsepipe_cli: batch job '%s': %s\n",
-                         job.label.c_str(),
-                         kind.status().toString().c_str());
-            return kExitRuntime;
-        }
-    }
-    if (batch.empty()) {
-        std::fprintf(stderr,
-                     "sparsepipe_cli: batch file '%s' contains no "
-                     "jobs\n",
-                     opt.batch.c_str());
-        return kExitRuntime;
-    }
-
-    runner::SweepJournal journal;
-    const bool journaling = !opt.journal.empty();
-    if (journaling) {
-        if (Status status = journal.init(opt.journal, opt.resume);
-            !status.ok()) {
-            std::fprintf(stderr, "sparsepipe_cli: %s\n",
-                         status.toString().c_str());
-            return kExitRuntime;
-        }
-        if (opt.resume && journal.resumedCount() > 0)
-            std::printf("resuming: journal '%s' records %zu "
-                        "completed job(s)\n",
-                        opt.journal.c_str(), journal.resumedCount());
-    }
-
-    int jobs = opt.jobs > 0 ? opt.jobs
-                            : runner::ThreadPool::defaultJobs();
-    runner::ThreadPool pool(jobs);
-    runner::SweepScheduler sched(pool);
-
-    // Per-job tokens chained to the Ctrl-C root; a deque because
-    // CancelToken is pinned (atomics) and must outlive the sweep.
-    std::deque<CancelToken> tokens;
-    std::vector<CaseResult> results(batch.size());
-    std::vector<std::size_t> queued; // batch index per queued job
-    std::size_t skipped = 0;
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        const runner::BatchJob &job = batch[i];
-        const std::string key = runner::batchJobKey(job);
-        if (journaling && journal.completed(key)) {
-            ++skipped;
-            continue;
-        }
-
-        RunConfig config;
-        config.sp = job.iso_cpu ? SparsepipeConfig::isoCpu()
-                                : SparsepipeConfig::isoGpu();
-        config.backend =
-            backend::backendFromName(job.backend).value();
-        config.iters = job.iters;
-        config.reorder = reorderKindOf(job.reorder);
-        config.blocked = job.blocked;
-        config.seed = job.seed;
-        const long long timeout_ms =
-            job.timeout_ms > 0 ? job.timeout_ms : opt.timeout_ms;
-
-        tokens.emplace_back(&sigintToken());
-        CancelToken &token = tokens.back();
-        queued.push_back(i);
-        sched.add(job.label, [&results, &journal, &token, job,
-                              config, key, timeout_ms, journaling,
-                              i]() -> Status {
-            // The deadline is armed when the job starts running, not
-            // when it is queued behind other jobs.
-            if (timeout_ms > 0)
-                token.setDeadlineAfterMs(timeout_ms);
-            StatusOr<CaseResult> result =
-                runCaseOr(job.app, job.dataset, config, &token);
-            if (!result.ok()) {
-                if (journaling)
-                    journal.recordFail(key, result.status().code());
-                Status status = result.status();
-                return status;
-            }
-            results[i] = std::move(result).value();
-            if (journaling)
-                journal.recordOk(key);
-            return okStatus();
-        });
-    }
-
-    std::vector<runner::JobOutcome> outcomes = sched.run();
-
-    TextTable table;
-    table.addRow({"job", "app", "dataset", "nnz", "iters", "cycles",
-                  "ms", "vs ideal", "vs cpu", "vs gpu"});
-    std::vector<const runner::JobOutcome *> failures;
-    for (std::size_t j = 0; j < outcomes.size(); ++j) {
-        if (!outcomes[j].ok()) {
-            failures.push_back(&outcomes[j]);
-            continue;
-        }
-        const CaseResult &r = results[queued[j]];
-        table.addRow({outcomes[j].label, r.app, r.dataset,
-                      std::to_string(r.nnz),
-                      std::to_string(r.sp.iterations),
-                      std::to_string(r.sp.cycles),
-                      TextTable::num(1e3 * r.spSeconds(), 3),
-                      TextTable::num(r.speedupVsIdeal(), 2),
-                      TextTable::num(r.speedupVsCpu(), 2),
-                      TextTable::num(r.speedupVsGpu(), 2)});
-    }
-    table.print();
-    std::printf("\n%zu jobs served by %d worker thread%s",
-                outcomes.size(), jobs, jobs == 1 ? "" : "s");
-    if (skipped > 0)
-        std::printf(", %zu skipped via journal", skipped);
-    std::printf("\n");
-
-    if (!failures.empty()) {
-        std::fprintf(stderr, "%zu job(s) failed:\n", failures.size());
-        for (const runner::JobOutcome *outcome : failures)
-            std::fprintf(stderr, "  %-16s %s\n",
-                         outcome->label.c_str(),
-                         outcome->status.toString().c_str());
-        return kExitRuntime;
-    }
-    return kExitOk;
 }
 
 } // namespace
@@ -509,12 +298,9 @@ main(int argc, char **argv)
 {
     Options opt = parse(argc, argv);
 
-    // Ctrl-C drains in-flight work cooperatively instead of killing
-    // the process mid-write.
+    // Ctrl-C stops the run cooperatively instead of killing the
+    // process mid-write.
     std::signal(SIGINT, onSigint);
-
-    if (!opt.batch.empty())
-        return runBatch(opt);
 
     // ---- reorder + request skeleton --------------------------------
     ReorderKind reorder = ReorderKind::Vanilla;
@@ -586,13 +372,16 @@ main(int argc, char **argv)
     }
 
     if (opt.autotune) {
-        SparsepipeConfig probe_cfg = req.sp;
-        probe_cfg.bytes_per_nz =
-            req.blocked ? pc->blocked_bytes_per_nz : 12.0;
-        AutotuneResult tuned = autotuneSubTensor(
-            pc->app, pc->csr, pc->csc, probe_cfg);
+        StatusOr<api::AutotuneResult> tuned_or =
+            api::autotuneSubTensor(session, req, *pc);
+        if (!tuned_or.ok()) {
+            std::fprintf(stderr, "sparsepipe_cli: %s\n",
+                         tuned_or.status().toString().c_str());
+            return kExitRuntime;
+        }
+        const api::AutotuneResult &tuned = tuned_or.value();
         std::printf("autotune probes:");
-        for (const TunePoint &p : tuned.probes)
+        for (const api::TunePoint &p : tuned.probes)
             std::printf(" T=%lld:%llucyc",
                         static_cast<long long>(p.sub_tensor_cols),
                         static_cast<unsigned long long>(p.cycles));

@@ -5,8 +5,8 @@
  * Expands a declarative config-space spec (src/explore/spec.hh) and
  * either lists the expansion, sweeps it into a performance dataset on
  * the resumable batch runner, fits the cycle cost model from a
- * dataset, or autotunes a workload with optional model-based probe
- * pruning.
+ * dataset, or tunes each (app, dataset) of the spec with optional
+ * model-based probe pruning.
  *
  * Examples:
  *   sparsepipe_explore --spec space.spec --expand
@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -106,6 +107,7 @@ printUsage()
         "  --fit D.jsonl              fit the cycle cost model\n"
         "  --spec F --tune            probe the space, report the "
         "best config\n"
+        "                             of each (app, dataset)\n"
         "\n"
         "sweep options:\n"
         "  --journal PATH    completion journal (default: OUT"
@@ -121,8 +123,10 @@ printUsage()
         "  --export-csv PATH       also flatten the dataset to CSV\n"
         "\n"
         "tune options:\n"
-        "  --prune-model PATH  rank candidates with a fitted model\n"
-        "                      and probe only the best fraction\n"
+        "  --prune-model PATH  rank each (app, dataset)'s candidates "
+        "with a fitted\n"
+        "                      model and probe only the best "
+        "fraction\n"
         "  --keep F            fraction probed under --prune-model "
         "(default 0.4)\n");
 }
@@ -180,9 +184,13 @@ parseArgs(int argc, char **argv)
         } else if (flag == "--jobs") {
             opt.jobs = static_cast<int>(
                 flagValue(parseI64Flag("--jobs", need())));
+            if (opt.jobs < 1)
+                usageError("--jobs wants a positive count");
         } else if (flag == "--timeout-ms") {
             opt.timeout_ms =
                 flagValue(parseI64Flag("--timeout-ms", need()));
+            if (opt.timeout_ms < 0)
+                usageError("--timeout-ms wants a non-negative count");
         } else {
             usageError("unknown flag '" + flag + "'");
         }
@@ -303,6 +311,30 @@ runTune(const ExploreSpec &spec, const Options &opt)
                      "candidates\n");
         return kExitRuntime;
     }
+    std::optional<CostModel> model;
+    if (!opt.prune_model.empty()) {
+        StatusOr<CostModel> read = readModel(opt.prune_model);
+        if (!read.ok()) {
+            std::fprintf(stderr, "sparsepipe_explore: %s\n",
+                         read.status().toString().c_str());
+            return kExitRuntime;
+        }
+        model = std::move(read).value();
+    }
+
+    // Cycle counts rank the configurations of one workload, not
+    // workloads: the candidates group by (app, dataset), in
+    // expansion order.
+    std::vector<std::vector<const ExploreJob *>> groups;
+    std::map<std::pair<std::string, std::string>, std::size_t> group_of;
+    for (const ExploreJob &job : jobs) {
+        const auto [it, fresh] =
+            group_of.emplace(std::make_pair(job.app, job.dataset),
+                             groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(&job);
+    }
 
     api::Session &session = api::Session::process();
     // Features per distinct operand, shared across candidates.
@@ -328,62 +360,68 @@ runTune(const ExploreSpec &spec, const Options &opt)
         return it->second;
     };
 
-    std::vector<std::size_t> probe(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        probe[i] = i;
-    if (!opt.prune_model.empty()) {
-        StatusOr<CostModel> model = readModel(opt.prune_model);
-        if (!model.ok()) {
-            std::fprintf(stderr, "sparsepipe_explore: %s\n",
-                         model.status().toString().c_str());
-            return kExitRuntime;
+    int exit_code = kExitOk;
+    for (const std::vector<const ExploreJob *> &group : groups) {
+        std::vector<std::size_t> probe(group.size());
+        for (std::size_t i = 0; i < group.size(); ++i)
+            probe[i] = i;
+        if (model) {
+            std::vector<DatasetRow> candidates;
+            candidates.reserve(group.size());
+            for (const ExploreJob *job : group)
+                candidates.push_back(
+                    makeRow(*job, featuresFor(*job), api::RunReport{}));
+            probe = pruneProbeSet(*model, candidates, opt.keep);
         }
-        std::vector<DatasetRow> candidates;
-        candidates.reserve(jobs.size());
-        for (const ExploreJob &job : jobs)
-            candidates.push_back(
-                makeRow(job, featuresFor(job), api::RunReport{}));
-        probe = pruneProbeSet(model.value(), candidates, opt.keep);
-    }
 
-    double best_cycles = 0.0;
-    const ExploreJob *best = nullptr;
-    std::size_t probed = 0;
-    for (std::size_t index : probe) {
-        const ExploreJob &job = jobs[index];
-        CancelToken token(&sigintToken());
-        if (opt.timeout_ms > 0)
-            token.setDeadlineAfterMs(opt.timeout_ms);
-        api::RunRequest req = requestFor(job);
-        req.cancel = &token;
-        StatusOr<api::RunReport> report = session.run(req);
-        if (!report.ok()) {
-            if (report.status().code() == StatusCode::Cancelled)
-                break;
-            std::fprintf(stderr, "sparsepipe_explore: probe %s: %s\n",
-                         jobHash(job).c_str(),
-                         report.status().toString().c_str());
+        double best_cycles = 0.0;
+        const ExploreJob *best = nullptr;
+        std::size_t probed = 0;
+        for (std::size_t index : probe) {
+            const ExploreJob &job = *group[index];
+            CancelToken token(&sigintToken());
+            if (opt.timeout_ms > 0)
+                token.setDeadlineAfterMs(opt.timeout_ms);
+            api::RunRequest req = requestFor(job);
+            req.cancel = &token;
+            StatusOr<api::RunReport> report = session.run(req);
+            if (!report.ok()) {
+                if (report.status().code() == StatusCode::Cancelled) {
+                    std::fprintf(stderr,
+                                 "sparsepipe_explore: tune cancelled\n");
+                    return kExitRuntime;
+                }
+                std::fprintf(stderr,
+                             "sparsepipe_explore: probe %s: %s\n",
+                             jobHash(job).c_str(),
+                             report.status().toString().c_str());
+                continue;
+            }
+            ++probed;
+            const double cycles =
+                static_cast<double>(report.value().stats.cycles);
+            if (!best || cycles < best_cycles) {
+                best_cycles = cycles;
+                best = &job;
+            }
+        }
+        const ExploreJob &first = *group.front();
+        if (!best) {
+            std::fprintf(stderr,
+                         "sparsepipe_explore: no candidate of app=%s "
+                         "dataset=%s completed\n",
+                         first.app.c_str(), first.dataset.c_str());
+            exit_code = kExitRuntime;
             continue;
         }
-        ++probed;
-        const double cycles =
-            static_cast<double>(report.value().stats.cycles);
-        if (!best || cycles < best_cycles) {
-            best_cycles = cycles;
-            best = &job;
-        }
+        std::printf("tune space=%s app=%s dataset=%s candidates=%zu "
+                    "probed=%zu best_hash=%s best_cycles=%.0f\n",
+                    spec.name.c_str(), first.app.c_str(),
+                    first.dataset.c_str(), group.size(), probed,
+                    jobHash(*best).c_str(), best_cycles);
+        std::printf("best %s\n", jobKey(*best).c_str());
     }
-    if (!best) {
-        std::fprintf(stderr,
-                     "sparsepipe_explore: no candidate completed\n");
-        return kExitRuntime;
-    }
-    std::printf("tune space=%s candidates=%zu probed=%zu "
-                "best_hash=%s best_cycles=%.0f\n",
-                spec.name.c_str(), jobs.size(), probed,
-                jobHash(*best).c_str(), best_cycles);
-    std::printf("best %s\n", jobKey(*best).c_str());
-    return kExitOk;
+    return exit_code;
 }
 
 } // namespace
