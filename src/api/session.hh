@@ -6,7 +6,7 @@
  * Before this facade every entry point (the bench harness, the CLI,
  * the fuzzer, the autotuner) re-assembled the pipeline by hand, and
  * each run paid the preprocessing twice: once to size the blocked
- * layout and once more inside simulateApp's bind.  A Session owns
+ * layout and once more to bind the operand.  A Session owns
  * thread-safe keyed caches for the expensive artifacts —
  *
  *   raw        generated stand-in matrix (COO) (dataset, seed)

@@ -172,10 +172,10 @@ class PeGroupTree
 };
 
 /**
- * The Gamma-style cycle engine.  Same run contract as SparsepipeSim
- * (see core/sparsepipe_sim.hh): cancellation unwinds via SpError,
- * traces are emitted per phase and per DRAM transaction when
- * attached.
+ * The Gamma-style cycle engine, the CycleEngine subclass next to
+ * SparsepipeSim (see core/sparsepipe_sim.hh for the run contract):
+ * cancellation unwinds via SpError, traces are emitted per phase and
+ * per DRAM transaction when attached.
  *
  * The timing stage simulates the row loop until it reaches a steady
  * state, then replays it through the helper it shares with

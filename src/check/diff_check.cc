@@ -138,26 +138,19 @@ checkCase(const FuzzCase &fuzz, InjectedBug bug)
 {
     CaseReport report;
 
-    // The execution paths behind the one Executor interface: golden
-    // reference, functional OEI driver (deliberately at a different
-    // sub-tensor width), and every registered cycle backend.  The
-    // sparsepipe backend runs here; the rest of the registry runs in
-    // the N-way section below.
-    const ReferenceExecutor ref_exec;
-    const OeiExecutor oei_exec(fuzz.oei_sub_tensor);
-    const backend::BackendExecutor sim_exec(
-        backend::BackendKind::Sparsepipe, fuzz.config);
-
+    // The execution paths: golden reference, functional OEI driver
+    // (deliberately at a different sub-tensor width), and every
+    // registered cycle backend.  The sparsepipe backend runs here;
+    // the rest of the registry runs in the N-way section below.
     Workspace ws_ref = makeWorkspace(fuzz);
-    const RunResult ref_run =
-        ref_exec.execute(ws_ref, fuzz.iters).run;
+    const RunResult ref_run = RefExecutor().run(ws_ref, fuzz.iters);
 
     Workspace ws_oei = makeWorkspace(fuzz);
-    const ExecOutcome oei = oei_exec.execute(ws_oei, fuzz.iters);
+    const OeiResult oei =
+        runOeiFunctional(ws_oei, fuzz.iters, fuzz.oei_sub_tensor);
 
     Workspace ws_sim = makeWorkspace(fuzz);
-    SimStats stats =
-        *sim_exec.execute(ws_sim, fuzz.iters).stats;
+    SimStats stats = SparsepipeSim(fuzz.config).run(ws_sim, fuzz.iters);
 
     // ---- deliberate defect injection (harness self-test) ------------
     if (bug == InjectedBug::ResultEpsilon) {
@@ -185,10 +178,10 @@ checkCase(const FuzzCase &fuzz, InjectedBug bug)
                 oei.run.converged);
     compareRuns(report.failures, "sim", ref_run, stats.iterations,
                 stats.converged);
-    if (oei.mode && *oei.mode != stats.mode) {
+    if (oei.mode != stats.mode) {
         std::ostringstream ss;
         ss << "schedule mode disagrees: oei driver chose "
-           << scheduleModeName(*oei.mode) << ", simulator chose "
+           << scheduleModeName(oei.mode) << ", simulator chose "
            << scheduleModeName(stats.mode);
         report.failures.push_back(ss.str());
     }
@@ -249,15 +242,15 @@ checkCase(const FuzzCase &fuzz, InjectedBug bug)
     for (backend::BackendKind kind : backend::registeredBackends()) {
         if (kind == backend::BackendKind::Sparsepipe)
             continue;
-        const backend::BackendExecutor exec(kind, fuzz.config);
         Workspace ws_alt = makeWorkspace(fuzz);
-        const ExecOutcome alt = exec.execute(ws_alt, fuzz.iters);
-        const std::string path = exec.name();
-        compareRuns(report.failures, path, ref_run,
-                    alt.run.iterations, alt.run.converged);
+        const SimStats st =
+            backend::makeEngine(kind, fuzz.config)->run(ws_alt,
+                                                        fuzz.iters);
+        const std::string path = backend::backendName(kind);
+        compareRuns(report.failures, path, ref_run, st.iterations,
+                    st.converged);
         compareWorkspaceBits(report.failures, path, fuzz.program,
                              ws_ref, ws_alt);
-        const SimStats &st = *alt.stats;
         if (st.attribution.totalCycles() != st.cycles) {
             std::ostringstream ss;
             ss << path << " attribution does not reconcile: buckets "

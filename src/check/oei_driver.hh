@@ -2,23 +2,22 @@
  * @file
  * Independent functional driver for the OEI schedule.
  *
- * This re-implements the simulator's scheduling decision and
- * functional execution loop (schedule-mode choice, scalar-preamble
- * hoisting, fused-pass commit discipline, carry application,
- * convergence) WITHOUT the timing machinery, and deliberately runs
- * the fused pass at a different sub-tensor width than the simulator
- * would pick.  It is the third execution path of the differential
- * checker: reference executor vs this driver vs the cycle-level
- * simulator.  Because OEI only reorders computation, all three must
- * agree for every program; keeping this copy of the scheduling logic
- * separate from src/core means a bug there cannot silently cancel
- * out here.
+ * This re-implements the scheduling decision and functional
+ * execution loop of the cycle engines (CycleEngine::runFunctional:
+ * schedule-mode choice, scalar-preamble hoisting, fused-pass commit
+ * discipline, carry application, convergence) WITHOUT the timing
+ * machinery, and deliberately runs the fused pass at a different
+ * sub-tensor width than the engines would pick.  The differential
+ * checker (checkCase) runs it next to RefExecutor and every
+ * registered cycle backend.  Because OEI only reorders computation,
+ * all of them must agree for every program; keeping this copy of the
+ * scheduling logic separate from src/core means a bug there cannot
+ * silently cancel out here.
  */
 
 #ifndef SPARSEPIPE_CHECK_OEI_DRIVER_HH
 #define SPARSEPIPE_CHECK_OEI_DRIVER_HH
 
-#include "core/executor.hh"
 #include "core/sparsepipe_sim.hh"
 #include "lang/workspace.hh"
 #include "ref/executor.hh"
@@ -40,34 +39,6 @@ struct OeiResult
  */
 OeiResult runOeiFunctional(Workspace &ws, Idx max_iters,
                            Idx sub_tensor_cols = 0);
-
-/**
- * The functional OEI driver behind the unified Executor interface,
- * next to ReferenceExecutor and the backend::BackendExecutor of each
- * registered cycle backend.
- */
-class OeiExecutor final : public Executor
-{
-  public:
-    explicit OeiExecutor(Idx sub_tensor_cols = 0)
-        : sub_tensor_cols_(sub_tensor_cols) {}
-
-    const char *name() const override { return "oei"; }
-
-    ExecOutcome
-    execute(Workspace &ws, Idx max_iters) const override
-    {
-        const OeiResult r =
-            runOeiFunctional(ws, max_iters, sub_tensor_cols_);
-        ExecOutcome out;
-        out.run = r.run;
-        out.mode = r.mode;
-        return out;
-    }
-
-  private:
-    Idx sub_tensor_cols_;
-};
 
 } // namespace sparsepipe
 

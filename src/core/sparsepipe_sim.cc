@@ -208,16 +208,8 @@ OperandPatterns::buckets(TensorId id, Idx t, bool transposed) const
                       : memo.build(csc(id), t);
 }
 
-SimStats
-SparsepipeSim::run(Workspace &ws, Idx max_iters)
-{
-    const RunResult outcome = runFunctional(ws, max_iters);
-    return runTiming(ws.program(), OperandPatterns(ws), outcome,
-                     max_iters);
-}
-
 RunResult
-SparsepipeSim::runFunctional(Workspace &ws, Idx max_iters)
+CycleEngine::runFunctional(Workspace &ws, Idx max_iters) const
 {
     const Program &p = ws.program();
     const Plan plan = makePlan(p, analyzeProgram(p));
@@ -444,16 +436,6 @@ SparsepipeSim::runTiming(const Program &p,
 
     timeline.finish(t, config_.bw_timeline_samples, stats);
     return stats;
-}
-
-SimStats
-SparsepipeSim::simulateApp(const AppInstance &app, const CooMatrix &raw,
-                           Idx iters)
-{
-    Workspace ws(app.program);
-    ws.bindMatrix(app.matrix, app.prepare(raw));
-    app.init(ws);
-    return run(ws, iters > 0 ? iters : app.default_iters);
 }
 
 void

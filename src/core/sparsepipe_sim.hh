@@ -1,9 +1,10 @@
 /**
  * @file
- * The Sparsepipe simulator: cycle-level timing through the
- * event-driven OEI pass engine plus functional execution that
- * reproduces the reference executor's values bit for bit.  Its
- * functional stage is every backend's (backend::CycleEngine).
+ * The cycle-level engine base (CycleEngine) and the Sparsepipe
+ * simulator, its OEI subclass: cycle-level timing through the
+ * event-driven pass engine plus the one functional stage of every
+ * engine, which reproduces the reference executor's values bit for
+ * bit.
  *
  * Scheduling policy (Section IV-D):
  *  - a program whose analysis shows a fusable intra-iteration vxm
@@ -24,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/apps.hh"
 #include "buffer/dual_buffer.hh"
 #include "core/buckets.hh"
 #include "core/config.hh"
@@ -135,43 +135,53 @@ class OperandPatterns
 };
 
 /**
- * Cycle-level Sparsepipe simulator.
+ * One cycle-level engine: the common base of the Sparsepipe
+ * simulator below and of every alternate model behind the backend
+ * registry (backend::makeEngine, src/backend).  SparsepipeSim and
+ * backend::GammaSim are its two subclasses; each provides only a
+ * timing stage.
  *
  * A run has two stages.  Values decide only when a convergent program
  * stops, and cycles depend on the operand's pattern, never on its
  * values, so the stages meet in a RunResult:
  *
- *  - runFunctional() executes the workspace with the fused-pair and
- *    packed-lane kernels and returns {iterations, converged};
- *  - runTiming() runs the pass engine for that many iterations.
- *    It is a pure function of (program, config, operand patterns,
- *    outcome, max_iters).  A pass is a function of its role (fused,
- *    paired fused or stream) and of the DRAM lead it starts with, so
- *    the last simulated pass of each role is recorded, and a pass
- *    that starts with its role's recorded lead replays the record
- *    (core/replay.hh; DESIGN.md §12).  ObsCounters::
- *    replayed_iterations counts the replayed passes; every other
- *    output but cancel_polls is bit-identical to simulating each.
+ *  - runFunctional() executes the workspace with the Sparsepipe
+ *    fused-pair and packed-lane kernels and returns {iterations,
+ *    converged}.  It is every backend's functional stage, and the
+ *    workspace ends bit-identical to a RefExecutor run, so one
+ *    case's outcome serves every backend;
+ *  - runTiming() is the backend's cycle model of that outcome, a
+ *    pure function of (program, config, operand patterns, outcome,
+ *    max_iters).  Only it emits trace events.
  *
- * run() composes the two.  A caller that already knows a case's
- * outcome calls runTiming() alone: api::Session from its memo (every
- * run, the autotuner's probes included, goes through it) and, for a
- * program without a convergence test, from valueFreeOutcome()
- * without computing any value.
+ * run() composes the two and is the one path of every caller that
+ * binds its own workspace and reads it afterwards.  A caller that
+ * already knows a case's outcome calls runTiming() alone: api::Session
+ * from its memo (every run, the autotuner's probes included, goes
+ * through it) and, for a program without a convergence test, from
+ * valueFreeOutcome() without computing any value.
  */
-class SparsepipeSim
+class CycleEngine
 {
   public:
-    explicit SparsepipeSim(SparsepipeConfig config)
+    explicit CycleEngine(SparsepipeConfig config)
         : config_(std::move(config)) {}
+    CycleEngine(const CycleEngine &) = delete;
+    CycleEngine &operator=(const CycleEngine &) = delete;
+    virtual ~CycleEngine() = default;
 
     /**
      * Run a bound + initialised workspace for up to max_iters
      * iterations (early-exit on the program's convergence
-     * condition): runFunctional() then runTiming().  The workspace
-     * ends in the same state a RefExecutor run would produce.
+     * condition): runFunctional() then runTiming().
      */
-    SimStats run(Workspace &ws, Idx max_iters);
+    SimStats
+    run(Workspace &ws, Idx max_iters)
+    {
+        const RunResult outcome = runFunctional(ws, max_iters);
+        return runTiming(ws.program(), OperandPatterns(ws), outcome,
+                         max_iters);
+    }
 
     /**
      * Functional stage: execute the workspace for up to max_iters
@@ -180,7 +190,7 @@ class SparsepipeSim
      * band_threads (sparsepipe_sim_test pins this).  Polls the
      * cancellation token once per iteration.
      */
-    RunResult runFunctional(Workspace &ws, Idx max_iters);
+    RunResult runFunctional(Workspace &ws, Idx max_iters) const;
 
     /**
      * Timing stage: the cycle model of a run whose functional stage
@@ -189,41 +199,55 @@ class SparsepipeSim
      * patterns, so a run with other values but the same outcome
      * times identically.
      */
-    SimStats runTiming(const Program &program,
-                       const OperandPatterns &operands,
-                       const RunResult &outcome, Idx max_iters);
+    virtual SimStats runTiming(const Program &program,
+                               const OperandPatterns &operands,
+                               const RunResult &outcome,
+                               Idx max_iters) = 0;
 
     /**
-     * Convenience wrapper: prepare the app's operand from `raw`,
-     * bind, initialise, and run.
-     * @param iters  0 uses the app's default iteration count
-     */
-    SimStats simulateApp(const AppInstance &app, const CooMatrix &raw,
-                         Idx iters = 0);
-
-    /**
-     * Attach a trace sink: subsequent runs emit one trace event per
-     * simulator phase and per DRAM transaction.  Pass null to detach
-     * (the default; a detached run records nothing).
+     * Attach a trace sink: later timing stages emit one trace event
+     * per simulator phase and per DRAM transaction.  Pass null to
+     * detach (the default; a detached run records nothing).
      */
     void attachTrace(obs::TraceSink *sink) { trace_ = sink; }
 
     /**
      * Attach a cancellation token (null detaches).  Runs check it
-     * per pass-engine stage launch and per iteration of each stage;
-     * on cancellation or deadline expiry the run unwinds by throwing
-     * SpError (caught and flattened to a Status at the Session
-     * boundary).  A cancelled run leaves the workspace mid-update;
-     * callers must discard it.
+     * per iteration and per simulated stage; on cancellation or
+     * deadline expiry the run unwinds by throwing SpError (caught
+     * and flattened to a Status at the Session boundary).  A
+     * cancelled run leaves the workspace mid-update; callers must
+     * discard it.
      */
     void setCancelToken(const CancelToken *token) { cancel_ = token; }
 
-    const SparsepipeConfig &config() const { return config_; }
-
-  private:
+  protected:
     SparsepipeConfig config_;
     obs::TraceSink *trace_ = nullptr;
     const CancelToken *cancel_ = nullptr;
+};
+
+/**
+ * Cycle-level Sparsepipe simulator: the paper's OEI dataflow timed
+ * through the event-driven pass engine (backend "sparsepipe").
+ *
+ * Its timing stage runs the pass engine for the outcome's
+ * iterations.  A pass is a function of its role (fused, paired fused
+ * or stream) and of the DRAM lead it starts with, so the last
+ * simulated pass of each role is recorded, and a pass that starts
+ * with its role's recorded lead replays the record (core/replay.hh;
+ * DESIGN.md §12).  ObsCounters::replayed_iterations counts the
+ * replayed passes; every other output but cancel_polls is
+ * bit-identical to simulating each.
+ */
+class SparsepipeSim final : public CycleEngine
+{
+  public:
+    using CycleEngine::CycleEngine;
+
+    SimStats runTiming(const Program &program,
+                       const OperandPatterns &operands,
+                       const RunResult &outcome, Idx max_iters) override;
 };
 
 /**

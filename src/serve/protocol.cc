@@ -13,7 +13,11 @@ namespace {
 
 using obs::JsonValue;
 
-/** Fetch an integer member ("n" or a strict numeric string). */
+/**
+ * Fetch an integer member ("n" or a strict numeric string).  A JSON
+ * number must lie within +-2^53, where doubles still hold every
+ * integer.
+ */
 Status
 readInt(const JsonValue &obj, const char *key, long long &out)
 {
@@ -23,6 +27,9 @@ readInt(const JsonValue &obj, const char *key, long long &out)
     if (v->isNumber()) {
         if (v->number != std::floor(v->number))
             return invalidInput("field '%s' wants an integer", key);
+        if (std::fabs(v->number) > 0x1p53)
+            return invalidInput(
+                "field '%s' wants an integer within +-2^53", key);
         out = static_cast<long long>(v->number);
         return okStatus();
     }
@@ -47,7 +54,7 @@ readU64(const JsonValue &obj, const char *key, std::uint64_t &out)
         out = parsed;
         return okStatus();
     }
-    if (v->isNumber() && v->number >= 0 &&
+    if (v->isNumber() && v->number >= 0 && v->number < 0x1p64 &&
         v->number == std::floor(v->number)) {
         out = static_cast<std::uint64_t>(v->number);
         return okStatus();
@@ -160,6 +167,10 @@ parseRequest(const std::string &line)
         return s;
     if (req.buffer_kb < 0)
         return invalidInput("field 'buffer_kb' wants a size >= 0");
+    // explore's buffer_kb bound: the byte count cannot overflow.
+    if (req.buffer_kb > (1 << 20))
+        return invalidInput("field 'buffer_kb' wants a size <= %d",
+                            1 << 20);
     if (Status s = readU64(doc, "seed", req.seed); !s.ok())
         return s;
     if (Status s = readBool(doc, "blocked", req.blocked); !s.ok())

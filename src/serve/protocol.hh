@@ -56,7 +56,8 @@ struct Request
     std::uint64_t seed = 0x5eed5eedULL;
     /** Per-request deadline; 0 = none. */
     long long deadline_ms = 0;
-    /** On-chip buffer override; 0 keeps the config default. */
+    /** On-chip buffer override, at most 2^20; 0 keeps the config
+     *  default. */
     long long buffer_kb = 0;
     bool iso_cpu = false;
     /** Derive bytes/nz from the blocked layout (CLI default). */

@@ -66,12 +66,20 @@ tryParseF64(const std::string &text, double &out)
 }
 
 StatusOr<long long>
-parseI64Flag(const char *flag, const std::string &text)
+parseI64Flag(const char *flag, const std::string &text, long long lo,
+             long long hi)
 {
     long long value = 0;
     if (!tryParseI64(text, value))
         return invalidInput("flag %s wants an integer, got '%s'",
                             flag, text.c_str());
+    if (value < lo && hi == std::numeric_limits<long long>::max())
+        return invalidInput("flag %s wants an integer >= %lld, got "
+                            "'%s'", flag, lo, text.c_str());
+    if (value < lo || value > hi)
+        return invalidInput(
+            "flag %s wants an integer in [%lld, %lld], got '%s'", flag,
+            lo, hi, text.c_str());
     return value;
 }
 
@@ -87,12 +95,17 @@ parseU64Flag(const char *flag, const std::string &text)
 }
 
 StatusOr<double>
-parseF64Flag(const char *flag, const std::string &text)
+parseF64Flag(const char *flag, const std::string &text, double lo,
+             double hi)
 {
     double value = 0.0;
     if (!tryParseF64(text, value))
         return invalidInput("flag %s wants a number, got '%s'", flag,
                             text.c_str());
+    if (value < lo || value > hi)
+        return invalidInput(
+            "flag %s wants a number in [%g, %g], got '%s'", flag, lo,
+            hi, text.c_str());
     return value;
 }
 

@@ -12,6 +12,7 @@
 #ifndef SPARSEPIPE_UTIL_PARSE_HH
 #define SPARSEPIPE_UTIL_PARSE_HH
 
+#include <limits>
 #include <string>
 
 #include "util/status.hh"
@@ -37,15 +38,21 @@ bool tryParseF64(const std::string &text, double &out);
 /**
  * Flag-parsing wrappers: the value, or InvalidInput naming the flag,
  * e.g. parseI64Flag("--iters", "abc") yields "flag --iters wants an
- * integer, got 'abc'".  CLI mains map the error to the usage exit
- * code (kExitUsage); they never die inside the parser.
+ * integer, got 'abc'".  The signed and floating forms also reject a
+ * value outside [lo, hi] ("flag --iters wants an integer >= 0, got
+ * '-1'").  CLI mains map the error to the usage exit code
+ * (kExitUsage); they never die inside the parser.
  */
-StatusOr<long long> parseI64Flag(const char *flag,
-                                 const std::string &text);
+StatusOr<long long>
+parseI64Flag(const char *flag, const std::string &text,
+             long long lo = std::numeric_limits<long long>::min(),
+             long long hi = std::numeric_limits<long long>::max());
 StatusOr<unsigned long long> parseU64Flag(const char *flag,
                                           const std::string &text);
-StatusOr<double> parseF64Flag(const char *flag,
-                              const std::string &text);
+StatusOr<double>
+parseF64Flag(const char *flag, const std::string &text,
+             double lo = std::numeric_limits<double>::lowest(),
+             double hi = std::numeric_limits<double>::max());
 
 /** A validated TCP listen / connect address. */
 struct ListenAddress

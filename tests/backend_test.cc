@@ -413,16 +413,14 @@ TEST(GammaBackend, BitIdenticalToReferenceExecutor)
             const RunResult ref_run = RefExecutor().run(ref_ws, iters);
 
             Workspace gamma_ws = api::Session::bindWorkspace(pc);
-            const backend::BackendExecutor exec(
-                backend::BackendKind::Gamma, SparsepipeConfig::isoGpu());
-            const ExecOutcome out = exec.execute(gamma_ws, iters);
+            const SimStats stats =
+                backend::makeEngine(backend::BackendKind::Gamma,
+                                    SparsepipeConfig::isoGpu())
+                    ->run(gamma_ws, iters);
 
-            EXPECT_EQ(out.backend, "gamma");
-            EXPECT_FALSE(out.mode.has_value());
-            ASSERT_TRUE(out.stats.has_value());
-            EXPECT_EQ(out.run.iterations, ref_run.iterations) << label;
-            EXPECT_EQ(out.run.converged, ref_run.converged) << label;
-            EXPECT_GT(out.stats->cycles, 0u);
+            EXPECT_EQ(stats.iterations, ref_run.iterations) << label;
+            EXPECT_EQ(stats.converged, ref_run.converged) << label;
+            EXPECT_GT(stats.cycles, 0u);
 
             for (TensorId id = 0;
                  id < static_cast<TensorId>(p.tensors().size()); ++id) {

@@ -103,7 +103,7 @@ TEST(Baselines, SparsepipeBeatsIdealOnOeiApps)
     CsrMatrix prepared = app.prepare(raw);
 
     SparsepipeSim sim(SparsepipeConfig::isoGpu());
-    SimStats sp = sim.simulateApp(app, raw, 16);
+    SimStats sp = testing::simulateApp(sim, app, raw, 16);
     BaselineStats ideal = idealAccelerator(an, prepared.nnz(), 16);
     EXPECT_LT(sp.seconds(), ideal.seconds);
 }
@@ -112,8 +112,8 @@ TEST(Energy, BreakdownPositiveAndAdditive)
 {
     CooMatrix raw = testing::smallGraph(128, 2000);
     AppInstance app = makeBfs(128);
-    SimStats stats = SparsepipeSim(SparsepipeConfig::isoGpu())
-                         .simulateApp(app, raw, 8);
+    SimStats stats = testing::simulateApp(
+        SparsepipeSim(SparsepipeConfig::isoGpu()), app, raw, 8);
     EnergyBreakdown e = sparsepipeEnergy(stats);
     EXPECT_GT(e.compute_pj, 0.0);
     EXPECT_GT(e.memory_pj, 0.0);
@@ -129,8 +129,8 @@ TEST(Energy, SparsepipeSavesMemoryEnergyVsIdeal)
     Analysis an = analyzeProgram(app.program);
     CsrMatrix prepared = app.prepare(raw);
 
-    SimStats sp = SparsepipeSim(SparsepipeConfig::isoGpu())
-                      .simulateApp(app, raw, 16);
+    SimStats sp = testing::simulateApp(
+        SparsepipeSim(SparsepipeConfig::isoGpu()), app, raw, 16);
     BaselineStats ideal = idealAccelerator(an, prepared.nnz(), 16);
 
     EnergyBreakdown e_sp = sparsepipeEnergy(sp);

@@ -22,6 +22,7 @@
 namespace sparsepipe {
 namespace {
 
+using testing::simulateApp;
 using testing::smallGraph;
 using testing::smallRmat;
 using testing::vecError;
@@ -142,10 +143,8 @@ TEST(Preprocessing, BlockedBytesFeedTheSimulator)
     SparsepipeConfig plain = SparsepipeConfig::isoGpu();
     plain.bytes_per_nz = 12.0;
 
-    SimStats s_blk =
-        SparsepipeSim(blocked).simulateApp(app, raw, 8);
-    SimStats s_pln =
-        SparsepipeSim(plain).simulateApp(app, raw, 8);
+    SimStats s_blk = simulateApp(SparsepipeSim(blocked), app, raw, 8);
+    SimStats s_pln = simulateApp(SparsepipeSim(plain), app, raw, 8);
     EXPECT_LT(s_blk.matrix_demand_bytes, s_pln.matrix_demand_bytes);
     EXPECT_LE(s_blk.cycles, s_pln.cycles);
 }
@@ -163,8 +162,8 @@ TEST(FailureInjection, EmptyMatrixRunsToCompletion)
     const Idx n = 32;
     CooMatrix empty(n, n);
     AppInstance app = makeBfs(n);
-    SimStats stats = SparsepipeSim(SparsepipeConfig::isoGpu())
-                         .simulateApp(app, empty, 4);
+    SimStats stats = simulateApp(
+        SparsepipeSim(SparsepipeConfig::isoGpu()), app, empty, 4);
     // Frontier dies instantly; run converges after one round.
     EXPECT_TRUE(stats.converged);
     EXPECT_GE(stats.iterations, 1);
@@ -196,8 +195,8 @@ TEST(FailureInjection, ZeroIterationRunIsWellFormed)
 {
     AppInstance app = makePageRank(16);
     CooMatrix raw = smallGraph(16, 60, 41);
-    SimStats stats = SparsepipeSim(SparsepipeConfig::isoGpu())
-                         .simulateApp(app, raw, /*iters=*/0);
+    SimStats stats = simulateApp(
+        SparsepipeSim(SparsepipeConfig::isoGpu()), app, raw, /*iters=*/0);
     // iters=0 falls back to the app default, never a null run.
     EXPECT_GT(stats.iterations, 0);
 }

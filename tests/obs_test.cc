@@ -39,6 +39,7 @@ using obs::PhaseKind;
 using obs::PhaseWindow;
 using obs::TraceSink;
 using obs::TraceTrack;
+using testing::simulateApp;
 using testing::smallGraph;
 using testing::smallRmat;
 
@@ -756,8 +757,8 @@ TEST(ObsIntegration, AttributionReconcilesForEveryApp)
         for (int skew = 0; skew < 2; ++skew) {
             AppInstance app = makeApp(info.name, 64);
             CooMatrix raw = skew ? smallRmat() : smallGraph();
-            SimStats stats = SparsepipeSim(SparsepipeConfig::isoGpu())
-                                 .simulateApp(app, raw, 6);
+            SimStats stats = simulateApp(
+                SparsepipeSim(SparsepipeConfig::isoGpu()), app, raw, 6);
             expectReconciled(stats, std::string(info.name) +
                                         (skew ? "/rmat" : "/uniform"));
             EXPECT_GT(stats.attribution.compute, 0)
@@ -773,7 +774,7 @@ TEST(ObsIntegration, AttributionReconcilesUnderTinyBuffer)
     tiny.buffer_bytes = 2048 * 12; // ~2k resident elements
     AppInstance app = makeApp("pr", 64);
     CooMatrix raw = smallRmat();
-    SimStats stats = SparsepipeSim(tiny).simulateApp(app, raw, 6);
+    SimStats stats = simulateApp(SparsepipeSim(tiny), app, raw, 6);
     expectReconciled(stats, "pr/tiny-buffer");
 }
 
@@ -781,8 +782,8 @@ TEST(ObsIntegration, CountersArePopulated)
 {
     AppInstance app = makeApp("pr", 64);
     CooMatrix raw = smallGraph();
-    SimStats stats = SparsepipeSim(SparsepipeConfig::isoGpu())
-                         .simulateApp(app, raw, 6);
+    SimStats stats = simulateApp(
+        SparsepipeSim(SparsepipeConfig::isoGpu()), app, raw, 6);
     const obs::ObsCounters &c = stats.counters;
     // Every matrix element the OS consumed came from one loader.
     EXPECT_GT(c.prefetch_hit_elems + c.prefetch_miss_elems, 0);
@@ -798,7 +799,7 @@ TEST(ObsIntegration, TimelineSampleCountIsConfigurable)
     CooMatrix raw = smallGraph();
     SparsepipeConfig cfg = SparsepipeConfig::isoGpu();
     cfg.bw_timeline_samples = 7;
-    SimStats stats = SparsepipeSim(cfg).simulateApp(app, raw, 6);
+    SimStats stats = simulateApp(SparsepipeSim(cfg), app, raw, 6);
     ASSERT_EQ(stats.bw_timeline.size(), 7u);
     for (double u : stats.bw_timeline) {
         EXPECT_GE(u, 0.0);
@@ -816,7 +817,7 @@ TEST(ObsIntegration, ShortRunTimelineStaysNormalized)
     CooMatrix raw = smallGraph(16, 40);
     SparsepipeConfig cfg = SparsepipeConfig::isoGpu();
     cfg.bw_timeline_samples = 5;
-    SimStats stats = SparsepipeSim(cfg).simulateApp(app, raw, 2);
+    SimStats stats = simulateApp(SparsepipeSim(cfg), app, raw, 2);
     ASSERT_EQ(stats.bw_timeline.size(), 5u);
     double peak = 0.0;
     for (double u : stats.bw_timeline) {
@@ -839,7 +840,7 @@ TEST(Trace, SimRunEmitsParsableChromeTrace)
     SparsepipeSim sim(SparsepipeConfig::isoGpu());
     TraceSink sink(1.0);
     sim.attachTrace(&sink);
-    SimStats stats = sim.simulateApp(app, raw, 6);
+    SimStats stats = simulateApp(sim, app, raw, 6);
     ASSERT_GT(sink.eventCount(), 0u);
 
     JsonValue doc;
@@ -930,8 +931,8 @@ TEST(Metrics, RecordSimMetricsEmitsAttributionKeys)
 {
     AppInstance app = makeApp("sssp", 64);
     CooMatrix raw = smallGraph();
-    SimStats stats = SparsepipeSim(SparsepipeConfig::isoGpu())
-                         .simulateApp(app, raw, 6);
+    SimStats stats = simulateApp(
+        SparsepipeSim(SparsepipeConfig::isoGpu()), app, raw, 6);
     MetricsRegistry reg;
     recordSimMetrics(reg, "sssp.t", stats);
     EXPECT_TRUE(reg.has("sssp.t.cycles"));

@@ -105,6 +105,8 @@ TEST(ServeProtocol, MalformedRequestsNameTheDefect)
          "'iters' wants an integer"},
         {"{\"op\":\"run\",\"dataset\":\"ca\",\"seed\":-3}",
          "'seed' wants an unsigned integer"},
+        {"{\"op\":\"run\",\"dataset\":\"ca\",\"seed\":1e20}",
+         "'seed' wants an unsigned integer"},
         {"{\"op\":\"run\",\"dataset\":\"ca\",\"reorder\":\"rcm\"}",
          "unknown reorder 'rcm'"},
         {"{\"op\":\"run\",\"dataset\":\"ca\",\"iso\":\"tpu\"}",
@@ -114,6 +116,11 @@ TEST(ServeProtocol, MalformedRequestsNameTheDefect)
         {"{\"op\":\"run\",\"dataset\":17}", "'dataset' wants a string"},
         {"{\"op\":\"run\",\"dataset\":\"ca\",\"buffer_kb\":-8}",
          "'buffer_kb' wants a size >= 0"},
+        {"{\"op\":\"run\",\"app\":\"pr\",\"dataset\":\"gy\","
+         "\"buffer_kb\":9007199254740992}",
+         "'buffer_kb' wants a size <= 1048576"},
+        {"{\"op\":\"run\",\"dataset\":\"ca\",\"iters\":1e19}",
+         "'iters' wants an integer within +-2^53"},
     };
     for (const auto &row : kTable) {
         const StatusOr<Request> parsed = serve::parseRequest(row.line);
@@ -716,6 +723,19 @@ TEST(ServeServer, RunPingScrapeAndBadInputOverTcp)
     ASSERT_TRUE(bad_resp.ok());
     EXPECT_EQ(bad_resp->status.code(), StatusCode::InvalidInput);
     EXPECT_EQ(bad_resp->status.message(), "unknown dataset 'nope'");
+
+    // So is a buffer size past 2^20 KiB, whose byte count would
+    // overflow, and the server goes on answering.
+    Request huge;
+    huge.app = "pr";
+    huge.dataset = "gy";
+    huge.buffer_kb = 1LL << 53;
+    StatusOr<Response> huge_resp = client->call(huge);
+    ASSERT_TRUE(huge_resp.ok()) << huge_resp.status().toString();
+    EXPECT_EQ(huge_resp->status.code(), StatusCode::InvalidInput);
+    pong = client->call(ping);
+    ASSERT_TRUE(pong.ok()) << pong.status().toString();
+    EXPECT_TRUE(pong->status.ok());
 
     // The same port answers an HTTP metrics scrape.
     StatusOr<std::string> body =

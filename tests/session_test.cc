@@ -1387,7 +1387,7 @@ TEST(Autotune, ValueFreePilotTimesLikeAFullRunPerCandidate)
         api::RunRequest req;
         req.app = name;
         // Unblocked, the probes' footprint (12 B/nz) is the one
-        // simulateApp runs at.
+        // testing::simulateApp runs at.
         req.blocked = false;
         const api::AutotuneResult tuned =
             api::autotuneSubTensor(session, req, pc).value();
@@ -1396,7 +1396,9 @@ TEST(Autotune, ValueFreePilotTimesLikeAFullRunPerCandidate)
             SparsepipeConfig at = req.sp;
             at.sub_tensor_cols = probe.sub_tensor_cols;
             EXPECT_EQ(probe.cycles,
-                      SparsepipeSim(at).simulateApp(pc.app, raw, 4).cycles)
+                      testing::simulateApp(SparsepipeSim(at), pc.app,
+                                           raw, 4)
+                          .cycles)
                 << name << " t=" << probe.sub_tensor_cols;
         }
     }

@@ -4,9 +4,9 @@
  *
  * The central property: the OEI dataflow only reorders computation,
  * so a Sparsepipe run must leave the workspace in the same state as
- * the operator-at-a-time reference executor (up to floating-point
- * reassociation).  This is exercised for every application in the
- * suite over several matrix classes.
+ * the operator-at-a-time reference executor, bit for bit.  This is
+ * exercised for every application in the suite over several matrix
+ * classes.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +24,8 @@ namespace {
 using testing::expectSameSimStats;
 using testing::perturbValues;
 using testing::sameBits;
+using testing::sameValues;
+using testing::simulateApp;
 using testing::smallGraph;
 using testing::smallRmat;
 using testing::vecError;
@@ -90,27 +92,30 @@ TEST_P(SimEquivalence, MatchesReferenceExecutor)
     EXPECT_EQ(stats.converged, ref_run.converged);
     EXPECT_GT(stats.cycles, 0u);
 
-    const TensorInfo &result = app.program.tensor(app.result);
-    if (result.kind == TensorKind::Vector) {
-        double err = vecError(ref_ws.vec(app.result),
-                              sim_ws.vec(app.result));
-        EXPECT_LT(err, 1e-9) << "result vector diverged";
-    } else if (result.kind == TensorKind::DenseMatrix) {
-        double err = vecError(ref_ws.den(app.result).data(),
-                              sim_ws.den(app.result).data());
-        EXPECT_LT(err, 1e-9) << "result matrix diverged";
-    }
-
-    // Every vector tensor should agree, not just the result.
-    for (TensorId id = 0;
-         id < static_cast<TensorId>(app.program.tensors().size());
+    // Every vector, dense and scalar tensor matches bit for bit, not
+    // just the result.
+    const Program &p = app.program;
+    for (TensorId id = 0; id < static_cast<TensorId>(p.tensors().size());
          ++id) {
-        if (app.program.tensor(id).kind != TensorKind::Vector)
-            continue;
-        double err = vecError(ref_ws.vec(id), sim_ws.vec(id));
-        EXPECT_LT(err, 1e-9)
-            << "tensor '" << app.program.tensor(id).name
-            << "' diverged";
+        const TensorInfo &info = p.tensor(id);
+        switch (info.kind) {
+          case TensorKind::Vector:
+            EXPECT_TRUE(sameValues(ref_ws.vec(id), sim_ws.vec(id)))
+                << "tensor '" << info.name << "' diverged";
+            break;
+          case TensorKind::DenseMatrix:
+            EXPECT_TRUE(sameValues(ref_ws.den(id).data(),
+                                   sim_ws.den(id).data()))
+                << "tensor '" << info.name << "' diverged";
+            break;
+          case TensorKind::Scalar:
+            EXPECT_TRUE(sameBits(ref_ws.scalar(id), sim_ws.scalar(id)))
+                << "tensor '" << info.name << "' diverged: "
+                << ref_ws.scalar(id) << " vs " << sim_ws.scalar(id);
+            break;
+          case TensorKind::SparseMatrix:
+            break; // constant operand
+        }
     }
 }
 
@@ -140,7 +145,7 @@ TEST(SparsepipeSim, ChoosesExpectedScheduleModes)
     auto mode = [&](const std::string &name) {
         AppInstance app = makeApp(name, 64);
         SparsepipeSim sim(SparsepipeConfig::isoGpu());
-        return sim.simulateApp(app, raw, 4).mode;
+        return simulateApp(sim, app, raw, 4).mode;
     };
     EXPECT_EQ(mode("pr"), ScheduleMode::CrossIteration);
     EXPECT_EQ(mode("bfs"), ScheduleMode::CrossIteration);
@@ -160,7 +165,7 @@ TEST(SparsepipeSim, OeiHalvesMatrixTraffic)
     CooMatrix raw = smallGraph(128, 2000);
     AppInstance app = makePageRank(128);
     SparsepipeSim sim(SparsepipeConfig::isoGpu());
-    SimStats stats = sim.simulateApp(app, raw, 8);
+    SimStats stats = simulateApp(sim, app, raw, 8);
 
     // 8 iterations -> 4 fused passes; demand + prefetch + reload
     // together should be about half of 8 full streams.
@@ -185,10 +190,8 @@ TEST(SparsepipeSim, TinyBufferCausesReloads)
     SparsepipeConfig tiny = big;
     tiny.buffer_bytes = 4 << 10;
 
-    SimStats s_big =
-        SparsepipeSim(big).simulateApp(app, raw, 6);
-    SimStats s_tiny =
-        SparsepipeSim(tiny).simulateApp(app, raw, 6);
+    SimStats s_big = simulateApp(SparsepipeSim(big), app, raw, 6);
+    SimStats s_tiny = simulateApp(SparsepipeSim(tiny), app, raw, 6);
 
     EXPECT_EQ(s_big.reload_bytes, 0);
     EXPECT_GT(s_tiny.reload_bytes, 0);
@@ -210,10 +213,10 @@ TEST(SparsepipeSim, IsoCpuIsSlowerThanIsoGpu)
 {
     CooMatrix raw = smallGraph(128, 2000);
     AppInstance app = makePageRank(128);
-    SimStats gpu = SparsepipeSim(SparsepipeConfig::isoGpu())
-                       .simulateApp(app, raw, 8);
-    SimStats cpu = SparsepipeSim(SparsepipeConfig::isoCpu())
-                       .simulateApp(app, raw, 8);
+    SimStats gpu = simulateApp(
+        SparsepipeSim(SparsepipeConfig::isoGpu()), app, raw, 8);
+    SimStats cpu = simulateApp(
+        SparsepipeSim(SparsepipeConfig::isoCpu()), app, raw, 8);
     EXPECT_GT(cpu.cycles, gpu.cycles);
 }
 
@@ -221,8 +224,8 @@ TEST(SparsepipeSim, TimelineHas25Samples)
 {
     CooMatrix raw = smallGraph();
     AppInstance app = makeBfs(64);
-    SimStats stats = SparsepipeSim(SparsepipeConfig::isoGpu())
-                         .simulateApp(app, raw, 6);
+    SimStats stats = simulateApp(
+        SparsepipeSim(SparsepipeConfig::isoGpu()), app, raw, 6);
     ASSERT_EQ(stats.bw_timeline.size(), 25u);
     for (double u : stats.bw_timeline) {
         EXPECT_GE(u, 0.0);

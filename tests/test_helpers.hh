@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/apps.hh"
 #include "core/sparsepipe_sim.hh"
 #include "obs/metrics.hh"
 #include "sparse/csr.hh"
@@ -52,6 +53,20 @@ sameBits(double a, double b)
     return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/** Two value arrays have one length and match by sameBits. */
+inline ::testing::AssertionResult
+sameValues(const std::vector<Value> &a, const std::vector<Value> &b)
+{
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure()
+               << "lengths " << a.size() << " vs " << b.size();
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (!sameBits(a[i], b[i]))
+            return ::testing::AssertionFailure()
+                   << "value " << i << ": " << a[i] << " vs " << b[i];
+    return ::testing::AssertionSuccess();
+}
+
 /**
  * Two matrices of one compressed form store the same shape, pointers
  * and indices, and values that match by sameBits.
@@ -62,12 +77,7 @@ sameArrays(const Matrix &a, const Matrix &b)
 {
     if (!(*a.pattern() == *b.pattern()))
         return ::testing::AssertionFailure() << "patterns differ";
-    for (std::size_t i = 0; i < a.vals().size(); ++i)
-        if (!sameBits(a.vals()[i], b.vals()[i]))
-            return ::testing::AssertionFailure()
-                   << "value " << i << ": " << a.vals()[i] << " vs "
-                   << b.vals()[i];
-    return ::testing::AssertionSuccess();
+    return sameValues(a.vals(), b.vals());
 }
 
 /** Max |a-b| over two equal-length vectors, inf-aware. */
@@ -94,6 +104,28 @@ perturbValues(const CsrMatrix &m)
         vals[i] = vals[i] * 1.75 + 0.125 * static_cast<double>(i % 7 + 1);
     return CsrMatrix::fromParts(m.rows(), m.cols(), m.rowPtr(),
                                 m.colIdx(), std::move(vals));
+}
+
+/**
+ * Prepare the app's operand from `raw`, bind and initialise a
+ * workspace, and run it on `engine` for `iters` iterations (0: the
+ * app's default).
+ */
+inline SimStats
+simulateApp(CycleEngine &engine, const AppInstance &app,
+            const CooMatrix &raw, Idx iters)
+{
+    Workspace ws(app.program);
+    ws.bindMatrix(app.matrix, app.prepare(raw));
+    app.init(ws);
+    return engine.run(ws, iters > 0 ? iters : app.default_iters);
+}
+
+inline SimStats
+simulateApp(CycleEngine &&engine, const AppInstance &app,
+            const CooMatrix &raw, Idx iters)
+{
+    return simulateApp(engine, app, raw, iters);
 }
 
 /**

@@ -229,15 +229,17 @@ parse(int argc, char **argv)
         else if (arg == "--dataset") opt.dataset = next();
         else if (arg == "--mtx") opt.mtx = next();
         else if (arg == "--synthetic") opt.synthetic = next();
+        // Numeric run flags take the ranges an explore spec accepts
+        // for the same settings (src/explore/spec.cc).
         else if (arg == "--iters")
             opt.iters = static_cast<Idx>(
-                flagValue(parseI64Flag("--iters", next())));
+                flagValue(parseI64Flag("--iters", next(), 0)));
         else if (arg == "--buffer-kb")
-            opt.buffer_kb = static_cast<Idx>(
-                flagValue(parseI64Flag("--buffer-kb", next())));
+            opt.buffer_kb = static_cast<Idx>(flagValue(
+                parseI64Flag("--buffer-kb", next(), 1, 1 << 20)));
         else if (arg == "--sub-tensor")
-            opt.sub_tensor = static_cast<Idx>(
-                flagValue(parseI64Flag("--sub-tensor", next())));
+            opt.sub_tensor = static_cast<Idx>(flagValue(
+                parseI64Flag("--sub-tensor", next(), 0, 1 << 30)));
         else if (arg == "--lanes") {
             opt.lanes = static_cast<Idx>(
                 flagValue(parseI64Flag("--lanes", next())));
@@ -251,8 +253,8 @@ parse(int argc, char **argv)
                 usageError("--band-threads wants a positive count");
         }
         else if (arg == "--bandwidth")
-            opt.bandwidth =
-                flagValue(parseF64Flag("--bandwidth", next()));
+            opt.bandwidth = flagValue(
+                parseF64Flag("--bandwidth", next(), 1e-3, 1e6));
         else if (arg == "--iso-cpu") opt.iso_cpu = true;
         else if (arg == "--no-eager") opt.eager = false;
         else if (arg == "--no-blocked") opt.blocked = false;

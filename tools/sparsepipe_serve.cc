@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "serve/server.hh"
@@ -62,6 +63,14 @@ flagValue(StatusOr<T> parsed)
     if (!parsed.ok())
         usageError(parsed.status().toString());
     return std::move(parsed).value();
+}
+
+/** An int flag of at least `lo`: exit 2 below it or past INT_MAX. */
+int
+intFlag(const char *flag, const std::string &text, int lo)
+{
+    return static_cast<int>(flagValue(parseI64Flag(
+        flag, text, lo, std::numeric_limits<int>::max())));
 }
 
 void
@@ -126,37 +135,35 @@ main(int argc, char **argv)
         } else if (arg == "--port-file") {
             port_file = next();
         } else if (arg == "--jobs") {
-            config.jobs = static_cast<int>(
-                flagValue(parseI64Flag("--jobs", next())));
+            config.jobs = intFlag("--jobs", next(), 1);
         } else if (arg == "--queue-depth") {
-            config.admission.max_in_flight = static_cast<int>(
-                flagValue(parseI64Flag("--queue-depth", next())));
+            config.admission.max_in_flight =
+                intFlag("--queue-depth", next(), 0);
         } else if (arg == "--memory-budget-mb") {
+            // Bounded so the byte count fits in 64 bits.
             config.admission.memory_budget_bytes =
-                flagValue(parseU64Flag("--memory-budget-mb",
-                                       next())) *
-                1024 * 1024;
+                static_cast<std::uint64_t>(flagValue(parseI64Flag(
+                    "--memory-budget-mb", next(), 0,
+                    (1LL << 44) - 1))) << 20;
         } else if (arg == "--retry-after-ms") {
-            config.admission.retry_after_ms = static_cast<int>(
-                flagValue(parseI64Flag("--retry-after-ms", next())));
+            config.admission.retry_after_ms =
+                intFlag("--retry-after-ms", next(), 0);
         } else if (arg == "--deadline-ms") {
             config.default_deadline_ms =
-                flagValue(parseI64Flag("--deadline-ms", next()));
+                flagValue(parseI64Flag("--deadline-ms", next(), 0));
         } else if (arg == "--idle-timeout-ms") {
-            config.idle_timeout_ms = static_cast<int>(
-                flagValue(parseI64Flag("--idle-timeout-ms",
-                                       next())));
+            config.idle_timeout_ms =
+                intFlag("--idle-timeout-ms", next(), 0);
         } else if (arg == "--line-timeout-ms") {
-            config.line_timeout_ms = static_cast<int>(
-                flagValue(parseI64Flag("--line-timeout-ms",
-                                       next())));
+            config.line_timeout_ms =
+                intFlag("--line-timeout-ms", next(), 0);
         } else if (arg == "--max-request-bytes") {
             config.max_request_bytes = static_cast<std::size_t>(
                 flagValue(parseU64Flag("--max-request-bytes",
                                        next())));
         } else if (arg == "--max-requests-per-conn") {
             config.max_requests_per_conn = flagValue(
-                parseI64Flag("--max-requests-per-conn", next()));
+                parseI64Flag("--max-requests-per-conn", next(), 0));
         } else if (arg == "--cache-prepared") {
             config.prepared_cache_capacity = static_cast<std::size_t>(
                 flagValue(parseU64Flag("--cache-prepared", next())));
